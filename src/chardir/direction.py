@@ -237,20 +237,19 @@ def call_significant(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     coeffs = direction.coefficients
-    order = sorted(
-        range(len(coeffs)),
-        key=lambda i: (-(coeffs[i] ** 2), direction.gene_ids[i]),
-    )
+    order = np.lexsort((np.array(direction.gene_ids), -(coeffs**2)))
     squared = coeffs[order] ** 2
     cumulative = np.cumsum(squared)
     ranked = tuple(
         RankedGene(
             gene_id=direction.gene_ids[i],
-            coefficient=float(coeffs[i]),
-            squared_coefficient=float(sq),
-            cumulative_fraction=float(cum),
+            coefficient=c,
+            squared_coefficient=sq,
+            cumulative_fraction=cum,
         )
-        for i, sq, cum in zip(order, squared, cumulative)
+        for i, c, sq, cum in zip(
+            order.tolist(), coeffs[order].tolist(), squared.tolist(), cumulative.tolist()
+        )
     )
     selected = int(np.searchsorted(cumulative, alpha) + 1)
     selected = min(selected, len(ranked))

@@ -4,11 +4,12 @@ curves, and the sliding-window TSS-distance profile."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .data import GeneSet, GeneSetLibrary
 from .direction import CharacteristicDirection
@@ -22,7 +23,6 @@ __all__ = [
     "hypergeom_tail",
     "hypergeom_enrich",
     "principal_angle",
-    "angle_pdf",
     "angle_null_pvalue",
     "angle_enrich",
     "overlap_curve",
@@ -193,6 +193,28 @@ def _bh_skipping_diagnostics(pvals, diagnostics) -> np.ndarray:
     return qvals
 
 
+def _set_angles(direction: CharacteristicDirection, gene_sets) -> tuple[np.ndarray, np.ndarray]:
+    """First principal angle of each set, and how many of its members are
+    in the direction's universe (the angle of a set with none is pi/2).
+
+    Squared coefficients are summed in ascending gene-index order, so the
+    result does not depend on the iteration order of the member sets
+    (which follows the per-process string-hash seed).
+    """
+    index = {g: i for i, g in enumerate(direction.gene_ids)}
+    members = [sorted(index[g] for g in s.members if g in index) for s in gene_sets]
+    counts = np.array([len(m) for m in members], dtype=np.int64)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(members), dtype=np.intp, count=int(counts.sum())
+    )
+    mass = np.bincount(
+        np.repeat(np.arange(len(members)), counts),
+        weights=direction.coefficients[flat] ** 2,
+        minlength=len(members),
+    )
+    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), counts
+
+
 def principal_angle(
     direction: CharacteristicDirection, gene_set: GeneSet
 ) -> tuple[float, int]:
@@ -208,68 +230,31 @@ def principal_angle(
     Raises:
         ValueError: no set member occurs in the direction's universe.
     """
-    index = {g: i for i, g in enumerate(direction.gene_ids)}
-    present = [index[g] for g in gene_set.members if g in index]
-    dropped = len(gene_set.members) - len(present)
-    if not present:
+    theta, present = _set_angles(direction, [gene_set])
+    if not present[0]:
         raise ValueError(
             f"gene set {gene_set.name!r} has no member in the gene universe"
         )
-    mass = float(np.sum(direction.coefficients[present] ** 2))
-    theta = math.acos(min(1.0, math.sqrt(min(1.0, mass))))
-    return theta, dropped
+    return float(theta[0]), len(gene_set.members) - int(present[0])
 
 
-def angle_pdf(theta, n: int) -> np.ndarray:
-    """Density of the principal angle between isotropic directions in an
-    n-dimensional space, renormalized over [0, pi/2].
+def angle_null_pvalue(theta, n: int):
+    """P-value of a principal angle under the isotropic null, elementwise
+    over an array of angles.
 
-    The angle between two isotropic directions has density proportional to
-    ``sin(theta)^(n-2)`` on [0, pi]; principal angles fold onto [0, pi/2],
-    which doubles the density.
+    The angle between isotropic directions in n dimensions has density
+    proportional to ``sin(phi)^(n-2)``; its mass between ``theta`` and
+    pi/2 is the regularized incomplete beta ``I_{cos^2 theta}(1/2, (n-1)/2)``.
+    The value at pi/2 is exactly 0.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     theta = np.asarray(theta, dtype=np.float64)
-    log_coef = (
-        math.log(2.0)
-        - 0.5 * math.log(math.pi)
-        + special.gammaln(n / 2.0)
-        - special.gammaln((n - 1) / 2.0)
-    )
-    with np.errstate(divide="ignore"):
-        log_sin = np.where(theta > 0, np.log(np.sin(np.clip(theta, 0, math.pi))), -np.inf)
-    return np.exp(log_coef + (n - 2) * log_sin)
-
-
-def angle_null_pvalue(theta: float, n: int) -> float:
-    """P-value of a principal angle under the isotropic null: the mass of
-    the renormalized angle density between ``theta`` and pi/2.
-
-    Evaluated by adaptive quadrature (absolute error <= 1e-9); the
-    integrand is computed in log space so large ``n`` cannot overflow.
-    """
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    if not 0 <= theta <= math.pi / 2 + 1e-12:
+    if not np.all((theta >= 0) & (theta <= math.pi / 2 + 1e-12)):
         raise ValueError("theta must lie in [0, pi/2]")
-    theta = min(theta, math.pi / 2)
-    if theta == math.pi / 2:
-        return 0.0
-
-    # For large n the density concentrates within O(1/sqrt(n)) of pi/2;
-    # hint the quadrature at the edge of that region.
-    hint = math.pi / 2 - 10.0 / math.sqrt(n)
-    points = [hint] if theta < hint else None
-    value, _ = integrate.quad(
-        lambda phi: float(angle_pdf(phi, n)),
-        theta,
-        math.pi / 2,
-        epsabs=1e-9,
-        limit=200,
-        points=points,
-    )
-    return min(1.0, max(0.0, value))
+    theta = np.minimum(theta, math.pi / 2)
+    p = special.betainc(0.5, (n - 1) / 2.0, np.cos(theta) ** 2)
+    return np.where(theta == math.pi / 2, 0.0, p)[()]
 
 
 def angle_enrich(
@@ -283,25 +268,17 @@ def angle_enrich(
     """
     if len(library) == 0:
         raise ValueError("gene set library is empty")
-    n = len(direction.gene_ids)
-    names, thetas, pvals, diagnostics = [], [], [], []
-    for gene_set in library:
-        names.append(gene_set.name)
-        try:
-            theta, _ = principal_angle(direction, gene_set)
-        except ValueError:
-            thetas.append(math.pi / 2)
-            pvals.append(1.0)
-            diagnostics.append("no overlap with gene universe")
-            continue
-        thetas.append(theta)
-        pvals.append(angle_null_pvalue(theta, n))
-        diagnostics.append("")
+    thetas, present = _set_angles(direction, library)
+    defined = present > 0
+    pvals = np.where(defined, angle_null_pvalue(thetas, len(direction.gene_ids)), 1.0)
+    diagnostics = ["" if d else "no overlap with gene universe" for d in defined]
 
     qvals = _bh_skipping_diagnostics(pvals, diagnostics)
     results = [
-        AngleEnrichmentResult(nm, float(th), float(p), float(q), d)
-        for nm, th, p, q, d in zip(names, thetas, pvals, qvals, diagnostics)
+        AngleEnrichmentResult(s.name, th, p, q, d)
+        for s, th, p, q, d in zip(
+            library, thetas.tolist(), pvals.tolist(), qvals.tolist(), diagnostics
+        )
     ]
     return sorted(results, key=lambda r: (r.p, r.set_name))
 
@@ -435,12 +412,9 @@ def sliding_window_profile(
     hit_prefix = np.concatenate([[0], np.cumsum(hits)])
     dist_prefix = np.concatenate([[0.0], np.cumsum(distances)])
 
-    profile = []
-    for start in range(len(genes) - window + 1):
-        overlap = int(hit_prefix[start + window] - hit_prefix[start])
-        mean_distance = float(
-            (dist_prefix[start + window] - dist_prefix[start]) / window
-        )
-        p = hypergeom_tail(overlap, n_sig, window, universe)
-        profile.append((mean_distance, p))
-    return profile
+    overlaps = hit_prefix[window:] - hit_prefix[:-window]
+    mean_distances = (dist_prefix[window:] - dist_prefix[:-window]) / window
+    # Only the overlap varies between windows, over a few distinct values.
+    distinct, which = np.unique(overlaps, return_inverse=True)
+    tails = np.array([hypergeom_tail(int(k), n_sig, window, universe) for k in distinct])
+    return list(zip(mean_distances.tolist(), tails[which].tolist()))

@@ -33,6 +33,9 @@ __all__ = [
 
 FALLBACK_BANDWIDTH = 1.0
 GRID_POINTS = 256
+# A bandwidth at or below this fraction of the coordinates' magnitude is
+# rounding noise in coordinates that are constant in exact arithmetic.
+ROUNDING_SPREAD = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,9 @@ def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
 
     The grid spans [min - 3h, max + 3h] and the sampled curve is
     renormalized so its trapezoid integral is 1. ``bandwidth=None``
-    applies Silverman's rule; data with zero spread fall back to a fixed
-    bandwidth of 1.0 with a diagnostic.
+    applies Silverman's rule; data with zero spread, or spread at the
+    rounding level of their magnitude, fall back to a fixed bandwidth of
+    1.0 with a diagnostic.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 1 or coords.size < 2:
@@ -148,7 +152,7 @@ def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
     diagnostic = ""
     if bandwidth is None:
         h = silverman_bandwidth(coords)
-        if h <= 0:
+        if h <= ROUNDING_SPREAD * float(np.abs(coords).max()):
             h = FALLBACK_BANDWIDTH
             diagnostic = "zero spread: fell back to fixed bandwidth"
     else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .direction import NoDifferentialSignalError, lr1_direction, np1_direction
 from .linalg import ZeroVarianceError, random_rotation
-from .welch import UndefinedStatisticError, welch_test
+from .welch import welch_arrays
 
 __all__ = [
     "SyntheticSpec",
@@ -226,15 +226,9 @@ def method_scores(
             np1_direction(gene_ids, x1, x2, n_permutations, np1_rng).coefficients ** 2
         )
     if method == "WELCH":
-        scores = np.empty(len(gene_ids))
-        for i in range(len(gene_ids)):
-            try:
-                _, _, p = welch_test(x1[i], x2[i])
-            except UndefinedStatisticError:
-                scores[i] = 0.0
-                continue
-            scores[i] = -math.log(p) if p > 0 else math.inf
-        return scores
+        _, _, p, _ = welch_arrays(x1, x2)
+        with np.errstate(divide="ignore"):
+            return -np.log(p)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -11,6 +11,7 @@ from scipy import special
 __all__ = [
     "WelchResult",
     "UndefinedStatisticError",
+    "welch_arrays",
     "welch_test",
     "student_t_two_sided",
     "bh_fdr",
@@ -39,56 +40,82 @@ class WelchResult:
     diagnostic: str = ""
 
 
-def student_t_two_sided(t: float, df: float) -> float:
-    """Two-sided Student-t tail probability via the regularized
-    incomplete beta function: ``I_{df/(df+t^2)}(df/2, 1/2)``."""
-    if df <= 0:
+def student_t_two_sided(t, df):
+    """Two-sided Student-t tail probability ``2 * stdtr(df, -|t|)``,
+    elementwise over arrays of ``t`` and ``df``.
+
+    At df = 1 exactly, ``stdtr`` is off by about 3e-9 at |t| = 1e-8,
+    so that case takes the Cauchy closed form ``(2/pi) atan(1/|t|)``.
+    """
+    df = np.asarray(df, dtype=np.float64)
+    if np.any(df <= 0):
         raise ValueError("df must be positive")
-    if t == 0.0:
-        return 1.0
-    return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+    t = np.abs(t)
+    cauchy = np.arctan2(1.0, t) * (2.0 / math.pi)
+    return np.where(df == 1.0, cauchy, 2.0 * special.stdtr(df, -t))[()]
 
 
-def welch_test(x1, x2) -> tuple[float, float, float]:
-    """Welch's unequal-variance t-test between two samples.
+def welch_arrays(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Welch's unequal-variance t-test on every row of two genes x samples
+    matrices.
 
     Uses unbiased sample variances; the statistic is
     ``(mean(x1) - mean(x2)) / sqrt(v1/n1 + v2/n2)`` with
     Welch-Satterthwaite degrees of freedom, and the p-value is the
-    two-sided Student-t tail.
+    two-sided Student-t tail. Rows where both samples have zero variance
+    but different means get ``(+-inf, n1 + n2 - 2, 0.0)`` by convention.
 
     Returns:
-        (t, df, p). When both samples have zero variance but different
-        means, returns ``(+-inf, n1 + n2 - 2, 0.0)`` by convention.
+        (t, df, p, undefined). ``undefined`` marks the rows where both
+        variances and the mean difference are zero; those rows read
+        t = 0, df = NaN and p = 1.
+
+    Raises:
+        ValueError: the matrices disagree on row count, a sample has fewer
+            than 2 values, or the data are non-finite.
+    """
+    # Row-contiguous, so each row is reduced in the same order as a 1-D sample.
+    x1 = np.ascontiguousarray(x1, dtype=np.float64)
+    x2 = np.ascontiguousarray(x2, dtype=np.float64)
+    if x1.ndim != 2 or x2.ndim != 2 or x1.shape[0] != x2.shape[0]:
+        raise ValueError("samples must be 2-D with the same number of rows")
+    if x1.shape[1] < 2 or x2.shape[1] < 2:
+        raise ValueError("each sample needs at least 2 values")
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValueError("samples contain non-finite values")
+
+    n1, n2 = x1.shape[1], x2.shape[1]
+    diff = x1.mean(axis=1) - x2.mean(axis=1)
+    v1 = x1.var(axis=1, ddof=1)
+    v2 = x2.var(axis=1, ddof=1)
+    se2 = v1 / n1 + v2 / n2
+    degenerate = se2 == 0.0
+    undefined = degenerate & (diff == 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / np.sqrt(se2)
+        df = se2**2 / (v1**2 / (n1**2 * (n1 - 1)) + v2**2 / (n2**2 * (n2 - 1)))
+    df[degenerate] = n1 + n2 - 2
+    t[undefined] = 0.0
+    df[undefined] = np.nan
+    p = student_t_two_sided(t, df)
+    p[undefined] = 1.0
+    return t, df, p, undefined
+
+
+def welch_test(x1, x2) -> tuple[float, float, float]:
+    """Welch's t-test between two samples: ``(t, df, p)`` of the single row
+    of :func:`welch_arrays`.
 
     Raises:
         UndefinedStatisticError: both variances and the mean difference
             are zero.
         ValueError: a sample has fewer than 2 values or non-finite data.
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x1.size < 2 or x2.size < 2:
-        raise ValueError("each sample needs at least 2 values")
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-        raise ValueError("samples contain non-finite values")
-
-    n1, n2 = x1.size, x2.size
-    m1, m2 = float(x1.mean()), float(x2.mean())
-    v1 = float(x1.var(ddof=1))
-    v2 = float(x2.var(ddof=1))
-
-    se2 = v1 / n1 + v2 / n2
-    if se2 == 0.0:
-        if m1 == m2:
-            raise UndefinedStatisticError(
-                "zero variance in both samples with equal means"
-            )
-        return math.copysign(math.inf, m1 - m2), float(n1 + n2 - 2), 0.0
-
-    t = (m1 - m2) / math.sqrt(se2)
-    df = se2**2 / (v1**2 / (n1**2 * (n1 - 1)) + v2**2 / (n2**2 * (n2 - 1)))
-    return t, df, student_t_two_sided(t, df)
+    t, df, p, undefined = welch_arrays(np.reshape(x1, (1, -1)), np.reshape(x2, (1, -1)))
+    if undefined[0]:
+        raise UndefinedStatisticError("zero variance in both samples with equal means")
+    return float(t[0]), float(df[0]), float(p[0])
 
 
 def bh_fdr(pvals) -> np.ndarray:
@@ -135,23 +162,19 @@ def ttest_screen(
     if x1.shape[0] != len(gene_ids) or x2.shape[0] != len(gene_ids):
         raise ValueError("gene_ids and matrices disagree on gene count")
 
-    stats: list[tuple[float, float, float, str]] = []
-    for i in range(len(gene_ids)):
-        try:
-            t, df, p = welch_test(x1[i], x2[i])
-        except UndefinedStatisticError:
-            stats.append((0.0, float("nan"), 1.0, "zero variance, equal means"))
-            continue
-        diag = "zero variance, unequal means" if math.isinf(t) else ""
-        stats.append((t, df, p, diag))
-
-    defined = [i for i, s in enumerate(stats) if s[3] != "zero variance, equal means"]
-    qvals = np.ones(len(gene_ids))
-    if defined:
-        qvals[defined] = bh_fdr([stats[i][2] for i in defined])
+    t, df, p, undefined = welch_arrays(x1, x2)
+    q = np.ones(len(gene_ids))
+    q[~undefined] = bh_fdr(p[~undefined])
 
     results = []
-    for gid, (t, df, p, diag), q in zip(gene_ids, stats, qvals):
-        significant = bool(q <= fdr_threshold) and diag != "zero variance, equal means"
-        results.append(WelchResult(gid, t, df, p, float(q), significant, diag))
+    columns = (t.tolist(), df.tolist(), p.tolist(), q.tolist(), undefined.tolist())
+    for gid, t_i, df_i, p_i, q_i, undefined_i in zip(gene_ids, *columns):
+        if undefined_i:
+            diag = "zero variance, equal means"
+        elif math.isinf(t_i):
+            diag = "zero variance, unequal means"
+        else:
+            diag = ""
+        significant = q_i <= fdr_threshold and not undefined_i
+        results.append(WelchResult(gid, t_i, df_i, p_i, q_i, significant, diag))
     return results

@@ -54,6 +54,11 @@ def student_t_two_sided_quad(t: float, df: float) -> float:
         )
         return math.exp(log_norm - (df + 1) / 2 * math.log1p(x * x / df))
 
+    if abs(t) < 1.0:
+        # Near zero the density over [0, |t|] resolves 1 - p; the tail
+        # integral over [|t|, inf) leaves it to quadrature error.
+        body, _ = integrate.quad(pdf, 0.0, abs(t), epsabs=1e-14, epsrel=1e-14)
+        return 1.0 - 2.0 * body
     tail, _ = integrate.quad(pdf, abs(t), np.inf, epsabs=1e-12, epsrel=1e-12)
     return min(1.0, 2.0 * tail)
 
@@ -78,6 +83,49 @@ def angle_pvalue_betainc(theta: float, n: int) -> float:
     the regularized incomplete beta I_{cos^2 theta}(1/2, (n-1)/2)."""
     c = math.cos(theta)
     return float(special.betainc(0.5, (n - 1) / 2, c * c))
+
+
+def angle_pdf(theta, n: int) -> np.ndarray:
+    """Density of the principal angle between isotropic directions in an
+    n-dimensional space, renormalized over [0, pi/2].
+
+    The angle between two isotropic directions has density proportional to
+    ``sin(theta)^(n-2)`` on [0, pi]; principal angles fold onto [0, pi/2],
+    which doubles the density. Computed in log space so large ``n`` cannot
+    overflow.
+    """
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    theta = np.asarray(theta, dtype=np.float64)
+    log_coef = (
+        math.log(2.0)
+        - 0.5 * math.log(math.pi)
+        + special.gammaln(n / 2.0)
+        - special.gammaln((n - 1) / 2.0)
+    )
+    with np.errstate(divide="ignore"):
+        log_sin = np.where(theta > 0, np.log(np.sin(np.clip(theta, 0, math.pi))), -np.inf)
+    return np.exp(log_coef + (n - 2) * log_sin)
+
+
+def angle_pvalue_quad(theta: float, n: int) -> float:
+    """Isotropic principal-angle tail by adaptive quadrature of
+    :func:`angle_pdf` from ``theta`` to pi/2."""
+    if theta >= math.pi / 2:
+        return 0.0
+    # For large n the density concentrates within O(1/sqrt(n)) of pi/2;
+    # hint the quadrature at the edge of that region.
+    hint = math.pi / 2 - 10.0 / math.sqrt(n)
+    value, _ = integrate.quad(
+        lambda phi: float(angle_pdf(phi, n)),
+        theta,
+        math.pi / 2,
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=200,
+        points=[hint] if theta < hint else None,
+    )
+    return min(1.0, max(0.0, value))
 
 
 def mann_whitney_auc(scores, mask) -> float:

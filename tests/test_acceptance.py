@@ -17,7 +17,6 @@ from chardir.direction import lr1_direction, np1_direction
 from chardir.enrichment import (
     aggregate_overlap_curves,
     angle_null_pvalue,
-    angle_pdf,
     hypergeom_tail,
     overlap_curve,
 )
@@ -34,7 +33,7 @@ from chardir.simulate import (
 )
 from chardir.welch import bh_fdr, welch_test
 
-from oracles import normal_equation_direction, student_t_two_sided_quad
+from oracles import angle_pdf, normal_equation_direction, student_t_two_sided_quad
 
 MASTER_SEED = 20250810
 

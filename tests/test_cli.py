@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -221,6 +222,39 @@ class TestEnrichCommand:
             exact_hypergeom_tail(0, 5, 2, 10), rel=1e-12
         )
 
+    def test_angle_mode_independent_of_hash_seed(self, tmp_path):
+        # Set members iterate in string-hash order, which differs between
+        # processes; the angle table must not.
+        rng = np.random.default_rng(12)
+        coefficients = rng.standard_normal(2000)
+        coefficients /= np.linalg.norm(coefficients)
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text(
+            "gene_id\tcoefficient\tsignificant\n"
+            + "".join(f"G{i}\t{c!r}\tfalse\n" for i, c in enumerate(coefficients.tolist()))
+        )
+        gmt = tmp_path / "sets.gmt"
+        sets = [rng.choice(2000, 100, replace=False) for _ in range(50)]
+        gmt.write_text(
+            "".join(
+                f"S{k}\td\t" + "\t".join(f"G{i}" for i in members) + "\n"
+                for k, members in enumerate(sets)
+            )
+        )
+        tables = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"enr{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "chardir.cli", "enrich", "--ranked", str(ranked),
+                 "--gmt", str(gmt), "--mode", "angle", "--seed", "1", "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables.append((out / "enrichment.tsv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_angle_mode_runs_on_chdir_output(self, toy):
         expr, design, tmp = toy
         ranked_out = tmp / "ranked"
@@ -315,6 +349,32 @@ class TestProjectCommand:
         pca = read_rows(out / "pca.tsv")
         assert set(pca[0]) == {"sample_id", "class", "pc1", "pc2"}
 
+    def test_density_columns_integrate_to_one_with_more_genes_than_samples(self, tmp_path):
+        # With p > n the level-1 coordinates are constant within each class
+        # up to rounding, so the automatic bandwidth must take the fallback.
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((200, 8))
+        values[:20, 4:] += 3.0
+        samples = [f"c{j}" for j in range(4)] + [f"t{j}" for j in range(4)]
+        expr = tmp_path / "expr.tsv"
+        expr.write_text(
+            "gene_id\t" + "\t".join(samples) + "\n"
+            + "".join(
+                f"G{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
+                for i, row in enumerate(values)
+            )
+        )
+        design = tmp_path / "design.tsv"
+        design.write_text("".join(f"{s}\t{1 if s[0] == 'c' else 2}\n" for s in samples))
+        out = tmp_path / "out"
+        assert run(
+            ["project", "--expression", expr, "--design", design,
+             "--depth", "1", "--seed", "1", "--out", out]
+        ) == 0
+        dens = np.loadtxt(out / "density.tsv", skiprows=1)
+        for column in (1, 2):
+            assert np.trapezoid(dens[:, column], dens[:, 0]) == pytest.approx(1.0, abs=1e-2)
+
 
 class TestPipeline:
     def test_simulate_chdir_enrich_end_to_end(self, tmp_path):
@@ -383,6 +443,16 @@ class TestPipeline:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "ranked_genes.tsv").exists()
+
+    def test_cli_import_skips_scipy_integrate(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, chardir.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unseeded_run_prints_drawn_seed(self, toy, capsys):
         expr, design, tmp = toy

@@ -13,7 +13,6 @@ from chardir.enrichment import (
     aggregate_overlap_curves,
     angle_enrich,
     angle_null_pvalue,
-    angle_pdf,
     dedupe_tss_associations,
     hypergeom_enrich,
     hypergeom_tail,
@@ -22,7 +21,13 @@ from chardir.enrichment import (
     sliding_window_profile,
 )
 
-from oracles import angle_pvalue_betainc, enumerated_hypergeom_tail, exact_hypergeom_tail
+from oracles import (
+    angle_pdf,
+    angle_pvalue_betainc,
+    angle_pvalue_quad,
+    enumerated_hypergeom_tail,
+    exact_hypergeom_tail,
+)
 
 
 def make_direction(coefficients, ids=None):
@@ -131,6 +136,19 @@ class TestAngleNull:
                 assert angle_null_pvalue(float(theta), n) == pytest.approx(
                     angle_pvalue_betainc(float(theta), n), abs=1e-8
                 )
+
+    def test_matches_quadrature_oracle(self):
+        for n in (3, 10, 100, 1000, 20000):
+            for theta in np.linspace(0.0, math.pi / 2, 41):
+                assert angle_null_pvalue(float(theta), n) == pytest.approx(
+                    angle_pvalue_quad(float(theta), n), abs=1e-11
+                )
+
+    def test_vectorised_over_angles(self):
+        thetas = np.linspace(0.0, math.pi / 2, 9)
+        p = angle_null_pvalue(thetas, 50)
+        assert p.shape == thetas.shape
+        assert p.tolist() == [angle_null_pvalue(float(t), 50) for t in thetas]
 
     def test_density_normalized(self):
         for n in (3, 10, 100, 1000):

@@ -10,6 +10,7 @@ from chardir.welch import (
     bh_fdr,
     student_t_two_sided,
     ttest_screen,
+    welch_arrays,
     welch_test,
 )
 
@@ -64,12 +65,43 @@ class TestWelchTest:
         assert p2 == pytest.approx(p, rel=1e-9)
 
 
+class TestWelchArrays:
+    def test_rows_match_scipy_stats(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(10)
+        # Column-major, as align_design returns it.
+        x1 = np.asfortranarray(rng.standard_normal((40, 3)) * rng.uniform(0.1, 5, (40, 1)))
+        x2 = np.asfortranarray(rng.standard_normal((40, 7)) + rng.normal(0, 2, (40, 1)))
+        t, df, p, undefined = welch_arrays(x1, x2)
+        assert not undefined.any()
+        for i in range(40):
+            ref = stats.ttest_ind(x1[i], x2[i], equal_var=False)
+            assert t[i] == pytest.approx(ref.statistic, rel=1e-12)
+            assert df[i] == pytest.approx(ref.df, rel=1e-12)
+            assert p[i] == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-15)
+
+    def test_degenerate_rows(self):
+        x1 = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+        x2 = np.array([[2.0, 2.0], [0.0, 0.0], [3.0, 5.0]])
+        t, df, p, undefined = welch_arrays(x1, x2)
+        assert undefined.tolist() == [False, True, False]
+        assert t[0] == -math.inf and df[0] == 2.0 and p[0] == 0.0
+        assert t[1] == 0.0 and math.isnan(df[1]) and p[1] == 1.0
+        assert (t[2], df[2], p[2]) == welch_test(x1[2], x2[2])
+
+
 class TestStudentTail:
     def test_matches_quadrature_oracle_on_grid(self):
-        for df in (1.0, 2.0, 4.0, 10.0, 100.0):
+        for df in (1.0, 2.0, 4.0, 10.0, 17.3, 18.0, 100.0):
             for t in np.linspace(-10, 10, 41):
                 assert student_t_two_sided(float(t), df) == pytest.approx(
                     student_t_two_sided_quad(float(t), df), abs=1e-8
+                )
+            # Near t = 0, where p is within 1e-6 of 1.
+            for t in (1e-8, -1e-8, 4.9e-7, -4.9e-7):
+                assert student_t_two_sided(t, df) == pytest.approx(
+                    student_t_two_sided_quad(t, df), abs=1e-12
                 )
 
     def test_symmetric_and_bounded(self):
