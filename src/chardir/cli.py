@@ -44,13 +44,12 @@ from .enrichment import (
     hypergeom_enrich,
     sliding_window_profile,
 )
-from .linalg import ZeroVarianceError
+from .linalg import ZeroVarianceError, pca_reduce
 from .projection import density_estimate, project_hierarchy
 from .simulate import (
     METHODS,
     SyntheticSpec,
-    benchmark_roc,
-    benchmark_sweep,
+    benchmark_sweep_roc,
     generate,
     synthetic_gene_ids,
 )
@@ -89,7 +88,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict, see
     manifest = {
         "command": command,
         "parameters": {k: params[k] for k in sorted(params)},
-        "input_digests": {name: _sha256(Path(p)) for name, p in sorted(inputs.items())},
+        "input_digests": {name: _sha256(Path(p)) for name, p in sorted(inputs.items()) if p},
         "seed": seed,
         "tool_version": __version__,
     }
@@ -122,6 +121,18 @@ def _load_matrix(args) -> ExpressionMatrix:
             already_log=not args.log2_transform,
             pseudocount=args.pseudocount,
         )
+
+
+def _expression_params(args) -> dict:
+    return {
+        "expression": str(args.expression),
+        "design": str(args.design) if args.design else "",
+        "class1": args.class1 or "",
+        "class2": args.class2 or "",
+        "log2_transform": args.log2_transform,
+        "pseudocount": args.pseudocount,
+        "out": str(args.out),
+    }
 
 
 def _resolve_design(parser, args) -> TwoClassDesign:
@@ -196,49 +207,15 @@ def _read_ranked_file(path: Path):
 # Table writers
 
 
-def _write_welch_tsv(results, out_path: Path) -> None:
+def _write_tsv(out_path: Path, columns, rows, comment: str = "") -> None:
+    """A header line (after ``# comment`` when given), then one line per row,
+    each cell written by ``_fmt``."""
     with open(out_path, "w") as out:
-        out.write("# two-sided p-values\n")
-        out.write("gene_id\tt\tdf\tp\tq\tsignificant\tdiagnostic\n")
-        for r in results:
-            out.write(
-                "\t".join(
-                    [r.gene_id, _fmt(r.t), _fmt(r.df), _fmt(r.p), _fmt(r.q),
-                     _fmt(r.significant), r.diagnostic]
-                )
-                + "\n"
-            )
-
-
-def _write_enrichment_tsv(results, out_path: Path) -> None:
-    with open(out_path, "w") as out:
-        out.write("set_name\toverlap\tset_size\tp\tq\tmean_rank\tdiagnostic\n")
-        for r in results:
-            out.write(
-                "\t".join(
-                    [r.set_name, str(r.overlap), str(r.set_size_in_universe),
-                     _fmt(r.p), _fmt(r.q), _fmt(r.mean_rank), r.diagnostic]
-                )
-                + "\n"
-            )
-
-
-def _write_angle_enrichment_tsv(results, out_path: Path) -> None:
-    with open(out_path, "w") as out:
-        out.write("set_name\ttheta\tp\tq\tdiagnostic\n")
-        for r in results:
-            out.write(
-                "\t".join([r.set_name, _fmt(r.theta), _fmt(r.p), _fmt(r.q), r.diagnostic])
-                + "\n"
-            )
-
-
-def _write_profile_tsv(profile, out_path: Path) -> None:
-    with open(out_path, "w") as out:
-        out.write("mean_distance\tminus_log10_p\n")
-        for mean_distance, p in profile:
-            minus_log10 = -math.log10(p) if p > 0 else math.inf
-            out.write(f"{_fmt(mean_distance)}\t{_fmt(minus_log10)}\n")
+        if comment:
+            out.write(f"# {comment}\n")
+        out.write("\t".join(columns) + "\n")
+        for row in rows:
+            out.write("\t".join(map(_fmt, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +249,18 @@ def _cmd_chdir(parser, args) -> int:
         with open(out_path, "w") as handle:
             write_ranked_json(call, handle, method=direction.method)
 
-    inputs = {"expression": args.expression}
-    if args.design:
-        inputs["design"] = args.design
+    inputs = {"expression": args.expression, "design": args.design}
     _write_manifest(
         out_dir,
         "chdir",
         {
-            "expression": str(args.expression),
-            "design": str(args.design) if args.design else "",
-            "class1": args.class1 or "",
-            "class2": args.class2 or "",
+            **_expression_params(args),
             "method": args.method,
             "alpha": args.alpha,
             "epsilon": args.epsilon,
             "max_components": args.max_components,
             "permutations": args.permutations,
-            "log2_transform": args.log2_transform,
-            "pseudocount": args.pseudocount,
             "format": args.format,
-            "out": str(args.out),
         },
         inputs,
         seed,
@@ -316,23 +285,20 @@ def _cmd_ttest(parser, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "welch_results.tsv"
-    _write_welch_tsv(ranked, out_path)
+    _write_tsv(
+        out_path,
+        ["gene_id", "t", "df", "p", "q", "significant", "diagnostic"],
+        ([r.gene_id, r.t, r.df, r.p, r.q, r.significant, r.diagnostic] for r in ranked),
+        "two-sided p-values",
+    )
 
-    inputs = {"expression": args.expression}
-    if args.design:
-        inputs["design"] = args.design
+    inputs = {"expression": args.expression, "design": args.design}
     _write_manifest(
         out_dir,
         "ttest",
         {
-            "expression": str(args.expression),
-            "design": str(args.design) if args.design else "",
-            "class1": args.class1 or "",
-            "class2": args.class2 or "",
+            **_expression_params(args),
             "fdr": args.fdr,
-            "log2_transform": args.log2_transform,
-            "pseudocount": args.pseudocount,
-            "out": str(args.out),
         },
         inputs,
         seed,
@@ -363,7 +329,12 @@ def _cmd_enrich(parser, args) -> int:
 
     if args.mode == "hypergeom":
         results = hypergeom_enrich(significant, library, universe, ranking)
-        _write_enrichment_tsv(results, out_path)
+        _write_tsv(
+            out_path,
+            ["set_name", "overlap", "set_size", "p", "q", "mean_rank", "diagnostic"],
+            ([r.set_name, r.overlap, r.set_size_in_universe, r.p, r.q, r.mean_rank,
+              r.diagnostic] for r in results),
+        )
         top = results[0].set_name if results else "none"
     else:
         if coefficients is None:
@@ -378,16 +349,15 @@ def _cmd_enrich(parser, args) -> int:
             magnitude=float("nan"),
         )
         results = angle_enrich(direction, library)
-        _write_angle_enrichment_tsv(results, out_path)
+        _write_tsv(
+            out_path,
+            ["set_name", "theta", "p", "q", "diagnostic"],
+            ([r.set_name, r.theta, r.p, r.q, r.diagnostic] for r in results),
+        )
         top = results[0].set_name if results else "none"
 
-    inputs = {"gmt": args.gmt}
-    if args.ranked:
-        inputs["ranked"] = args.ranked
-    if args.genes:
-        inputs["genes"] = args.genes
-    if args.universe:
-        inputs["universe"] = args.universe
+    inputs = {"gmt": args.gmt, "ranked": args.ranked, "genes": args.genes,
+              "universe": args.universe}
     _write_manifest(
         out_dir,
         "enrich",
@@ -435,7 +405,11 @@ def _cmd_profile(parser, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "profile.tsv"
-    _write_profile_tsv(profile, out_path)
+    _write_tsv(
+        out_path,
+        ["mean_distance", "minus_log10_p"],
+        ((d, -math.log10(p) if p > 0 else math.inf) for d, p in profile),
+    )
 
     _write_manifest(
         out_dir,
@@ -469,14 +443,12 @@ def _cmd_project(parser, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     proj_path = out_dir / "projection.tsv"
-    with open(proj_path, "w") as out:
-        if hierarchy.truncated_reason:
-            out.write(f"# truncated: {hierarchy.truncated_reason}\n")
-        cd_cols = [f"cd{i + 1}" for i in range(hierarchy.depth)]
-        out.write("sample_id\tclass\t" + "\t".join(cd_cols) + "\n")
-        for j, sid in enumerate(sample_ids):
-            coords = [_fmt(float(hierarchy.coords[i, j])) for i in range(hierarchy.depth)]
-            out.write(f"{sid}\t{hierarchy.class_of_sample[j]}\t" + "\t".join(coords) + "\n")
+    _write_tsv(
+        proj_path,
+        ["sample_id", "class", *(f"cd{i + 1}" for i in range(hierarchy.depth))],
+        zip(sample_ids, hierarchy.class_of_sample, *hierarchy.coords.tolist()),
+        f"truncated: {hierarchy.truncated_reason}" if hierarchy.truncated_reason else "",
+    )
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
     n1 = len(design.class1_samples)
@@ -490,44 +462,33 @@ def _cmd_project(parser, args) -> int:
     dens1 = np.interp(grid, curve1.grid, curve1.density, left=0.0, right=0.0)
     dens2 = np.interp(grid, curve2.grid, curve2.density, left=0.0, right=0.0)
     density_path = out_dir / "density.tsv"
-    with open(density_path, "w") as out:
-        out.write("grid_x\tdensity_class1\tdensity_class2\n")
-        for x, d1, d2 in zip(grid, dens1, dens2):
-            out.write(f"{_fmt(float(x))}\t{_fmt(float(d1))}\t{_fmt(float(d2))}\n")
-
-    from .linalg import pca_reduce
+    _write_tsv(
+        density_path,
+        ["grid_x", "density_class1", "density_class2"],
+        zip(grid.tolist(), dens1.tolist(), dens2.tolist()),
+    )
 
     _, scores = pca_reduce(
         np.hstack([x1, x2]), args.epsilon, max(2, args.max_components)
     )
     pca_path = out_dir / "pca.tsv"
-    with open(pca_path, "w") as out:
-        out.write("sample_id\tclass\tpc1\tpc2\n")
-        for j, sid in enumerate(sample_ids):
-            pc2 = float(scores[1, j]) if scores.shape[0] > 1 else 0.0
-            out.write(
-                f"{sid}\t{hierarchy.class_of_sample[j]}\t"
-                f"{_fmt(float(scores[0, j]))}\t{_fmt(pc2)}\n"
-            )
+    pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))
+    _write_tsv(
+        pca_path,
+        ["sample_id", "class", "pc1", "pc2"],
+        zip(sample_ids, hierarchy.class_of_sample, scores[0].tolist(), pc2.tolist()),
+    )
 
-    inputs = {"expression": args.expression}
-    if args.design:
-        inputs["design"] = args.design
+    inputs = {"expression": args.expression, "design": args.design}
     _write_manifest(
         out_dir,
         "project",
         {
-            "expression": str(args.expression),
-            "design": str(args.design) if args.design else "",
-            "class1": args.class1 or "",
-            "class2": args.class2 or "",
+            **_expression_params(args),
             "depth": args.depth,
             "epsilon": args.epsilon,
             "max_components": args.max_components,
             "bandwidth": args.bandwidth,
-            "log2_transform": args.log2_transform,
-            "pseudocount": args.pseudocount,
-            "out": str(args.out),
         },
         inputs,
         seed,
@@ -617,30 +578,25 @@ def _cmd_benchmark(parser, args) -> int:
     methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
 
     template = _spec_from_args(args, max(sizes), seed)
-    cells = benchmark_sweep(template, sizes, args.runs, methods, n_jobs=args.jobs)
-    curves = benchmark_roc(
-        template, args.roc_samples, args.runs, methods, n_jobs=args.jobs
+    cells, curves = benchmark_sweep_roc(
+        template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.tsv"
-    with open(sweep_path, "w") as out:
-        out.write("method\tsamples_per_class\tmean_gini\tstderr\tn_runs\tn_excluded\n")
-        for cell in cells:
-            out.write(
-                "\t".join(
-                    [cell.method, str(cell.samples_per_class), _fmt(cell.mean_gini),
-                     _fmt(cell.stderr), str(cell.n_runs), str(cell.n_excluded)]
-                )
-                + "\n"
-            )
+    _write_tsv(
+        sweep_path,
+        ["method", "samples_per_class", "mean_gini", "stderr", "n_runs", "n_excluded"],
+        ([c.method, c.samples_per_class, c.mean_gini, c.stderr, c.n_runs, c.n_excluded]
+         for c in cells),
+    )
     roc_path = out_dir / "roc.tsv"
-    with open(roc_path, "w") as out:
-        out.write("method\tfpr\ttpr\n")
-        for curve in curves:
-            for fpr, tpr in zip(curve.fpr, curve.tpr):
-                out.write(f"{curve.method}\t{_fmt(float(fpr))}\t{_fmt(float(tpr))}\n")
+    _write_tsv(
+        roc_path,
+        ["method", "fpr", "tpr"],
+        ((c.method, *p) for c in curves for p in zip(c.fpr.tolist(), c.tpr.tolist())),
+    )
 
     _write_manifest(
         out_dir,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -165,6 +166,73 @@ def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:
     return text
 
 
+def _content_lines(text: str | TextIO | Iterable[str]) -> tuple[list[int], list[str]]:
+    """Physical line numbers and text of the lines that are neither blank
+    nor ``#`` comments, with the line ending stripped."""
+    linenos: list[int] = []
+    lines: list[str] = []
+    for lineno, line in enumerate(_as_lines(text), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if line.strip() and not line.lstrip().startswith("#"):
+            linenos.append(lineno)
+            lines.append(line)
+    return linenos, lines
+
+
+def _check_row(
+    lineno: int, line: str, n_columns: int, already_log: bool, pseudocount: float
+) -> None:
+    """Raise the first fault of one gene row, checks and columns in order."""
+    cells = line.split("\t")
+    if len(cells) != n_columns:
+        raise ExpressionDataError(
+            f"row {lineno}: expected {n_columns} columns, got {len(cells)}"
+        )
+    if not canonical_gene_id(cells[0]):
+        raise ExpressionDataError(f"row {lineno}: empty gene id")
+    for col, cell in enumerate(cells[1:], start=2):
+        try:
+            float(cell)
+        except ValueError:
+            raise ExpressionDataError(
+                f"row {lineno}, column {col}: non-numeric value {cell!r}"
+            ) from None
+    raw = np.array(cells[1:], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ExpressionDataError(f"row {lineno}, column {bad[0] + 2}: non-finite value")
+    bad = np.flatnonzero(raw + pseudocount <= 0)
+    if not already_log and bad.size:
+        raise ExpressionDataError(
+            f"row {lineno}, column {bad[0] + 2}: value {raw[bad[0]]!r} not "
+            f"positive after pseudocount {pseudocount}"
+        )
+
+
+def _value_block(
+    rows: list[str], n_columns: int, already_log: bool, pseudocount: float
+) -> tuple[list[str], np.ndarray] | None:
+    """Canonical ids and stored values of the gene rows, converted column-wise;
+    None when a row is ragged, has an empty id, or holds a value that is
+    non-numeric, non-finite or invalid for the log transform."""
+    if set(map(str.count, rows, repeat("\t"))) != {n_columns - 1}:
+        return None
+    cells = "\t".join(rows).split("\t")
+    genes = list(map(str.upper, map(str.strip, cells[::n_columns])))  # canonical_gene_id
+    del cells[::n_columns]
+    try:
+        # Accepts and rejects exactly the spellings float() does.
+        raw = np.array(cells, dtype=np.float64).reshape(len(rows), n_columns - 1)
+    except ValueError:
+        return None
+    if "" in genes or not np.all(np.isfinite(raw)):
+        return None
+    if already_log:
+        return genes, raw
+    shifted = raw + pseudocount
+    return None if np.any(shifted <= 0) else (genes, np.log2(shifted))
+
+
 def parse_expression_tsv(
     text: str | TextIO | Iterable[str],
     already_log: bool = True,
@@ -174,9 +242,9 @@ def parse_expression_tsv(
 
     The first non-comment row is a header whose first cell is arbitrary and
     whose remaining cells are sample ids. Each following row is a gene id
-    plus one numeric value per sample. Lines starting with ``#`` are
-    ignored. When ``already_log`` is false, values are stored as
-    ``log2(x + pseudocount)``.
+    plus one numeric value per sample, in Python ``float()`` syntax. Blank
+    lines and lines starting with ``#`` are ignored. When ``already_log``
+    is false, values are stored as ``log2(x + pseudocount)``.
 
     Duplicate gene ids (after canonicalization) are collapsed by keeping
     the row with the largest mean absolute stored value; the surviving row
@@ -185,83 +253,47 @@ def parse_expression_tsv(
     Raises:
         ExpressionDataError: ragged rows, non-numeric cells, duplicate
             sample ids, values invalid for the log transform, or an empty
-            matrix; each reported with its row/column location.
+            matrix; each reported with its physical line number (blank and
+            comment lines counted) and column. Of several faults, the
+            earliest row's first is reported.
     """
     if pseudocount < 0:
         raise ExpressionDataError("pseudocount must be nonnegative")
 
-    header: list[str] | None = None
-    order: list[str] = []
-    rows: dict[str, np.ndarray] = {}
-    means: dict[str, float] = {}
-
-    for lineno, line in enumerate(_as_lines(text), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = line.split("\t")
-        if header is None:
-            header = [c.strip() for c in cells]
-            sample_ids = header[1:]
-            if not sample_ids:
-                raise ExpressionDataError(f"row {lineno}: header has no sample ids")
-            seen: set[str] = set()
-            for sid in sample_ids:
-                if not sid:
-                    raise ExpressionDataError(f"row {lineno}: empty sample id")
-                if sid in seen:
-                    raise ExpressionDataError(
-                        f"row {lineno}: duplicate sample id {sid!r}"
-                    )
-                seen.add(sid)
-            continue
-
-        if len(cells) != len(header):
-            raise ExpressionDataError(
-                f"row {lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        gene = canonical_gene_id(cells[0])
-        if not gene:
-            raise ExpressionDataError(f"row {lineno}: empty gene id")
-        raw = np.empty(len(cells) - 1, dtype=np.float64)
-        for col, cell in enumerate(cells[1:], start=2):
-            try:
-                raw[col - 2] = float(cell)
-            except ValueError:
-                raise ExpressionDataError(
-                    f"row {lineno}, column {col}: non-numeric value {cell!r}"
-                ) from None
-        if not np.all(np.isfinite(raw)):
-            col = int(np.argwhere(~np.isfinite(raw))[0][0]) + 2
-            raise ExpressionDataError(f"row {lineno}, column {col}: non-finite value")
-        if already_log:
-            stored = raw
-        else:
-            shifted = raw + pseudocount
-            if np.any(shifted <= 0):
-                col = int(np.argwhere(shifted <= 0)[0][0]) + 2
-                raise ExpressionDataError(
-                    f"row {lineno}, column {col}: value {raw[col - 2]!r} not "
-                    f"positive after pseudocount {pseudocount}"
-                )
-            stored = np.log2(shifted)
-
-        mean_abs = float(np.mean(np.abs(stored)))
-        if gene not in rows:
-            order.append(gene)
-            rows[gene] = stored
-            means[gene] = mean_abs
-        elif mean_abs > means[gene]:
-            rows[gene] = stored
-            means[gene] = mean_abs
-
-    if header is None:
+    linenos, lines = _content_lines(text)
+    if not lines:
         raise ExpressionDataError("empty input: no header row")
-    if not order:
+    header = [c.strip() for c in lines[0].split("\t")]
+    sample_ids = header[1:]
+    if not sample_ids:
+        raise ExpressionDataError(f"row {linenos[0]}: header has no sample ids")
+    seen: set[str] = set()
+    for sid in sample_ids:
+        if not sid:
+            raise ExpressionDataError(f"row {linenos[0]}: empty sample id")
+        if sid in seen:
+            raise ExpressionDataError(f"row {linenos[0]}: duplicate sample id {sid!r}")
+        seen.add(sid)
+    if len(lines) == 1:
         raise ExpressionDataError("empty matrix: no gene rows")
 
-    values = np.vstack([rows[g] for g in order])
-    return ExpressionMatrix(tuple(order), tuple(header[1:]), values)
+    block = _value_block(lines[1:], len(header), already_log, pseudocount)
+    if block is None:
+        # The same checks one row at a time: the earliest faulty row raises.
+        for lineno, line in zip(linenos[1:], lines[1:]):
+            _check_row(lineno, line, len(header), already_log, pseudocount)
+        raise ExpressionDataError("malformed expression table")
+    genes, values = block
+    unique = list(dict.fromkeys(genes))
+    if len(unique) < len(genes):
+        index = dict(zip(unique, range(len(unique))))
+        group = np.fromiter(map(index.__getitem__, genes), np.intp, len(genes))
+        # lexsort is stable and each row is reduced like a 1-D mean, so the
+        # largest mean |value| comes first in its group and ties keep order.
+        by_group = np.lexsort((-np.abs(values).mean(axis=1), group))
+        _, first = np.unique(group[by_group], return_index=True)
+        values = values[by_group[first]]
+    return ExpressionMatrix(tuple(unique), tuple(sample_ids), values)
 
 
 def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
@@ -300,10 +332,7 @@ def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:
     """Parse a two-column design table: sample_id TAB class, class in {1,2}."""
     class1: list[str] = []
     class2: list[str] = []
-    for lineno, line in enumerate(_as_lines(text), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in zip(*_content_lines(text)):
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != 2:
             raise ExpressionDataError(

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import GeneSet, GeneSetLibrary
 from .direction import CharacteristicDirection
@@ -253,6 +252,7 @@ def angle_null_pvalue(theta, n: int):
     if not np.all((theta >= 0) & (theta <= math.pi / 2 + 1e-12)):
         raise ValueError("theta must lie in [0, pi/2]")
     theta = np.minimum(theta, math.pi / 2)
+    from scipy import special  # imported here: it is slow to load
     p = special.betainc(0.5, (n - 1) / 2.0, np.cos(theta) ** 2)
     return np.where(theta == math.pi / 2, 0.0, p)[()]
 

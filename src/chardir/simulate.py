@@ -33,6 +33,7 @@ __all__ = [
     "score_recovery",
     "benchmark_sweep",
     "benchmark_roc",
+    "benchmark_sweep_roc",
 ]
 
 METHODS = ("LR1", "NP1", "WELCH")
@@ -303,14 +304,16 @@ def _run_all(
     tasks: list[tuple[int, int]],
     methods: tuple[str, ...],
     n_jobs: int,
-) -> list[dict[str, np.ndarray | str]]:
+) -> dict[tuple[int, int], dict[str, np.ndarray | str]]:
+    """Each distinct (size, run) task simulated once, keyed by the task."""
+    tasks = list(dict.fromkeys(tasks))
     if n_jobs == 1:
-        return [_run_single(spec_template, s, r, methods) for s, r in tasks]
+        return {(s, r): _run_single(spec_template, s, r, methods) for s, r in tasks}
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [
             pool.submit(_run_single, spec_template, s, r, methods) for s, r in tasks
         ]
-        return [f.result() for f in futures]
+        return dict(zip(tasks, [f.result() for f in futures]))
 
 
 def benchmark_sweep(
@@ -329,19 +332,51 @@ def benchmark_sweep(
     summation over the run-ordered values, so results do not depend on
     ``n_jobs``.
     """
+    return benchmark_sweep_roc(spec_template, sample_sizes, None, n_runs, methods, n_jobs)[0]
+
+
+def benchmark_roc(
+    spec_template: SyntheticSpec,
+    samples_per_class: int,
+    n_runs: int,
+    methods=METHODS,
+    n_jobs: int = 1,
+    grid_points: int = 101,
+) -> list[MeanRocCurve]:
+    """Run-averaged ROC curves on a common false-positive-rate grid.
+
+    Each run's ROC is linearly interpolated onto the grid before
+    averaging; seeds derive exactly as in :func:`benchmark_sweep`, so the
+    two benchmarks see the same data for the same (size, run) pair.
+    """
+    return benchmark_sweep_roc(
+        spec_template, [], samples_per_class, n_runs, methods, n_jobs, grid_points
+    )[1]
+
+
+def benchmark_sweep_roc(
+    spec_template: SyntheticSpec,
+    sample_sizes,
+    roc_samples: int | None,
+    n_runs: int,
+    methods=METHODS,
+    n_jobs: int = 1,
+    grid_points: int = 101,
+) -> tuple[list[SweepCell], list[MeanRocCurve]]:
+    """:func:`benchmark_sweep` over ``sample_sizes`` and :func:`benchmark_roc`
+    at ``roc_samples`` (no curves when None) from one set of runs: a
+    (size, run) pair that both need is simulated and scored once."""
     methods = _validated_methods(methods)
     sample_sizes = list(sample_sizes)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-
     tasks = [(size, run) for size in sample_sizes for run in range(n_runs)]
-    results = _run_all(spec_template, tasks, methods, n_jobs)
+    roc_tasks = [] if roc_samples is None else [(roc_samples, run) for run in range(n_runs)]
+    runs = _run_all(spec_template, tasks + roc_tasks, methods, n_jobs)
 
     cells = []
     for size in sample_sizes:
-        per_run = [
-            results[i] for i, (s, _) in enumerate(tasks) if s == size
-        ]
+        per_run = [runs[task] for task in tasks if task[0] == size]
         for method in methods:
             ginis = []
             excluded = 0
@@ -360,35 +395,14 @@ def benchmark_sweep(
             cells.append(
                 SweepCell(method, size, mean, stderr, len(ginis), excluded)
             )
-    return cells
 
-
-def benchmark_roc(
-    spec_template: SyntheticSpec,
-    samples_per_class: int,
-    n_runs: int,
-    methods=METHODS,
-    n_jobs: int = 1,
-    grid_points: int = 101,
-) -> list[MeanRocCurve]:
-    """Run-averaged ROC curves on a common false-positive-rate grid.
-
-    Each run's ROC is linearly interpolated onto the grid before
-    averaging; seeds derive exactly as in :func:`benchmark_sweep`, so the
-    two benchmarks see the same data for the same (size, run) pair.
-    """
-    methods = _validated_methods(methods)
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-
-    tasks = [(samples_per_class, run) for run in range(n_runs)]
-    results = _run_all(spec_template, tasks, methods, n_jobs)
-
+    if roc_samples is None:
+        return cells, []
     grid = np.linspace(0.0, 1.0, grid_points)
     curves = []
     for method in methods:
         rows = []
-        for run in results:
+        for run in (runs[task] for task in roc_tasks):
             scored = run[method]
             if isinstance(scored, str):
                 continue
@@ -399,4 +413,4 @@ def benchmark_roc(
         if not rows:
             raise RuntimeError(f"all runs failed for method {method}")
         curves.append(MeanRocCurve(method, grid, np.vstack(rows).mean(axis=0)))
-    return curves
+    return cells, curves

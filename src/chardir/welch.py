@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "WelchResult",
@@ -50,6 +49,7 @@ def student_t_two_sided(t, df):
     df = np.asarray(df, dtype=np.float64)
     if np.any(df <= 0):
         raise ValueError("df must be positive")
+    from scipy import special  # imported here: it is slow to load
     t = np.abs(t)
     cauchy = np.arctan2(1.0, t) * (2.0 / math.pi)
     return np.where(df == 1.0, cauchy, 2.0 * special.stdtr(df, -t))[()]

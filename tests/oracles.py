@@ -3,17 +3,22 @@
 Each oracle deliberately takes a different computational route than the
 code under test: exact integer combinatorics instead of floating-point
 recurrences, numerical quadrature instead of special functions, full-space
-normal equations instead of PCA-space regression, and closed forms
-instead of adaptive integration.
+normal equations instead of PCA-space regression, closed forms
+instead of adaptive integration, and a row-by-row walk instead of the
+column-wise expression parser.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import combinations
+from typing import Iterable, TextIO
 
 import numpy as np
 from scipy import integrate, special
+
+from chardir.data import ExpressionDataError, ExpressionMatrix, canonical_gene_id
 
 
 def exact_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
@@ -147,3 +152,112 @@ def covariance_eigendecomposition(data: np.ndarray):
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], eigvecs[:, order]
+
+
+def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:
+    if isinstance(text, str):
+        return io.StringIO(text)
+    return text
+
+
+def parse_expression_rows(
+    text: str | TextIO | Iterable[str],
+    already_log: bool = True,
+    pseudocount: float = 1.0,
+) -> ExpressionMatrix:
+    """Row-by-row reference for ``chardir.data.parse_expression_tsv``: each
+    line is validated and converted cell by cell with ``float()``, and
+    duplicate ids are collapsed through a dict as rows arrive.
+
+    Parse a tab-separated expression table.
+
+    The first non-comment row is a header whose first cell is arbitrary and
+    whose remaining cells are sample ids. Each following row is a gene id
+    plus one numeric value per sample. Lines starting with ``#`` are
+    ignored. When ``already_log`` is false, values are stored as
+    ``log2(x + pseudocount)``.
+
+    Duplicate gene ids (after canonicalization) are collapsed by keeping
+    the row with the largest mean absolute stored value; the surviving row
+    stays at the first occurrence's position. Ties keep the earlier row.
+
+    Raises:
+        ExpressionDataError: ragged rows, non-numeric cells, duplicate
+            sample ids, values invalid for the log transform, or an empty
+            matrix; each reported with its row/column location.
+    """
+    if pseudocount < 0:
+        raise ExpressionDataError("pseudocount must be nonnegative")
+
+    header: list[str] | None = None
+    order: list[str] = []
+    rows: dict[str, np.ndarray] = {}
+    means: dict[str, float] = {}
+
+    for lineno, line in enumerate(_as_lines(text), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cells = line.split("\t")
+        if header is None:
+            header = [c.strip() for c in cells]
+            sample_ids = header[1:]
+            if not sample_ids:
+                raise ExpressionDataError(f"row {lineno}: header has no sample ids")
+            seen: set[str] = set()
+            for sid in sample_ids:
+                if not sid:
+                    raise ExpressionDataError(f"row {lineno}: empty sample id")
+                if sid in seen:
+                    raise ExpressionDataError(
+                        f"row {lineno}: duplicate sample id {sid!r}"
+                    )
+                seen.add(sid)
+            continue
+
+        if len(cells) != len(header):
+            raise ExpressionDataError(
+                f"row {lineno}: expected {len(header)} columns, got {len(cells)}"
+            )
+        gene = canonical_gene_id(cells[0])
+        if not gene:
+            raise ExpressionDataError(f"row {lineno}: empty gene id")
+        raw = np.empty(len(cells) - 1, dtype=np.float64)
+        for col, cell in enumerate(cells[1:], start=2):
+            try:
+                raw[col - 2] = float(cell)
+            except ValueError:
+                raise ExpressionDataError(
+                    f"row {lineno}, column {col}: non-numeric value {cell!r}"
+                ) from None
+        if not np.all(np.isfinite(raw)):
+            col = int(np.argwhere(~np.isfinite(raw))[0][0]) + 2
+            raise ExpressionDataError(f"row {lineno}, column {col}: non-finite value")
+        if already_log:
+            stored = raw
+        else:
+            shifted = raw + pseudocount
+            if np.any(shifted <= 0):
+                col = int(np.argwhere(shifted <= 0)[0][0]) + 2
+                raise ExpressionDataError(
+                    f"row {lineno}, column {col}: value {raw[col - 2]!r} not "
+                    f"positive after pseudocount {pseudocount}"
+                )
+            stored = np.log2(shifted)
+
+        mean_abs = float(np.mean(np.abs(stored)))
+        if gene not in rows:
+            order.append(gene)
+            rows[gene] = stored
+            means[gene] = mean_abs
+        elif mean_abs > means[gene]:
+            rows[gene] = stored
+            means[gene] = mean_abs
+
+    if header is None:
+        raise ExpressionDataError("empty input: no header row")
+    if not order:
+        raise ExpressionDataError("empty matrix: no gene rows")
+
+    values = np.vstack([rows[g] for g in order])
+    return ExpressionMatrix(tuple(order), tuple(header[1:]), values)

@@ -412,6 +412,24 @@ class TestPipeline:
             )
         assert outputs[0] == outputs[1]
 
+    def test_benchmark_simulates_each_size_and_run_once(self, tmp_path, monkeypatch):
+        import chardir.simulate
+
+        generated = []
+        original = chardir.simulate.generate
+
+        def counting(spec):
+            generated.append((spec.samples_per_class, spec.seed))
+            return original(spec)
+
+        monkeypatch.setattr(chardir.simulate, "generate", counting)
+        assert run(
+            ["benchmark", "--n-genes", "30", "--sizes", "3,5", "--runs", "3",
+             "--methods", "lr1,welch", "--roc-samples", "5", "--jobs", "1",
+             "--seed", "5", "--out", tmp_path / "bench"]
+        ) == 0
+        assert len(generated) == len(set(generated)) == 6
+
     def test_config_file_provides_defaults(self, toy):
         expr, design, tmp = toy
         config = tmp / "run.cfg"
@@ -445,14 +463,31 @@ class TestPipeline:
         assert (out / "ranked_genes.tsv").exists()
 
     def test_cli_import_skips_scipy_integrate(self):
+        """No scipy module at all, scipy.integrate included, after import."""
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, chardir.cli; print('scipy.integrate' in sys.modules)"],
+             "import sys, chardir.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_chdir_lr1_runs_without_scipy(self, toy):
+        expr, design, tmp = toy
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "chardir.cli", "chdir",
+             "--expression", str(expr), "--design", str(design), "--method", "lr1",
+             "--seed", "1", "--out", str(tmp / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        assert "numpy" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
     def test_unseeded_run_prints_drawn_seed(self, toy, capsys):
         expr, design, tmp = toy

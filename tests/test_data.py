@@ -18,6 +18,8 @@ from chardir.data import (
     parse_gmt,
 )
 
+from oracles import parse_expression_rows
+
 
 class TestParseExpression:
     def test_identity_passthrough(self):
@@ -91,6 +93,109 @@ class TestParseExpression:
         b = parse_expression_tsv(text)
         assert a.gene_ids == b.gene_ids
         np.testing.assert_array_equal(a.values, b.values)
+
+
+
+def _wide_ties() -> str:
+    """Wide rows (pairwise-summed means) with exact mean-|x| ties and a
+    larger duplicate, plus a random block with repeated ids."""
+    rng = np.random.default_rng(3)
+    row = rng.normal(size=300)
+    rows = [("GA", row), ("GB", row + 1.0), ("ga", row[::-1]), ("GA", -row),
+            ("GB", row + 2.0), ("GC", row * 0.5)]
+    ids = rng.integers(0, 40, size=120)
+    rows += [(f"R{i}", v) for i, v in zip(ids, rng.normal(size=(120, 300)))]
+    lines = ["id\t" + "\t".join(f"s{j}" for j in range(300))]
+    lines += [gid + "\t" + "\t".join(map(repr, v.tolist())) for gid, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Each entry is an expression table; the column-wise parser must agree with
+# the row walk on ids, values (bit for bit) and error messages.
+PARSER_BATTERY = {
+    "plain": "id\ts1\ts2\nG1\t1\t2\nG2\t3.5\t-4e-3\n",
+    "ragged_first": "id\ts1\ts2\nG1\t1\nG2\t1\t2\nG3\t1\t2\n",
+    "ragged_middle": "id\ts1\ts2\nG1\t1\t2\nG2\t1\t2\t3\nG3\t1\t2\n",
+    "ragged_last": "id\ts1\ts2\nG1\t1\t2\nG2\t1\t2\nG3\t1\n",
+    "non_numeric": "id\ts1\ts2\nG1\t1\t2\nG2\t1\tx\n",
+    "underscore_digits": "id\ts1\ts2\nG1\t1_0\t2\nG2\t3\t1_000.5\n",
+    "double_underscore": "id\ts1\ts2\nG1\t1\t2\nG2\t1__0\t2\n",
+    "arabic_indic_digit": "id\ts1\ts2\nG1\t\u0661\t2\n",
+    "hex_rejected": "id\ts1\nG1\t0x10\n",
+    "empty_cell": "id\ts1\ts2\nG1\t\t2\n",
+    "form_feed_cell": "id\ts1\ts2\nG1\t\x0c1\t 1.5 \nG2\t\x0c\t2\n",
+    "line_separators_in_id": "id\ts1\nG\u20281\t1\nG\x1c2\t2\nG\x0b3\t3\n",
+    "crlf": "id\ts1\ts2\r\nG1\t1\t2\r\nG2\t3\t4\r\n",
+    "crlf_fault": "id\ts1\ts2\r\nG1\t1\t2\r\nG2\t3\ty\r\n",
+    "comments_and_blanks": "# a\n\n  \nid\ts1\n# b\n\nG1\t1\n  # c\nG2\tz\n",
+    "nan": "id\ts1\ts2\nG1\t1\tnan\n",
+    "inf": "id\ts1\ts2\nG1\t1\t2\nG2\t-inf\t2\n",
+    "empty_gene_id": "id\ts1\nG1\t1\n  \t2\n",
+    "header_only": "id\ts1\ts2\n",
+    "empty": "",
+    "comments_only": "# x\n\n",
+    "header_without_samples": "# x\nid\nG1\n",
+    "duplicate_sample": "id\ts1\ts1\nG1\t1\t2\n",
+    "duplicate_ties": "id\ts1\ts2\nG1\t1\t-2\ng1\t-2\t1\nG2\t0\t0\n G1 \t2\t1\n",
+    "duplicate_larger_later": "id\ts1\ts2\nG1\t0.5\t0.5\nG2\t9\t9\nG1\t2\t2\n",
+    "below_pseudocount": "id\ts1\ts2\nG1\t3\t4\nG2\t1\t-1\nG3\t-2\t5\n",
+    "several_faults": "id\ts1\ts2\n\nG1\t1\t-3\nG2\tinf\tq\nG3\t1\n\t1\t2\n",
+    "faults_in_one_row": "id\ts1\ts2\ts3\nG1\t-5\tinf\tq\n",
+    "wide_ties": _wide_ties(),
+}
+
+
+def _sources(text, tmp_path):
+    """Factories of the same table as a str, a string handle, a generator of
+    lines without endings and a file opened in text mode."""
+    path = tmp_path / "expression.tsv"
+    path.write_text(text, newline="")
+    return {
+        "str": lambda: text,
+        "string_handle": lambda: io.StringIO(text),
+        "generator": lambda: (line for line in text.split("\n")),
+        "file_handle": lambda: open(path),
+    }
+
+
+def _parse_outcome(parse, source, already_log, pseudocount):
+    try:
+        m = parse(source, already_log=already_log, pseudocount=pseudocount)
+    except ExpressionDataError as exc:
+        return "error", str(exc)
+    finally:
+        if hasattr(source, "close"):
+            source.close()
+    return "matrix", (m.gene_ids, m.sample_ids, m.values.shape, m.values.tobytes())
+
+
+class TestParserMatchesRowWalk:
+    @pytest.mark.parametrize("name", sorted(PARSER_BATTERY))
+    @pytest.mark.parametrize("already_log,pseudocount", [(True, 1.0), (False, 1.0), (False, 2.5)])
+    def test_same_matrix_or_same_message(self, name, already_log, pseudocount, tmp_path):
+        text = PARSER_BATTERY[name]
+        for form, source in _sources(text, tmp_path).items():
+            expected = _parse_outcome(parse_expression_rows, source(), already_log, pseudocount)
+            got = _parse_outcome(parse_expression_tsv, source(), already_log, pseudocount)
+            assert got == expected, (name, form)
+
+    def test_battery_reaches_each_outcome(self):
+        outcomes = [
+            _parse_outcome(parse_expression_rows, text, already_log, 1.0)
+            for text in PARSER_BATTERY.values()
+            for already_log in (True, False)
+        ]
+        messages = {value for kind, value in outcomes if kind == "error"}
+        for fragment in ("expected 3 columns", "non-numeric", "non-finite",
+                         "empty gene id", "not positive after pseudocount",
+                         "empty matrix", "empty input", "duplicate sample id",
+                         "header has no sample ids"):
+            assert any(fragment in m for m in messages), fragment
+        assert sum(kind == "matrix" for kind, _ in outcomes) >= 10
+
+    def test_line_numbers_count_comment_and_blank_lines(self):
+        with pytest.raises(ExpressionDataError, match=r"^row 9, column 2: non-numeric value 'z'$"):
+            parse_expression_tsv(PARSER_BATTERY["comments_and_blanks"])
 
 
 class TestParseGmt:

@@ -7,6 +7,7 @@ from chardir.simulate import (
     SyntheticSpec,
     benchmark_roc,
     benchmark_sweep,
+    benchmark_sweep_roc,
     generate,
     method_scores,
     score_recovery,
@@ -198,6 +199,17 @@ class TestBenchmark:
         assert np.array_equal(curves_a[0].tpr, curves_b[0].tpr)
         assert curves_a[0].fpr[0] == 0.0 and curves_a[0].fpr[-1] == 1.0
         assert np.all(np.diff(curves_a[0].tpr) >= -1e-12)
+
+    def test_shared_runs_match_separate_benchmarks(self):
+        template = spec(p=30, n=4, seed=15)
+        methods = ("LR1", "WELCH")
+        cells, curves = benchmark_sweep_roc(template, [3, 4, 3], 4, 3, methods)
+        assert cells == benchmark_sweep(template, [3, 4, 3], 3, methods)
+        separate = benchmark_roc(template, 4, 3, methods)
+        assert [c.method for c in curves] == [c.method for c in separate]
+        for shared, alone in zip(curves, separate):
+            assert shared.tpr.tobytes() == alone.tpr.tobytes()
+            assert shared.fpr.tobytes() == alone.fpr.tobytes()
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
