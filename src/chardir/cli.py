@@ -32,6 +32,7 @@ from .data import (
 from .direction import (
     CharacteristicDirection,
     NoDifferentialSignalError,
+    _two_class_samples,
     call_significant,
     lr1_direction,
     np1_direction,
@@ -44,8 +45,8 @@ from .enrichment import (
     hypergeom_enrich,
     sliding_window_profile,
 )
-from .linalg import ZeroVarianceError, pca_reduce
-from .projection import density_estimate, project_hierarchy
+from .linalg import ZeroVarianceError, _principal_components
+from .projection import _project_samples, density_estimate
 from .simulate import (
     METHODS,
     SyntheticSpec,
@@ -84,11 +85,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict, seed: int) -> None:
+_INPUT_FILES = (
+    "expression", "design", "ranked", "genes", "universe", "gmt", "associations", "significant"
+)
+
+
+def _input_files(args) -> dict[str, str]:
+    """The input-file flags given (``--universe`` is an integer, not a file,
+    on ``profile``)."""
+    values = {k: getattr(args, k, None) for k in _INPUT_FILES}
+    return {k: v for k, v in values.items() if isinstance(v, str)}
+
+
+def _write_manifest(out_dir: Path, args, seed: int) -> None:
+    """``manifest.json``: every flag of the command (unset ones as ""), the
+    SHA-256 of every input file given, the seed and the tool version."""
+    params = {
+        k: "" if v is None else v
+        for k, v in vars(args).items()
+        if k not in ("command", "func", "config", "seed")
+    }
     manifest = {
-        "command": command,
-        "parameters": {k: params[k] for k in sorted(params)},
-        "input_digests": {name: _sha256(Path(p)) for name, p in sorted(inputs.items()) if p},
+        "command": args.command,
+        "parameters": params,
+        "input_digests": {k: _sha256(Path(v)) for k, v in _input_files(args).items()},
         "seed": seed,
         "tool_version": __version__,
     }
@@ -105,15 +125,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _check_input_file(parser: argparse.ArgumentParser, flag: str, path: str | None):
-    if path is None:
-        return None
-    path = Path(path)
-    if not path.is_file():
-        parser.error(f"{flag}: file not found: {path}")
-    return path
-
-
 def _load_matrix(args) -> ExpressionMatrix:
     with open(args.expression) as handle:
         return parse_expression_tsv(
@@ -121,18 +132,6 @@ def _load_matrix(args) -> ExpressionMatrix:
             already_log=not args.log2_transform,
             pseudocount=args.pseudocount,
         )
-
-
-def _expression_params(args) -> dict:
-    return {
-        "expression": str(args.expression),
-        "design": str(args.design) if args.design else "",
-        "class1": args.class1 or "",
-        "class2": args.class2 or "",
-        "log2_transform": args.log2_transform,
-        "pseudocount": args.pseudocount,
-        "out": str(args.out),
-    }
 
 
 def _resolve_design(parser, args) -> TwoClassDesign:
@@ -249,22 +248,7 @@ def _cmd_chdir(parser, args) -> int:
         with open(out_path, "w") as handle:
             write_ranked_json(call, handle, method=direction.method)
 
-    inputs = {"expression": args.expression, "design": args.design}
-    _write_manifest(
-        out_dir,
-        "chdir",
-        {
-            **_expression_params(args),
-            "method": args.method,
-            "alpha": args.alpha,
-            "epsilon": args.epsilon,
-            "max_components": args.max_components,
-            "permutations": args.permutations,
-            "format": args.format,
-        },
-        inputs,
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     print(
         f"{direction.method}: {len(call.ranked_genes)} genes ranked, "
         f"{call.selected_count} significant at alpha={args.alpha} "
@@ -292,17 +276,7 @@ def _cmd_ttest(parser, args) -> int:
         "two-sided p-values",
     )
 
-    inputs = {"expression": args.expression, "design": args.design}
-    _write_manifest(
-        out_dir,
-        "ttest",
-        {
-            **_expression_params(args),
-            "fdr": args.fdr,
-        },
-        inputs,
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     n_sig = sum(r.significant for r in results)
     print(f"welch: {len(results)} genes tested, {n_sig} significant at FDR {args.fdr}; wrote {out_path}")
     return 0
@@ -356,23 +330,7 @@ def _cmd_enrich(parser, args) -> int:
         )
         top = results[0].set_name if results else "none"
 
-    inputs = {"gmt": args.gmt, "ranked": args.ranked, "genes": args.genes,
-              "universe": args.universe}
-    _write_manifest(
-        out_dir,
-        "enrich",
-        {
-            "ranked": str(args.ranked) if args.ranked else "",
-            "genes": str(args.genes) if args.genes else "",
-            "universe": str(args.universe) if args.universe else "",
-            "gmt": str(args.gmt),
-            "mode": args.mode,
-            "fdr": args.fdr,
-            "out": str(args.out),
-        },
-        inputs,
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     n_hits = sum(1 for r in results if r.q <= args.fdr and not r.diagnostic)
     print(
         f"enrich ({args.mode}): {len(results)} sets tested, {n_hits} at FDR {args.fdr}, "
@@ -411,19 +369,7 @@ def _cmd_profile(parser, args) -> int:
         ((d, -math.log10(p) if p > 0 else math.inf) for d, p in profile),
     )
 
-    _write_manifest(
-        out_dir,
-        "profile",
-        {
-            "associations": str(args.associations),
-            "significant": str(args.significant),
-            "window": args.window,
-            "universe": args.universe,
-            "out": str(args.out),
-        },
-        {"associations": args.associations, "significant": args.significant},
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     print(f"profile: {len(profile)} windows over {len(assoc)} genes; wrote {out_path}")
     return 0
 
@@ -434,9 +380,8 @@ def _cmd_project(parser, args) -> int:
     x1, x2 = align_design(matrix, design)
     seed = _resolve_seed(args)
 
-    hierarchy = project_hierarchy(
-        matrix.gene_ids, x1, x2, args.depth, args.epsilon, args.max_components
-    )
+    samples = _two_class_samples(matrix.gene_ids, x1, x2)
+    hierarchy = _project_samples(samples, args.depth, args.epsilon, args.max_components)
     sample_ids = list(design.class1_samples) + list(design.class2_samples)
 
     out_dir = Path(args.out)
@@ -468,8 +413,8 @@ def _cmd_project(parser, args) -> int:
         zip(grid.tolist(), dens1.tolist(), dens2.tolist()),
     )
 
-    _, scores = pca_reduce(
-        np.hstack([x1, x2]), args.epsilon, max(2, args.max_components)
+    _, scores = _principal_components(
+        samples.factors, args.epsilon, max(2, args.max_components)
     )
     pca_path = out_dir / "pca.tsv"
     pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))
@@ -479,20 +424,7 @@ def _cmd_project(parser, args) -> int:
         zip(sample_ids, hierarchy.class_of_sample, scores[0].tolist(), pc2.tolist()),
     )
 
-    inputs = {"expression": args.expression, "design": args.design}
-    _write_manifest(
-        out_dir,
-        "project",
-        {
-            **_expression_params(args),
-            "depth": args.depth,
-            "epsilon": args.epsilon,
-            "max_components": args.max_components,
-            "bandwidth": args.bandwidth,
-        },
-        inputs,
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     note = f" ({hierarchy.truncated_reason})" if hierarchy.truncated_reason else ""
     print(
         f"project: depth {hierarchy.depth}{note}; wrote {proj_path}, "
@@ -512,17 +444,6 @@ def _spec_from_args(args, samples_per_class: int, seed: int) -> SyntheticSpec:
         frac_de=args.frac_de,
         de_magnitude=args.de_magnitude,
     )
-
-
-def _spec_params(args) -> dict:
-    return {
-        "n_genes": args.n_genes,
-        "intrinsic_dim": args.intrinsic_dim,
-        "variance_scale": args.variance_scale,
-        "frac_correlating": args.frac_correlating,
-        "frac_de": args.frac_de,
-        "de_magnitude": args.de_magnitude,
-    }
 
 
 def _cmd_simulate(parser, args) -> int:
@@ -556,13 +477,7 @@ def _cmd_simulate(parser, args) -> int:
         handle.write("TRUE_DE\tplanted differentially expressed genes\t")
         handle.write("\t".join(planted) + "\n")
 
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {**_spec_params(args), "samples_per_class": args.samples_per_class, "out": str(args.out)},
-        {},
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     print(
         f"simulate: {spec.n_genes} genes x {2 * n} samples, "
         f"{len(planted)} planted DE genes; wrote {expr_path}, {design_path}, {truth_path}"
@@ -598,21 +513,7 @@ def _cmd_benchmark(parser, args) -> int:
         ((c.method, *p) for c in curves for p in zip(c.fpr.tolist(), c.tpr.tolist())),
     )
 
-    _write_manifest(
-        out_dir,
-        "benchmark",
-        {
-            **_spec_params(args),
-            "sizes": args.sizes,
-            "runs": args.runs,
-            "methods": args.methods,
-            "roc_samples": args.roc_samples,
-            "jobs": args.jobs,
-            "out": str(args.out),
-        },
-        {},
-        seed,
-    )
+    _write_manifest(out_dir, args, seed)
     print(f"benchmark: {len(sizes)} sizes x {args.runs} runs; wrote {sweep_path}, {roc_path}")
     return 0
 
@@ -761,18 +662,6 @@ def _expand_config(argv: list[str]) -> list[str]:
     return argv + injected
 
 
-_INPUT_FILE_FLAGS = (
-    ("expression", "--expression"),
-    ("design", "--design"),
-    ("ranked", "--ranked"),
-    ("genes", "--genes"),
-    ("universe", "--universe"),
-    ("gmt", "--gmt"),
-    ("associations", "--associations"),
-    ("significant", "--significant"),
-)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -782,12 +671,9 @@ def main(argv=None) -> int:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     args = parser.parse_args(argv)
 
-    for attr, flag in _INPUT_FILE_FLAGS:
-        value = getattr(args, attr, None)
-        if attr == "universe" and args.command == "profile":
-            continue  # integer flag, not a file, on this subcommand
-        if isinstance(value, str):
-            _check_input_file(parser, flag, value)
+    for attr, value in _input_files(args).items():
+        if not Path(value).is_file():
+            parser.error(f"--{attr}: file not found: {Path(value)}")
 
     try:
         return args.func(parser, args)

@@ -204,7 +204,7 @@ def _check_row(
     bad = np.flatnonzero(raw + pseudocount <= 0)
     if not already_log and bad.size:
         raise ExpressionDataError(
-            f"row {lineno}, column {bad[0] + 2}: value {raw[bad[0]]!r} not "
+            f"row {lineno}, column {bad[0] + 2}: value {float(raw[bad[0]])!r} not "
             f"positive after pseudocount {pseudocount}"
         )
 

@@ -17,7 +17,10 @@ import numpy as np
 from .linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
-    pca_reduce,
+    _factor_samples,
+    _numerical_rank,
+    _principal_components,
+    _SampleFactors,
     solve_least_squares,
 )
 
@@ -36,8 +39,9 @@ __all__ = [
 
 DEFAULT_PERMUTATIONS = 200
 
-# Relative floor below which a null component's spread counts as degenerate.
-NULL_STD_FLOOR = 1e-12
+# Relative size at or below which a centroid difference or a fitted normal
+# counts as no signal.
+SIGNAL_FLOOR = 1e-12
 
 
 class NoDifferentialSignalError(ValueError):
@@ -89,7 +93,23 @@ class SignificantGeneCall:
     selected_count: int
 
 
-def _validate_classes(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_signal(vector: np.ndarray, scale: float) -> None:
+    if float(np.linalg.norm(vector)) <= SIGNAL_FLOOR * scale:
+        raise NoDifferentialSignalError("no differential signal between the classes")
+
+
+class _TwoClassSamples(NamedTuple):
+    """Validated input: pooled samples (class 1 first) and centroid difference."""
+
+    gene_ids: tuple[str, ...]
+    factors: _SampleFactors
+    centroid_diff: np.ndarray
+    n1: int
+
+
+def _two_class_samples(gene_ids, x1: np.ndarray, x2: np.ndarray) -> _TwoClassSamples:
+    """Validate the classes, factor the pooled samples, and check for a
+    centroid difference."""
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.ndim != 2 or x2.ndim != 2:
@@ -100,7 +120,14 @@ def _validate_classes(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError("each class needs at least 2 samples")
     if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
         raise ValueError("class matrices contain non-finite values")
-    return x1, x2
+    gene_ids = tuple(gene_ids)
+    if len(gene_ids) != x1.shape[0]:
+        raise ValueError("gene_ids and matrices disagree on gene count")
+
+    factors = _factor_samples(np.hstack([x1, x2]))
+    centroid_diff = x2.mean(axis=1) - x1.mean(axis=1)
+    _require_signal(centroid_diff, factors.scale)
+    return _TwoClassSamples(gene_ids, factors, centroid_diff, x1.shape[1])
 
 
 def _finalize(
@@ -110,13 +137,8 @@ def _finalize(
     method: str,
 ) -> CharacteristicDirection:
     """Unit-normalize, orient along the centroid difference, and wrap."""
-    scale = max(1.0, float(np.abs(centroid_diff).max(initial=0.0)))
-    norm = float(np.linalg.norm(raw))
-    if norm <= NULL_STD_FLOOR * scale:
-        raise NoDifferentialSignalError(
-            "no differential signal between the classes"
-        )
-    b = raw / norm
+    _require_signal(raw, max(1.0, float(np.abs(centroid_diff).max(initial=0.0))))
+    b = raw / np.linalg.norm(raw)
     if float(b @ centroid_diff) < 0:
         b = -b
     return CharacteristicDirection(
@@ -125,6 +147,17 @@ def _finalize(
         method=method,
         magnitude=float(np.linalg.norm(centroid_diff)),
     )
+
+
+def _lr1_normal(
+    factors: _SampleFactors, n1: int, epsilon: float, max_components: int
+) -> np.ndarray:
+    """Unnormalized lr1 hyperplane normal in the row space of
+    ``factors.basis``: the -1/+1 class contrast regressed on the leading
+    principal scores, mapped back through the component basis."""
+    model, scores = _principal_components(factors, epsilon, max_components)
+    target = np.where(np.arange(scores.shape[1]) < n1, -1.0, 1.0)
+    return model.basis @ solve_least_squares(scores.T, target).coefficients
 
 
 def lr1_direction(
@@ -136,33 +169,19 @@ def lr1_direction(
 ) -> CharacteristicDirection:
     """Characteristic direction via indicator regression in PCA space.
 
-    The pooled samples are reduced with :func:`pca_reduce`, a -1/+1 class
-    contrast is regressed on the component scores by least squares, and
-    the resulting hyperplane normal is mapped back through the orthonormal
+    The pooled samples are reduced to the principal components
+    :func:`~chardir.linalg.pca_reduce` would keep, a -1/+1 class contrast
+    is regressed on the component scores by least squares, and the
+    resulting hyperplane normal is mapped back through the orthonormal
     basis to gene space.
 
     Raises:
         NoDifferentialSignalError: the classes coincide.
         ZeroVarianceError: all pooled samples are identical.
     """
-    x1, x2 = _validate_classes(x1, x2)
-    gene_ids = tuple(gene_ids)
-    if len(gene_ids) != x1.shape[0]:
-        raise ValueError("gene_ids and matrices disagree on gene count")
-
-    pooled = np.hstack([x1, x2])
-    centroid_diff = x2.mean(axis=1) - x1.mean(axis=1)
-    scale = max(1.0, float(np.abs(pooled).max()))
-    if float(np.linalg.norm(centroid_diff)) <= NULL_STD_FLOOR * scale:
-        raise NoDifferentialSignalError("no differential signal between the classes")
-
-    model, scores = pca_reduce(pooled, epsilon, max_components)
-    target = np.concatenate(
-        [np.full(x1.shape[1], -1.0), np.full(x2.shape[1], 1.0)]
-    )
-    report = solve_least_squares(scores.T, target)
-    raw = model.basis @ report.coefficients
-    return _finalize(gene_ids, raw, centroid_diff, "LR1")
+    samples = _two_class_samples(gene_ids, x1, x2)
+    raw = _lr1_normal(samples.factors, samples.n1, epsilon, max_components)
+    return _finalize(samples.gene_ids, raw, samples.centroid_diff, "LR1")
 
 
 def np1_direction(
@@ -177,51 +196,42 @@ def np1_direction(
 
     Sample-to-class labels are shuffled ``n_permutations`` times (class
     sizes preserved) and the centroid difference recomputed each time,
-    giving a null set of directions. The observed difference is expressed
-    in the principal axes of that null set, each component is divided by
-    the null's per-axis standard deviation (degenerate axes clamped to
-    1e-12 of the largest), and the scaled vector is mapped back to gene
+    giving a null set of directions. Every such difference lies in the
+    span of the centred pooled samples, so the null is analysed there: the
+    observed difference is expressed in the principal axes of the null
+    set, axes whose spread is at or below the numerical-rank tolerance are
+    dropped, each remaining component is divided by the null's per-axis
+    standard deviation, and the scaled vector is mapped back to gene
     space and unit-normalized.
 
     Label shuffles are sampled uniformly; for small sample counts
     duplicate shuffles are accepted. Results are bit-reproducible for a
     given generator state.
     """
-    x1, x2 = _validate_classes(x1, x2)
-    gene_ids = tuple(gene_ids)
-    if len(gene_ids) != x1.shape[0]:
-        raise ValueError("gene_ids and matrices disagree on gene count")
     if n_permutations < 100:
         raise ValueError("n_permutations must be at least 100")
     if rng is None:
         rng = np.random.default_rng()
+    samples = _two_class_samples(gene_ids, x1, x2)
+    basis, coords = samples.factors.basis, samples.factors.coords
+    n1, n_samples = samples.n1, coords.shape[1]
 
-    n1, n2 = x1.shape[1], x2.shape[1]
-    pooled = np.hstack([x1, x2])
-    centroid_diff = x2.mean(axis=1) - x1.mean(axis=1)
-    scale = max(1.0, float(np.abs(pooled).max()))
-    if float(np.linalg.norm(centroid_diff)) <= NULL_STD_FLOOR * scale:
-        raise NoDifferentialSignalError("no differential signal between the classes")
-
-    # Column j of weights turns pooled @ weights[:, j] into the centroid
-    # difference under the j-th label shuffle.
-    perms = np.argsort(rng.random((n_permutations, n1 + n2)), axis=1)
-    weights = np.full((n1 + n2, n_permutations), 1.0 / n2)
-    for j in range(n_permutations):
-        weights[perms[j, :n1], j] = -1.0 / n1
-    nulls = pooled @ weights
+    # Column j of weights turns coords @ weights[:, j] into the centroid
+    # difference under the j-th label shuffle, in sample coordinates.
+    perms = np.argsort(rng.random((n_permutations, n_samples)), axis=1)
+    weights = np.full((n_samples, n_permutations), 1.0 / (n_samples - n1))
+    weights[perms[:, :n1].T, np.arange(n_permutations)] = -1.0 / n1
+    nulls = coords @ weights
 
     # Principal axes of the null set about the origin: label shuffles make
     # the null sign-symmetric, so no centering is applied and the per-axis
     # spread is the RMS projection.
     u, s, _ = np.linalg.svd(nulls, full_matrices=False)
-    stds = s / np.sqrt(n_permutations)
-    floor = NULL_STD_FLOOR * float(stds.max(initial=0.0))
-    if floor == 0.0:
-        raise NoDifferentialSignalError("null distribution has zero spread")
-    components = u.T @ centroid_diff
-    raw = u @ (components / np.maximum(stds, floor))
-    return _finalize(gene_ids, raw, centroid_diff, "NP1")
+    rank = _numerical_rank(s, nulls.shape)
+    u, stds = u[:, :rank], s[:rank] / np.sqrt(n_permutations)
+    components = u.T @ (basis.T @ samples.centroid_diff)
+    raw = basis @ (u @ (components / stds))
+    return _finalize(samples.gene_ids, raw, samples.centroid_diff, "NP1")
 
 
 def call_significant(

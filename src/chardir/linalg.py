@@ -1,4 +1,5 @@
-"""Numerical primitives: PCA reduction, least squares, random rotations.
+"""Numerical primitives: the shared sample-space factorisation, PCA
+reduction, least squares, random rotations.
 
 All functions are pure; randomness is always drawn from an explicitly
 passed generator.
@@ -7,6 +8,7 @@ passed generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,66 @@ def _require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _SampleFactors(NamedTuple):
+    """``data - mean[:, None] == basis @ coords``: the thin SVD of row-centred
+    data truncated at its numerical rank r, with orthonormal ``basis``
+    (genes x r), ``coords = diag(singular) @ Vt`` (r x samples) and
+    ``scale``, the data's magnitude (at least 1)."""
+
+    mean: np.ndarray
+    basis: np.ndarray
+    singular: np.ndarray
+    coords: np.ndarray
+    scale: float
+
+
+def _numerical_rank(singular: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Singular values above LAPACK's tolerance, max(shape) * eps * largest."""
+    tol = float(singular.max(initial=0.0)) * max(shape) * np.finfo(np.float64).eps
+    return int(np.count_nonzero(singular > tol))
+
+
+def _factor_samples(data: np.ndarray) -> _SampleFactors:
+    """Factor the row-centred ``data`` once; see :class:`_SampleFactors`."""
+    mean = data.mean(axis=1)
+    u, s, vt = np.linalg.svd(data - mean[:, None], full_matrices=False)
+    r = _numerical_rank(s, data.shape)
+    scale = max(1.0, float(np.abs(data).max()))
+    return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+
+
+def _principal_components(
+    factors: _SampleFactors, epsilon: float, max_components: int
+) -> tuple[PcaModel, np.ndarray]:
+    """The :func:`pca_reduce` component choice, read off a factorisation."""
+    if not 0 <= epsilon < 1:
+        raise ValueError("epsilon must lie in [0, 1)")
+    if max_components < 1:
+        raise ValueError("max_components must be >= 1")
+    n_samples = factors.coords.shape[1]
+    variances = factors.singular**2 / (n_samples - 1)
+    total = float(variances.sum())
+    if total <= (1e-12 * factors.scale) ** 2:
+        raise ZeroVarianceError("zero total variance: all samples identical")
+
+    cumulative = np.cumsum(variances) / total
+    available = min(n_samples - 1, len(variances))
+    k_target = min(int(np.searchsorted(cumulative, 1.0 - epsilon) + 1), available)
+    capped = k_target > max_components
+    k = min(k_target, max_components)
+
+    basis = factors.basis[:, :k]
+    flips = np.where(basis[np.abs(basis).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    model = PcaModel(
+        mean=factors.mean,
+        basis=basis * flips,
+        variances=variances[:k].copy(),
+        retained_fraction=float(cumulative[k - 1]),
+        capped=capped,
+    )
+    return model, flips[:, None] * factors.coords[:k]
+
+
 def pca_reduce(
     data: np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
@@ -78,8 +140,9 @@ def pca_reduce(
 
     Components are computed by SVD of the column-centered array and kept
     until they capture a fraction 1 - epsilon of the total variance, up to
-    ``max_components`` and never more than n_samples - 1. Basis column
-    signs are fixed so each column's largest-magnitude entry is positive.
+    ``max_components`` and never more than the numerical rank or
+    n_samples - 1. Basis column signs are fixed so each column's
+    largest-magnitude entry is positive.
 
     Args:
         data: Array of shape (n_genes, n_samples) with n_samples >= 2.
@@ -97,43 +160,9 @@ def pca_reduce(
     data = _require_finite("data", data)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a nonempty 2-D array (genes x samples)")
-    n_genes, n_samples = data.shape
-    if n_samples < 2:
+    if data.shape[1] < 2:
         raise ValueError("need at least 2 samples")
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
-    if max_components < 1:
-        raise ValueError("max_components must be >= 1")
-
-    mean = data.mean(axis=1)
-    centered = data - mean[:, None]
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    variances = s**2 / (n_samples - 1)
-    total = float(variances.sum())
-
-    scale = max(1.0, float(np.abs(data).max()))
-    if total <= (1e-12 * scale) ** 2:
-        raise ZeroVarianceError("zero total variance: all samples identical")
-
-    cumulative = np.cumsum(variances) / total
-    available = min(n_samples - 1, len(variances))
-    k_target = min(int(np.searchsorted(cumulative, 1.0 - epsilon) + 1), available)
-    capped = k_target > max_components
-    k = min(k_target, max_components)
-
-    basis = u[:, :k].copy()
-    flips = np.where(basis[np.abs(basis).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    basis *= flips
-
-    scores = basis.T @ centered
-    model = PcaModel(
-        mean=mean,
-        basis=basis,
-        variances=variances[:k].copy(),
-        retained_fraction=float(cumulative[k - 1]),
-        capped=capped,
-    )
-    return model, scores
+    return _principal_components(_factor_samples(data), epsilon, max_components)
 
 
 def solve_least_squares(

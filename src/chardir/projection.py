@@ -17,9 +17,18 @@ from .data import ExpressionMatrix
 from .direction import (
     CharacteristicDirection,
     NoDifferentialSignalError,
-    lr1_direction,
+    _finalize,
+    _lr1_normal,
+    _require_signal,
+    _two_class_samples,
+    _TwoClassSamples,
 )
-from .linalg import DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS, ZeroVarianceError
+from .linalg import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_COMPONENTS,
+    ZeroVarianceError,
+    _factor_samples,
+)
 
 __all__ = [
     "ProjectionHierarchy",
@@ -80,24 +89,30 @@ def project_hierarchy(
     the fitted direction, and deflates the data by removing that
     direction's component before the next level. If a level finds no
     remaining differential signal the hierarchy is truncated there with a
-    diagnostic instead of failing.
+    diagnostic instead of failing. The centred data are factored once as
+    ``basis @ coords``, and the levels fit and deflate the small ``coords``.
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    n1, n2 = x1.shape[1], x2.shape[1]
-    n_samples = n1 + n2
-    if not 1 <= depth <= min(n_samples - 2, x1.shape[0]):
+    return _project_samples(_two_class_samples(gene_ids, x1, x2), depth, epsilon, max_components)
+
+
+def _project_samples(
+    samples: _TwoClassSamples, depth: int, epsilon: float, max_components: int
+) -> ProjectionHierarchy:
+    factors, centroid_diff, n1 = samples.factors, samples.centroid_diff, samples.n1
+    coords = factors.coords
+    n_samples = coords.shape[1]
+    if not 1 <= depth <= min(n_samples - 2, len(samples.gene_ids)):
         raise ValueError("depth must lie in [1, min(n_samples - 2, n_genes)]")
 
-    pooled = np.hstack([x1, x2])
-    current = pooled - pooled.mean(axis=1, keepdims=True)
     directions: list[CharacteristicDirection] = []
-    coords: list[np.ndarray] = []
+    levels: list[np.ndarray] = []
     truncated_reason = ""
     for _ in range(depth):
         try:
-            direction = lr1_direction(
-                gene_ids, current[:, :n1], current[:, n1:], epsilon, max_components
+            _require_signal(centroid_diff, factors.scale)
+            normal = _lr1_normal(_factor_samples(coords), n1, epsilon, max_components)
+            direction = _finalize(
+                samples.gene_ids, factors.basis @ normal, centroid_diff, "LR1"
             )
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             truncated_reason = (
@@ -105,16 +120,18 @@ def project_hierarchy(
             )
             break
         b = direction.coefficients
+        c = factors.basis.T @ b
         directions.append(direction)
-        coords.append(b @ current)
-        current = current - np.outer(b, b @ current)
+        levels.append(c @ coords)
+        coords = coords - np.outer(c, levels[-1])
+        centroid_diff = centroid_diff - b * (b @ centroid_diff)
 
     if not directions:
         raise NoDifferentialSignalError(truncated_reason)
     return ProjectionHierarchy(
         directions=tuple(directions),
-        coords=np.vstack(coords),
-        class_of_sample=tuple([1] * n1 + [2] * n2),
+        coords=np.vstack(levels),
+        class_of_sample=tuple([1] * n1 + [2] * (n_samples - n1)),
         truncated_reason=truncated_reason,
     )
 

@@ -290,7 +290,7 @@ def _run_single(
 
 
 def _validated_methods(methods) -> tuple[str, ...]:
-    methods = tuple(m.upper() for m in methods)
+    methods = tuple(dict.fromkeys(m.upper() for m in methods))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
@@ -365,9 +365,10 @@ def benchmark_sweep_roc(
 ) -> tuple[list[SweepCell], list[MeanRocCurve]]:
     """:func:`benchmark_sweep` over ``sample_sizes`` and :func:`benchmark_roc`
     at ``roc_samples`` (no curves when None) from one set of runs: a
-    (size, run) pair that both need is simulated and scored once."""
+    (size, run) pair that both need is simulated and scored once. A size
+    or method listed twice counts once, at its first position."""
     methods = _validated_methods(methods)
-    sample_sizes = list(sample_sizes)
+    sample_sizes = list(dict.fromkeys(sample_sizes))
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     tasks = [(size, run) for size in sample_sizes for run in range(n_runs)]

@@ -4,8 +4,9 @@ Each oracle deliberately takes a different computational route than the
 code under test: exact integer combinatorics instead of floating-point
 recurrences, numerical quadrature instead of special functions, full-space
 normal equations instead of PCA-space regression, closed forms
-instead of adaptive integration, and a row-by-row walk instead of the
-column-wise expression parser.
+instead of adaptive integration, a row-by-row walk instead of the
+column-wise expression parser, and gene-space nulls and deflation instead
+of the sample-space factorisation.
 """
 
 from __future__ import annotations
@@ -80,6 +81,47 @@ def normal_equation_direction(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     if b @ (x2.mean(axis=1) - x1.mean(axis=1)) < 0:
         b = -b
     return b
+
+
+def np1_rank_restricted(
+    x1: np.ndarray, x2: np.ndarray, n_permutations: int, rng: np.random.Generator
+) -> np.ndarray:
+    """np1 from the gene-space null: the genes x permutations matrix of
+    label-shuffle centroid differences, built one shuffle at a time from
+    column means (the same generator draws as ``np1_direction``), its SVD,
+    and the axes beyond ``numpy.linalg.matrix_rank`` dropped. Unit norm,
+    oriented along the centroid difference."""
+    pooled = np.hstack([x1, x2])
+    n1 = x1.shape[1]
+    perms = np.argsort(rng.random((n_permutations, pooled.shape[1])), axis=1)
+    nulls = np.empty((pooled.shape[0], n_permutations))
+    for j, perm in enumerate(perms):
+        nulls[:, j] = pooled[:, perm[n1:]].mean(axis=1) - pooled[:, perm[:n1]].mean(axis=1)
+    u, s, _ = np.linalg.svd(nulls, full_matrices=False)
+    rank = np.linalg.matrix_rank(nulls)
+    stds = s[:rank] / math.sqrt(n_permutations)
+    diff = x2.mean(axis=1) - x1.mean(axis=1)
+    raw = u[:, :rank] @ ((u[:, :rank].T @ diff) / stds)
+    b = raw / np.linalg.norm(raw)
+    return -b if b @ diff < 0 else b
+
+
+def hierarchy_normal_equations(
+    x1: np.ndarray, x2: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(directions, coords) of the projection hierarchy by gene-space
+    deflation of the centred data, with :func:`normal_equation_direction`
+    fitted at every level."""
+    pooled = np.hstack([x1, x2])
+    current = pooled - pooled.mean(axis=1, keepdims=True)
+    n1 = x1.shape[1]
+    directions, coords = [], []
+    for _ in range(depth):
+        b = normal_equation_direction(current[:, :n1], current[:, n1:])
+        directions.append(b)
+        coords.append(b @ current)
+        current = current - np.outer(b, b @ current)
+    return np.array(directions), np.array(coords)
 
 
 def angle_pvalue_betainc(theta: float, n: int) -> float:
@@ -240,7 +282,7 @@ def parse_expression_rows(
             if np.any(shifted <= 0):
                 col = int(np.argwhere(shifted <= 0)[0][0]) + 2
                 raise ExpressionDataError(
-                    f"row {lineno}, column {col}: value {raw[col - 2]!r} not "
+                    f"row {lineno}, column {col}: value {float(raw[col - 2])!r} not "
                     f"positive after pseudocount {pseudocount}"
                 )
             stored = np.log2(shifted)

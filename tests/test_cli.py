@@ -11,7 +11,7 @@ import pytest
 
 from chardir.cli import main
 
-from oracles import exact_hypergeom_tail
+from oracles import covariance_eigendecomposition, exact_hypergeom_tail
 
 TOY_EXPRESSION = (
     "gene_id\tc1\tc2\tc3\tt1\tt2\tt3\n"
@@ -35,6 +35,24 @@ def toy(tmp_path):
     design = tmp_path / "design.tsv"
     design.write_text(TOY_DESIGN)
     return expr, design, tmp_path
+
+
+def write_two_class(tmp_path, values, n1):
+    """expr.tsv (genes G0, G1, ...) and design.tsv for ``values``, whose
+    first ``n1`` columns (c0, c1, ...) are class 1 and the rest (t0, ...)
+    class 2."""
+    samples = [f"c{j}" for j in range(n1)] + [f"t{j}" for j in range(values.shape[1] - n1)]
+    expr = tmp_path / "expr.tsv"
+    expr.write_text(
+        "gene_id\t" + "\t".join(samples) + "\n"
+        + "".join(
+            f"G{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
+            for i, row in enumerate(values)
+        )
+    )
+    design = tmp_path / "design.tsv"
+    design.write_text("".join(f"{s}\t{1 if s[0] == 'c' else 2}\n" for s in samples))
+    return expr, design
 
 
 def read_rows(path):
@@ -355,17 +373,7 @@ class TestProjectCommand:
         rng = np.random.default_rng(13)
         values = rng.standard_normal((200, 8))
         values[:20, 4:] += 3.0
-        samples = [f"c{j}" for j in range(4)] + [f"t{j}" for j in range(4)]
-        expr = tmp_path / "expr.tsv"
-        expr.write_text(
-            "gene_id\t" + "\t".join(samples) + "\n"
-            + "".join(
-                f"G{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
-                for i, row in enumerate(values)
-            )
-        )
-        design = tmp_path / "design.tsv"
-        design.write_text("".join(f"{s}\t{1 if s[0] == 'c' else 2}\n" for s in samples))
+        expr, design = write_two_class(tmp_path, values, 4)
         out = tmp_path / "out"
         assert run(
             ["project", "--expression", expr, "--design", design,
@@ -374,6 +382,46 @@ class TestProjectCommand:
         dens = np.loadtxt(out / "density.tsv", skiprows=1)
         for column in (1, 2):
             assert np.trapezoid(dens[:, column], dens[:, 0]) == pytest.approx(1.0, abs=1e-2)
+
+    def test_pca_scores_match_covariance_eigendecomposition(self, tmp_path):
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal((30, 9)) * np.linspace(3.0, 0.5, 30)[:, None]
+        values[:5, 4:] += 2.0
+        expr, design = write_two_class(tmp_path, values, 4)
+        out = tmp_path / "out"
+        assert run(
+            ["project", "--expression", expr, "--design", design,
+             "--depth", "2", "--seed", "1", "--out", out]
+        ) == 0
+        rows = read_rows(out / "pca.tsv")
+        assert [r["sample_id"] for r in rows] == ["c0", "c1", "c2", "c3", "t0", "t1", "t2", "t3", "t4"]
+        _, eigvecs = covariance_eigendecomposition(values)
+        centred = values - values.mean(axis=1, keepdims=True)
+        for k in range(2):
+            got = np.array([float(r[f"pc{k + 1}"]) for r in rows])
+            want = eigvecs[:, k] @ centred
+            gap = min(np.abs(got - want).max(), np.abs(got + want).max())
+            assert gap <= 1e-10 * np.abs(want).max()
+
+    def test_one_gene_space_svd_per_run(self, tmp_path, monkeypatch):
+        # The hierarchy and the PCA view share one factorisation.
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal((40, 9))
+        values[:, 4:] += rng.standard_normal(40)[:, None]
+        expr, design = write_two_class(tmp_path, values, 4)
+        rows = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert run(
+            ["project", "--expression", expr, "--design", design,
+             "--depth", "3", "--seed", "1", "--out", tmp_path / "out"]
+        ) == 0
+        assert rows.count(40) == 1
 
 
 class TestPipeline:
@@ -429,6 +477,17 @@ class TestPipeline:
              "--seed", "5", "--out", tmp_path / "bench"]
         ) == 0
         assert len(generated) == len(set(generated)) == 6
+
+    def test_benchmark_repeated_sizes_and_methods_count_once(self, tmp_path):
+        sweeps = []
+        for sizes, methods in (("3,3,5", "lr1,welch,lr1"), ("3,5", "lr1,welch")):
+            out = tmp_path / sizes
+            assert run(
+                ["benchmark", "--n-genes", "30", "--sizes", sizes, "--runs", "3",
+                 "--methods", methods, "--roc-samples", "3", "--seed", "5", "--out", out]
+            ) == 0
+            sweeps.append((out / "sweep.tsv").read_bytes())
+        assert sweeps[0] == sweeps[1]
 
     def test_config_file_provides_defaults(self, toy):
         expr, design, tmp = toy

@@ -1,6 +1,7 @@
 """Tests for expression-matrix, design, and gene-set parsing."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +71,8 @@ class TestParseExpression:
             parse_expression_tsv("id\ts1\nG1\tnan\n")
 
     def test_negative_raw_value_rejected(self):
-        with pytest.raises(ExpressionDataError, match="row 2"):
+        message = "row 2, column 2: value -2.0 not positive after pseudocount 1.0"
+        with pytest.raises(ExpressionDataError, match=f"^{re.escape(message)}$"):
             parse_expression_tsv("id\ts1\nG1\t-2\n", already_log=False, pseudocount=1.0)
 
     def test_roundtrip_is_exact(self):

@@ -14,7 +14,7 @@ from chardir.direction import (
     write_ranked_tsv,
 )
 
-from oracles import normal_equation_direction
+from oracles import normal_equation_direction, np1_rank_restricted
 
 TOY_X1 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 TOY_X2 = np.array([[5.0, 5.1, 5.0], [0.0, 0.0, 0.1]])
@@ -157,6 +157,36 @@ class TestNp1:
         a = np1_direction(gene_ids, x1, x2, 120, np.random.default_rng(3))
         b = np1_direction(gene_ids, -x1, -x2, 120, np.random.default_rng(3))
         np.testing.assert_allclose(b.coefficients, -a.coefficients, atol=1e-10)
+
+
+    def test_matches_rank_restricted_gene_space_oracle(self):
+        # More genes than samples, more samples than genes, unequal
+        # classes, and a centred matrix of lower rank than both.
+        rng = np.random.default_rng(14)
+        for n_genes, n1, n2 in [(40, 5, 5), (300, 4, 7), (6, 8, 6), (3, 2, 2), (25, 10, 3)]:
+            gene_ids, x1, x2 = random_two_class(rng, n_genes, n1, n2)
+            got = np1_direction(gene_ids, x1, x2, 150, np.random.default_rng(n_genes))
+            want = np1_rank_restricted(x1, x2, 150, np.random.default_rng(n_genes))
+            assert np.max(np.abs(got.coefficients - want)) <= 1e-10
+        # Rank 4 of 11: three shared factors plus the class shift.
+        gene_ids = [f"g{i}" for i in range(30)]
+        low_rank = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12))
+        x1, x2 = low_rank[:, :6], low_rank[:, 6:] + rng.standard_normal(30)[:, None]
+        got = np1_direction(gene_ids, x1, x2, 200, np.random.default_rng(1))
+        want = np1_rank_restricted(x1, x2, 200, np.random.default_rng(1))
+        assert np.max(np.abs(got.coefficients - want)) <= 1e-10
+
+    def test_stays_in_sample_span(self):
+        rng = np.random.default_rng(15)
+        gene_ids, x1, x2 = random_two_class(rng, n_genes=2000, n1=6, n2=6)
+        d = np1_direction(gene_ids, x1, x2, 200, np.random.default_rng(4))
+        pooled = np.hstack([x1, x2])
+        centred = pooled - pooled.mean(axis=1, keepdims=True)
+        w, v = np.linalg.eigh(centred.T @ centred)
+        keep = w > 1e-10 * w.max()
+        span = centred @ (v[:, keep] / np.sqrt(w[keep]))
+        b = d.coefficients
+        assert np.linalg.norm(b - span @ (span.T @ b)) <= 1e-12
 
 
 class TestCallSignificant:

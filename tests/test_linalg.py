@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from chardir.direction import lr1_direction, np1_direction
 from chardir.linalg import (
     ZeroVarianceError,
     pca_reduce,
     random_rotation,
     solve_least_squares,
 )
+from chardir.projection import project_hierarchy
 
 from oracles import covariance_eigendecomposition
 
@@ -144,3 +146,28 @@ class TestRandomRotation:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             random_rotation(0, np.random.default_rng(0))
+
+
+class TestSampleFactorisation:
+    def test_one_gene_space_svd_per_fit(self, monkeypatch):
+        # Everything after the one factorisation works on the small factor.
+        rng = np.random.default_rng(18)
+        gene_ids = [f"g{i}" for i in range(40)]
+        x1 = rng.standard_normal((40, 4))
+        x2 = rng.standard_normal((40, 5)) + rng.standard_normal(40)[:, None]
+        rows = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for fit in (
+            lambda: lr1_direction(gene_ids, x1, x2),
+            lambda: np1_direction(gene_ids, x1, x2, 100, np.random.default_rng(0)),
+            lambda: project_hierarchy(gene_ids, x1, x2, depth=3),
+        ):
+            rows.clear()
+            fit()
+            assert rows.count(40) == 1

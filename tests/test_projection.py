@@ -9,6 +9,8 @@ from chardir.data import ExpressionMatrix
 from chardir.direction import CharacteristicDirection, lr1_direction
 from chardir.projection import density_estimate, project, project_hierarchy
 
+from oracles import hierarchy_normal_equations
+
 TOY_X1 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 TOY_X2 = np.array([[5.0, 5.1, 5.0], [0.0, 0.0, 0.1]])
 
@@ -97,6 +99,21 @@ class TestHierarchy:
             for j in range(i + 1, h.depth):
                 dot = float(h.directions[i].coefficients @ h.directions[j].coefficients)
                 assert abs(dot) < 1e-8
+
+    def test_depth_three_matches_gene_space_oracle(self):
+        # All components kept, so each level is the full-space normal of
+        # the deflated data; both more genes than samples and the reverse.
+        rng = np.random.default_rng(16)
+        for n_genes, n1, n2 in [(40, 4, 5), (7, 6, 6), (200, 3, 4)]:
+            x1 = rng.standard_normal((n_genes, n1))
+            x2 = rng.standard_normal((n_genes, n2)) + rng.standard_normal(n_genes)[:, None]
+            gene_ids = tuple(f"g{i}" for i in range(n_genes))
+            h = project_hierarchy(gene_ids, x1, x2, depth=3, epsilon=1e-12, max_components=50)
+            directions, coords = hierarchy_normal_equations(x1, x2, 3)
+            assert h.depth == 3
+            got = np.vstack([d.coefficients for d in h.directions])
+            assert np.max(np.abs(got - directions)) <= 1e-10
+            assert np.max(np.abs(h.coords - coords)) <= 1e-10
 
     def test_class_labels(self):
         h = project_hierarchy(("A", "B"), TOY_X1, TOY_X2, depth=1)
