@@ -163,6 +163,11 @@ def _read_ranked_file(path: Path):
     the row order, coefficients maps gene to coefficient when that column
     exists (None otherwise), and method comes from the comment header when
     present.
+
+    Raises:
+        ValueError: a required column is missing from the header, a row
+            stops before one of the columns read, or a coefficient is not a
+            number; row errors name the physical line and the column.
     """
     ranking: list[str] = []
     significant: list[str] = []
@@ -170,7 +175,7 @@ def _read_ranked_file(path: Path):
     method = None
     header = None
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
@@ -187,16 +192,30 @@ def _read_ranked_file(path: Path):
                         raise ValueError(
                             f"{path}: expected a '{column}' column in the ranked file"
                         )
+                read = sorted(
+                    header.index(c) for c in ("gene_id", "significant", "coefficient") if c in header
+                )
                 if "coefficient" in header:
                     coefficients = {}
                 continue
+            if len(cells) <= read[-1]:
+                col = next(i for i in read if i >= len(cells))
+                raise ValueError(
+                    f"{path}: row {lineno}, column {col + 1}: missing '{header[col]}' cell"
+                )
             row = dict(zip(header, cells))
             gene = row["gene_id"]
             ranking.append(gene)
             if row["significant"] == "true":
                 significant.append(gene)
             if coefficients is not None:
-                coefficients[gene] = float(row["coefficient"])
+                try:
+                    coefficients[gene] = float(row["coefficient"])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {header.index('coefficient') + 1}: "
+                        f"non-numeric coefficient {row['coefficient']!r}"
+                    ) from None
     if header is None:
         raise ValueError(f"{path}: empty ranked file")
     return ranking, significant, coefficients, method

@@ -320,7 +320,7 @@ def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
             raise ExpressionDataError(f"line {lineno}: empty set name")
         if name in names:
             raise ExpressionDataError(f"line {lineno}: duplicate set name {name!r}")
-        members = {canonical_gene_id(c) for c in cells[2:] if c.strip()}
+        members = set(map(str.upper, filter(None, map(str.strip, cells[2:]))))  # canonical_gene_id
         if not members:
             raise ExpressionDataError(f"line {lineno}: set {name!r} has no members")
         names.add(name)

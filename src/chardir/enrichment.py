@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import GeneSet, GeneSetLibrary
 from .direction import CharacteristicDirection
-from .welch import bh_fdr
+from .welch import _betainc, bh_fdr
 
 __all__ = [
     "EnrichmentResult",
@@ -243,8 +243,9 @@ def angle_null_pvalue(theta, n: int):
 
     The angle between isotropic directions in n dimensions has density
     proportional to ``sin(phi)^(n-2)``; its mass between ``theta`` and
-    pi/2 is the regularized incomplete beta ``I_{cos^2 theta}(1/2, (n-1)/2)``.
-    The value at pi/2 is exactly 0.
+    pi/2 is the regularized incomplete beta ``I_{cos^2 theta}(1/2, (n-1)/2)``,
+    evaluated with ``sin^2 theta`` as its complement. The value at pi/2 is
+    exactly 0.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -252,8 +253,7 @@ def angle_null_pvalue(theta, n: int):
     if not np.all((theta >= 0) & (theta <= math.pi / 2 + 1e-12)):
         raise ValueError("theta must lie in [0, pi/2]")
     theta = np.minimum(theta, math.pi / 2)
-    from scipy import special  # imported here: it is slow to load
-    p = special.betainc(0.5, (n - 1) / 2.0, np.cos(theta) ** 2)
+    p = _betainc(0.5, (n - 1) / 2.0, np.cos(theta) ** 2, np.sin(theta) ** 2)
     return np.where(theta == math.pi / 2, 0.0, p)[()]
 
 

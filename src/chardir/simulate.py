@@ -11,7 +11,6 @@ planted in a sub-block of known genes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -309,6 +308,9 @@ def _run_all(
     tasks = list(dict.fromkeys(tasks))
     if n_jobs == 1:
         return {(s, r): _run_single(spec_template, s, r, methods) for s, r in tasks}
+    # Imported here: it loads multiprocessing, which no other path needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [
             pool.submit(_run_single, spec_template, s, r, methods) for s, r in tasks

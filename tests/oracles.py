@@ -5,17 +5,20 @@ code under test: exact integer combinatorics instead of floating-point
 recurrences, numerical quadrature instead of special functions, full-space
 normal equations instead of PCA-space regression, closed forms
 instead of adaptive integration, a row-by-row walk instead of the
-column-wise expression parser, and gene-space nulls and deflation instead
-of the sample-space factorisation.
+column-wise expression parser, gene-space nulls and deflation instead
+of the sample-space factorisation, and 40-digit hypergeometric series
+instead of the double-precision incomplete-beta continued fraction.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, TextIO
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -67,6 +70,18 @@ def student_t_two_sided_quad(t: float, df: float) -> float:
         return 1.0 - 2.0 * body
     tail, _ = integrate.quad(pdf, abs(t), np.inf, epsabs=1e-12, epsrel=1e-12)
     return min(1.0, 2.0 * tail)
+
+
+def betainc_mpmath(a: float, b: float, x: float | Fraction) -> float:
+    """Regularized incomplete beta ``I_x(a, b)`` in 40-digit arithmetic.
+
+    ``x`` is taken exactly, as a float or a :class:`~fractions.Fraction`, so
+    an argument such as ``df / (df + t^2)`` can be given without rounding.
+    """
+    with mpmath.workdps(40):
+        if isinstance(x, Fraction):
+            x = mpmath.mpf(x.numerator) / x.denominator
+        return float(mpmath.betainc(a, b, 0, x, regularized=True))
 
 
 def normal_equation_direction(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -20,6 +20,21 @@ TOY_EXPRESSION = (
 )
 TOY_DESIGN = "c1\t1\nc2\t1\nc3\t1\nt1\t2\nt2\t2\nt3\t2\n"
 
+# Runs the CLI with an import hook that fails every import of scipy.
+REFUSE_SCIPY_LAUNCHER = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from chardir.cli import main
+sys.exit(main())
+"""
+
 
 def run(argv):
     try:
@@ -311,6 +326,26 @@ class TestEnrichCommand:
         by_name = {r["set_name"]: float(r["theta"]) for r in rows}
         assert by_name["A_ONLY"] < by_name["B_ONLY"]
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("GB\t0.6", "row 5, column 3: missing 'significant' cell"),
+            ("GB\tx0.6\ttrue", "row 5, column 2: non-numeric coefficient 'x0.6'"),
+        ],
+        ids=["short_row", "non_numeric_coefficient"],
+    )
+    def test_bad_ranked_row_names_line_and_column(self, tmp_path, capsys, row, message):
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text(
+            "# method: lr1\ngene_id\tcoefficient\tsignificant\nGA\t0.8\ttrue\n\n" + row + "\n"
+        )
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tGA\tGB\n")
+        code = run(["enrich", "--ranked", ranked, "--gmt", gmt, "--mode", "angle",
+                    "--seed", "1", "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"chardir enrich: error: {ranked}: {message}\n"
+
     def test_genes_without_universe_is_usage_error(self, tmp_path, capsys):
         genes = tmp_path / "genes.txt"
         genes.write_text("G1\n")
@@ -532,6 +567,49 @@ class TestPipeline:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_skips_process_pool(self):
+        """The process pool is loaded only by ``benchmark --jobs`` above 1."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, chardir.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_p_value_commands_run_with_scipy_refused(self, tmp_path):
+        """ttest, enrich --mode angle and benchmark under an import hook that
+        refuses scipy write the same tables as an unrestricted run."""
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-genes", "40", "--samples-per-class", "4",
+                    "--seed", "3", "--out", sim]) == 0
+        assert run(["chdir", "--expression", sim / "expression.tsv", "--design",
+                    sim / "design.tsv", "--seed", "3", "--out", tmp_path / "ranked"]) == 0
+        commands = {
+            "ttest": (["ttest", "--expression", sim / "expression.tsv",
+                       "--design", sim / "design.tsv"], ["welch_results.tsv"]),
+            "angle": (["enrich", "--ranked", tmp_path / "ranked" / "ranked_genes.tsv",
+                       "--gmt", sim / "truth.gmt", "--mode", "angle"], ["enrichment.tsv"]),
+            "benchmark": (["benchmark", "--n-genes", "30", "--sizes", "3,4", "--runs", "2",
+                           "--methods", "lr1,welch", "--roc-samples", "3"],
+                          ["sweep.tsv", "roc.tsv"]),
+        }
+        for name, (argv, tables) in commands.items():
+            free, refused = tmp_path / f"{name}_free", tmp_path / f"{name}_refused"
+            assert run([*argv, "--seed", "3", "--out", free]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-c", REFUSE_SCIPY_LAUNCHER,
+                 *map(str, argv), "--seed", "3", "--out", str(refused)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            for table in tables:
+                assert (refused / table).read_bytes() == (free / table).read_bytes()
 
     def test_chdir_lr1_runs_without_scipy(self, toy):
         expr, design, tmp = toy

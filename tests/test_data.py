@@ -13,6 +13,7 @@ from chardir.data import (
     GeneSetLibrary,
     TwoClassDesign,
     align_design,
+    canonical_gene_id,
     matrix_to_tsv,
     parse_design_tsv,
     parse_expression_tsv,
@@ -224,6 +225,18 @@ class TestParseGmt:
     def test_trailing_empty_fields_dropped(self):
         lib = parse_gmt("S\td\tG1\t\t\n")
         assert lib.sets[0].members == frozenset({"G1"})
+
+    def test_members_match_per_member_canonicalisation(self):
+        lines = [
+            "S1\td\tg1\t G2 \t\t  \tG1\tgA\t\n",
+            "S2\t d \t\t x \tY\t\t\n",
+            "S3\td\tstra\u00dfe\t\u01c5\tz\u00a0\t\x0bq\r\n",
+            "S4\td\t mixedCase\tMIXEDcase \tmixedcase\t\t\t\n",
+        ]
+        lib = parse_gmt("".join(lines))
+        for line, gene_set in zip(lines, lib.sets):
+            cells = line.rstrip("\n").rstrip("\r").split("\t")
+            assert gene_set.members == {canonical_gene_id(c) for c in cells[2:] if c.strip()}
 
 
 class TestDesign:

@@ -1,12 +1,15 @@
-"""Tests for the Welch t-test, Student-t tail, and BH correction."""
+"""Tests for the Welch t-test, Student-t tail, incomplete beta and BH correction."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chardir.welch import (
     UndefinedStatisticError,
+    _betainc,
     bh_fdr,
     student_t_two_sided,
     ttest_screen,
@@ -14,7 +17,18 @@ from chardir.welch import (
     welch_test,
 )
 
-from oracles import student_t_two_sided_quad
+from oracles import betainc_mpmath, student_t_two_sided_quad
+
+# Below the smallest normal double a relative error is not defined; there
+# the value must be negligible instead.
+NORMAL_FLOOR = 1e-300
+
+
+def assert_relative(got: float, want: float, rel: float = 2e-12) -> None:
+    if want < NORMAL_FLOOR:
+        assert got < 10 * NORMAL_FLOOR, (got, want)
+    else:
+        assert abs(got - want) <= rel * want, (got, want, abs(got - want) / want)
 
 
 class TestWelchTest:
@@ -28,7 +42,7 @@ class TestWelchTest:
         t, df, p = welch_test([1, 2, 3], [2, 3, 4])
         assert t == pytest.approx(-1.224744871391589, abs=1e-12)
         assert df == pytest.approx(4.0, abs=1e-12)
-        assert p == pytest.approx(0.2878641347266907, abs=1e-9)
+        assert p == pytest.approx(0.2878641347266907, abs=1e-15)
 
     def test_degenerate_equal_means(self):
         with pytest.raises(UndefinedStatisticError):
@@ -79,7 +93,7 @@ class TestWelchArrays:
             ref = stats.ttest_ind(x1[i], x2[i], equal_var=False)
             assert t[i] == pytest.approx(ref.statistic, rel=1e-12)
             assert df[i] == pytest.approx(ref.df, rel=1e-12)
-            assert p[i] == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-15)
+            assert p[i] == pytest.approx(ref.pvalue, rel=1e-12, abs=1e-15)
 
     def test_degenerate_rows(self):
         x1 = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
@@ -96,13 +110,39 @@ class TestStudentTail:
         for df in (1.0, 2.0, 4.0, 10.0, 17.3, 18.0, 100.0):
             for t in np.linspace(-10, 10, 41):
                 assert student_t_two_sided(float(t), df) == pytest.approx(
-                    student_t_two_sided_quad(float(t), df), abs=1e-8
+                    student_t_two_sided_quad(float(t), df), abs=1e-12
                 )
             # Near t = 0, where p is within 1e-6 of 1.
             for t in (1e-8, -1e-8, 4.9e-7, -4.9e-7):
                 assert student_t_two_sided(t, df) == pytest.approx(
                     student_t_two_sided_quad(t, df), abs=1e-12
                 )
+
+    def test_matches_mpmath_on_grid(self):
+        dfs = (1, 1.5, 2, 3.7, 8, 17.3, 18, 50, 400, 1e4)
+        ts = (1e-8, 4.9e-7, 1e-4, 0.3, 1, 2, 5, 10, 40, 300, 1e4)
+        df, t = (np.array(v, dtype=float).ravel() for v in np.meshgrid(dfs, ts))
+        p = student_t_two_sided(np.concatenate([t, -t]), np.concatenate([df, df]))
+        for k, (df_k, t_k) in enumerate(zip(df.tolist(), t.tolist())):
+            x = Fraction(df_k) / (Fraction(df_k) + Fraction(t_k) ** 2)
+            assert_relative(p[k], betainc_mpmath(df_k / 2, 0.5, x))
+            assert p[k + len(t)] == p[k]
+
+    def test_exact_ends(self):
+        df = np.array([1.0, 3.7, 18.0, 1e4])
+        assert student_t_two_sided(np.full(4, math.inf), df).tolist() == [0.0] * 4
+        assert student_t_two_sided(np.full(4, -math.inf), df).tolist() == [0.0] * 4
+        assert student_t_two_sided(np.zeros(4), df).tolist() == [1.0] * 4
+
+    def test_nan_df_passes_through_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = student_t_two_sided([0.0, 1.0, math.inf], [math.nan, math.nan, 3.0])
+            assert math.isnan(p[0]) and math.isnan(p[1]) and p[2] == 0.0
+            # The undefined row of welch_arrays reads df = NaN.
+            _, df, p, undefined = welch_arrays([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [2.0, 3.0]])
+            assert undefined.tolist() == [True, False]
+            assert math.isnan(df[0]) and p[0] == 1.0
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -112,6 +152,38 @@ class TestStudentTail:
             p = student_t_two_sided(t, df)
             assert 0.0 <= p <= 1.0
             assert p == student_t_two_sided(-t, df)
+
+
+class TestIncompleteBeta:
+    def test_angle_null_grid(self):
+        # I_{cos^2 theta}(1/2, (n-1)/2), the principal-angle null.
+        for n in (3, 10, 100, 2000, 20000):
+            for c2 in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9):
+                assert_relative(
+                    _betainc(0.5, (n - 1) / 2, c2, 1.0 - c2),
+                    betainc_mpmath(0.5, (n - 1) / 2, c2),
+                )
+
+    def test_both_parameters_large_grid(self):
+        # I_{sin^2 theta}((n-m)/2, m/2), the null of an m-gene set.
+        n = 20000
+        for m in (5, 15, 495):
+            for s2 in (0.5, 0.7, 0.9, 0.95, 0.97, 0.975, 0.98, 0.99, 0.995, 0.999):
+                assert_relative(
+                    _betainc((n - m) / 2, m / 2, s2, 1.0 - s2),
+                    betainc_mpmath((n - m) / 2, m / 2, s2),
+                )
+
+    def test_complement_and_ends(self):
+        a = np.array([0.5, 3.0, 40.0, 9997.5])
+        b = np.array([7.0, 0.5, 40.0, 2.5])
+        x = np.array([0.2, 0.9, 0.5, 0.9996])
+        total = _betainc(a, b, x, 1.0 - x) + _betainc(b, a, 1.0 - x, x)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+        assert _betainc(a, b, 0.0, 1.0).tolist() == [0.0] * 4
+        assert _betainc(a, b, 1.0, 0.0).tolist() == [1.0] * 4
+        assert np.isnan(_betainc([math.nan, 0.0, math.inf], 1.0, 0.5, 0.5)).all()
+        assert _betainc(np.empty(0), 1.0, 0.5, 0.5).shape == (0,)
 
 
 class TestBhFdr:
