@@ -41,7 +41,7 @@ from .enrichment import (
     principal_angle,
     sliding_window_profile,
 )
-from .linalg import PcaModel, ZeroVarianceError, pca_reduce, random_rotation, solve_least_squares
+from .linalg import PcaModel, ZeroVarianceError, pca_reduce, random_rotation
 from .projection import density_estimate, project, project_hierarchy
 from .simulate import (
     RecoveryScore,
@@ -84,7 +84,6 @@ __all__ = [
     "ZeroVarianceError",
     "pca_reduce",
     "random_rotation",
-    "solve_least_squares",
     "density_estimate",
     "project",
     "project_hierarchy",

@@ -160,16 +160,17 @@ def _read_ranked_file(path: Path):
     """Read a ranked-gene or Welch output TSV.
 
     Returns (ranking, significant, coefficients, method) where ranking is
-    the row order, coefficients maps gene to coefficient when that column
-    exists (None otherwise), and method comes from the comment header when
-    present.
+    the row order of the canonical gene ids, coefficients maps gene to
+    coefficient when that column exists (None otherwise), and method comes
+    from the comment header when present.
 
     Raises:
         ValueError: a required column is missing from the header, a row
-            stops before one of the columns read, or a coefficient is not a
-            number; row errors name the physical line and the column.
+            stops before one of the columns read, a coefficient is not a
+            number, or two rows carry the same canonical gene id; row errors
+            name the physical lines and the column.
     """
-    ranking: list[str] = []
+    line_of: dict[str, int] = {}
     significant: list[str] = []
     coefficients: dict[str, float] | None = None
     method = None
@@ -204,8 +205,12 @@ def _read_ranked_file(path: Path):
                     f"{path}: row {lineno}, column {col + 1}: missing '{header[col]}' cell"
                 )
             row = dict(zip(header, cells))
-            gene = row["gene_id"]
-            ranking.append(gene)
+            gene = canonical_gene_id(row["gene_id"])
+            if gene in line_of:
+                raise ValueError(
+                    f"{path}: rows {line_of[gene]} and {lineno}: duplicate gene id {gene!r}"
+                )
+            line_of[gene] = lineno
             if row["significant"] == "true":
                 significant.append(gene)
             if coefficients is not None:
@@ -218,7 +223,7 @@ def _read_ranked_file(path: Path):
                     ) from None
     if header is None:
         raise ValueError(f"{path}: empty ranked file")
-    return ranking, significant, coefficients, method
+    return list(line_of), significant, coefficients, method
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +256,7 @@ def _cmd_chdir(parser, args) -> int:
             matrix.gene_ids, x1, x2, args.epsilon, args.max_components
         )
     else:
-        direction = np1_direction(
-            matrix.gene_ids, x1, x2, args.permutations, np.random.default_rng(seed)
-        )
+        direction = np1_direction(matrix.gene_ids, x1, x2)
     call = call_significant(direction, args.alpha)
 
     out_dir = Path(args.out)
@@ -587,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.3, help="cumulative squared-coefficient cutoff")
     p.add_argument("--epsilon", type=float, default=1e-3, help="PCA unexplained-variance budget")
     p.add_argument("--max-components", type=int, default=20)
-    p.add_argument("--permutations", type=int, default=200, help="np1 label shuffles")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     _add_common_args(p)
     p.set_defaults(func=_cmd_chdir)

@@ -18,10 +18,8 @@ from .linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
     _factor_samples,
-    _numerical_rank,
     _principal_components,
     _SampleFactors,
-    solve_least_squares,
 )
 
 __all__ = [
@@ -34,10 +32,7 @@ __all__ = [
     "call_significant",
     "write_ranked_tsv",
     "write_ranked_json",
-    "DEFAULT_PERMUTATIONS",
 ]
-
-DEFAULT_PERMUTATIONS = 200
 
 # Relative size at or below which a centroid difference or a fitted normal
 # counts as no signal.
@@ -149,15 +144,29 @@ def _finalize(
     )
 
 
+def _scaled_contrast(
+    factors: _SampleFactors, n1: int, power: int, k: int | None = None
+) -> np.ndarray:
+    """``basis[:, :k] @ (delta_pc[:k] / singular[:k] ** power)``, where
+    ``delta_pc`` is the centroid difference (class 2 minus the first ``n1``
+    samples) in the principal coordinates and ``k=None`` keeps every axis.
+    The rows of ``coords`` are orthogonal with squared norms
+    ``singular ** 2``, so power 2 is the least-squares normal of the class
+    contrast on the leading k scores, and power 1 over all axes whitens by
+    the label-permutation null."""
+    coords = factors.coords[:k]
+    delta_pc = coords[:, n1:].mean(axis=1) - coords[:, :n1].mean(axis=1)
+    return factors.basis[:, :k] @ (delta_pc / factors.singular[:k] ** power)
+
+
 def _lr1_normal(
     factors: _SampleFactors, n1: int, epsilon: float, max_components: int
 ) -> np.ndarray:
     """Unnormalized lr1 hyperplane normal in the row space of
-    ``factors.basis``: the -1/+1 class contrast regressed on the leading
-    principal scores, mapped back through the component basis."""
-    model, scores = _principal_components(factors, epsilon, max_components)
-    target = np.where(np.arange(scores.shape[1]) < n1, -1.0, 1.0)
-    return model.basis @ solve_least_squares(scores.T, target).coefficients
+    ``factors.basis``: the class contrast regressed on the principal scores
+    :func:`~chardir.linalg.pca_reduce` would keep."""
+    k = _principal_components(factors, epsilon, max_components)[0].n_components
+    return _scaled_contrast(factors, n1, 2, k)
 
 
 def lr1_direction(
@@ -170,10 +179,11 @@ def lr1_direction(
     """Characteristic direction via indicator regression in PCA space.
 
     The pooled samples are reduced to the principal components
-    :func:`~chardir.linalg.pca_reduce` would keep, a -1/+1 class contrast
-    is regressed on the component scores by least squares, and the
-    resulting hyperplane normal is mapped back through the orthonormal
-    basis to gene space.
+    :func:`~chardir.linalg.pca_reduce` would keep, and a -1/+1 class
+    contrast is regressed on the component scores. The scores are
+    orthogonal, so the least-squares normal is the centroid difference in
+    component coordinates divided by each component's squared singular
+    value, mapped back through the orthonormal basis to gene space.
 
     Raises:
         NoDifferentialSignalError: the classes coincide.
@@ -184,53 +194,22 @@ def lr1_direction(
     return _finalize(samples.gene_ids, raw, samples.centroid_diff, "LR1")
 
 
-def np1_direction(
-    gene_ids,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    n_permutations: int = DEFAULT_PERMUTATIONS,
-    rng: np.random.Generator | None = None,
-) -> CharacteristicDirection:
+def np1_direction(gene_ids, x1: np.ndarray, x2: np.ndarray) -> CharacteristicDirection:
     """Characteristic direction via a permutation-null-corrected centroid
     difference.
 
-    Sample-to-class labels are shuffled ``n_permutations`` times (class
-    sizes preserved) and the centroid difference recomputed each time,
-    giving a null set of directions. Every such difference lies in the
-    span of the centred pooled samples, so the null is analysed there: the
-    observed difference is expressed in the principal axes of the null
-    set, axes whose spread is at or below the numerical-rank tolerance are
-    dropped, each remaining component is divided by the null's per-axis
-    standard deviation, and the scaled vector is mapped back to gene
-    space and unit-normalized.
-
-    Label shuffles are sampled uniformly; for small sample counts
-    duplicate shuffles are accepted. Results are bit-reproducible for a
-    given generator state.
+    Shuffling the sample-to-class labels (class sizes preserved) gives a
+    null set of centroid differences; the observed difference is whitened
+    by the null's second moment and mapped back to gene space. This is the
+    exact limit of infinitely many shuffles: the shuffle weights are
+    exchangeable and the centred pooled samples sum to zero, so the null's
+    second moment is proportional to ``diag(singular ** 2)`` in the
+    principal axes of the pooled samples. The result is the centroid
+    difference in those axes divided by each singular value, over every
+    axis of the numerical rank; it is deterministic.
     """
-    if n_permutations < 100:
-        raise ValueError("n_permutations must be at least 100")
-    if rng is None:
-        rng = np.random.default_rng()
     samples = _two_class_samples(gene_ids, x1, x2)
-    basis, coords = samples.factors.basis, samples.factors.coords
-    n1, n_samples = samples.n1, coords.shape[1]
-
-    # Column j of weights turns coords @ weights[:, j] into the centroid
-    # difference under the j-th label shuffle, in sample coordinates.
-    perms = np.argsort(rng.random((n_permutations, n_samples)), axis=1)
-    weights = np.full((n_samples, n_permutations), 1.0 / (n_samples - n1))
-    weights[perms[:, :n1].T, np.arange(n_permutations)] = -1.0 / n1
-    nulls = coords @ weights
-
-    # Principal axes of the null set about the origin: label shuffles make
-    # the null sign-symmetric, so no centering is applied and the per-axis
-    # spread is the RMS projection.
-    u, s, _ = np.linalg.svd(nulls, full_matrices=False)
-    rank = _numerical_rank(s, nulls.shape)
-    u, stds = u[:, :rank], s[:rank] / np.sqrt(n_permutations)
-    components = u.T @ (basis.T @ samples.centroid_diff)
-    raw = basis @ (u @ (components / stds))
+    raw = _scaled_contrast(samples.factors, samples.n1, 1)
     return _finalize(samples.gene_ids, raw, samples.centroid_diff, "NP1")
 
 

@@ -1,5 +1,5 @@
 """Numerical primitives: the shared sample-space factorisation, PCA
-reduction, least squares, random rotations.
+reduction, random rotations.
 
 All functions are pure; randomness is always drawn from an explicitly
 passed generator.
@@ -14,16 +14,13 @@ import numpy as np
 
 __all__ = [
     "PcaModel",
-    "LinearSolveReport",
     "ZeroVarianceError",
     "pca_reduce",
-    "solve_least_squares",
     "random_rotation",
 ]
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_COMPONENTS = 20
-DEFAULT_LSTSQ_TOL = 1e-12
 
 
 class ZeroVarianceError(ValueError):
@@ -55,15 +52,6 @@ class PcaModel:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class LinearSolveReport:
-    """Least-squares solution with its effective rank and tolerance."""
-
-    coefficients: np.ndarray
-    rank: int
-    tolerance_used: float
-
-
 def _require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -84,17 +72,14 @@ class _SampleFactors(NamedTuple):
     scale: float
 
 
-def _numerical_rank(singular: np.ndarray, shape: tuple[int, ...]) -> int:
-    """Singular values above LAPACK's tolerance, max(shape) * eps * largest."""
-    tol = float(singular.max(initial=0.0)) * max(shape) * np.finfo(np.float64).eps
-    return int(np.count_nonzero(singular > tol))
-
-
 def _factor_samples(data: np.ndarray) -> _SampleFactors:
-    """Factor the row-centred ``data`` once; see :class:`_SampleFactors`."""
+    """Factor the row-centred ``data`` once; see :class:`_SampleFactors`.
+    The numerical rank counts singular values above LAPACK's tolerance,
+    max(shape) * eps * largest."""
     mean = data.mean(axis=1)
     u, s, vt = np.linalg.svd(data - mean[:, None], full_matrices=False)
-    r = _numerical_rank(s, data.shape)
+    tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
+    r = int(np.count_nonzero(s > tol))
     scale = max(1.0, float(np.abs(data).max()))
     return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
@@ -163,23 +148,6 @@ def pca_reduce(
     if data.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     return _principal_components(_factor_samples(data), epsilon, max_components)
-
-
-def solve_least_squares(
-    design: np.ndarray,
-    targets: np.ndarray,
-    tol: float = DEFAULT_LSTSQ_TOL,
-) -> LinearSolveReport:
-    """Minimum-norm least-squares solution of design @ coef = targets.
-
-    Singular values below ``tol`` times the largest singular value are
-    treated as zero, so rank-deficient systems get the pseudo-inverse
-    solution.
-    """
-    design = _require_finite("design", design)
-    targets = _require_finite("targets", targets)
-    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=tol)
-    return LinearSolveReport(coefficients=coef, rank=int(rank), tolerance_used=tol)
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

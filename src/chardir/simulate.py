@@ -205,12 +205,7 @@ def score_recovery(per_gene_scores, de_mask) -> RecoveryScore:
     )
 
 
-def method_scores(
-    outcome: SimulationOutcome,
-    method: str,
-    np1_rng: np.random.Generator | None = None,
-    n_permutations: int = 200,
-) -> np.ndarray:
+def method_scores(outcome: SimulationOutcome, method: str) -> np.ndarray:
     """Per-gene ranking scores of one method on a simulated dataset.
 
     Characteristic-direction methods score genes by squared coefficient;
@@ -222,9 +217,7 @@ def method_scores(
     if method == "LR1":
         return lr1_direction(gene_ids, x1, x2).coefficients ** 2
     if method == "NP1":
-        return (
-            np1_direction(gene_ids, x1, x2, n_permutations, np1_rng).coefficients ** 2
-        )
+        return np1_direction(gene_ids, x1, x2).coefficients ** 2
     if method == "WELCH":
         _, _, p, _ = welch_arrays(x1, x2)
         with np.errstate(divide="ignore"):
@@ -266,22 +259,20 @@ def _run_single(
 ) -> dict[str, np.ndarray | str]:
     """One simulation run: generate data, score every method.
 
-    The data seed and the permutation stream are both derived from
-    (master seed, sample size, run index), so a sweep's runs reproduce
-    identically whether executed sequentially or across workers.
+    The data seed is derived from (master seed, sample size, run index),
+    so a sweep's runs reproduce identically whether executed sequentially
+    or across workers.
     """
-    master = spec_template.seed
     spec = replace(
         spec_template,
         samples_per_class=size,
-        seed=_derived_seed(master, size, run_index, 0),
+        seed=_derived_seed(spec_template.seed, size, run_index, 0),
     )
     outcome = generate(spec)
     scores: dict[str, np.ndarray | str] = {}
     for method in methods:
-        np1_rng = np.random.default_rng(_derived_seed(master, size, run_index, 1))
         try:
-            scores[method] = method_scores(outcome, method, np1_rng)
+            scores[method] = method_scores(outcome, method)
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             scores[method] = f"excluded: {exc}"
     scores["__mask__"] = outcome.de_mask

@@ -8,6 +8,8 @@ instead of adaptive integration, a row-by-row walk instead of the
 column-wise expression parser, gene-space nulls and deflation instead
 of the sample-space factorisation, and 40-digit hypergeometric series
 instead of the double-precision incomplete-beta continued fraction.
+np1's label-permutation null, which the package evaluates in closed form
+as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
 
 from __future__ import annotations
@@ -101,11 +103,13 @@ def normal_equation_direction(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 def np1_rank_restricted(
     x1: np.ndarray, x2: np.ndarray, n_permutations: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """np1 from the gene-space null: the genes x permutations matrix of
-    label-shuffle centroid differences, built one shuffle at a time from
-    column means (the same generator draws as ``np1_direction``), its SVD,
-    and the axes beyond ``numpy.linalg.matrix_rank`` dropped. Unit norm,
-    oriented along the centroid difference."""
+    """np1 by Monte Carlo from the gene-space null: the genes x permutations
+    matrix of ``n_permutations`` label-shuffle centroid differences, built
+    one shuffle at a time from column means, its SVD, and the axes beyond
+    ``numpy.linalg.matrix_rank`` dropped; the centroid difference is divided
+    by the null's RMS spread along each axis. Unit norm, oriented along the
+    centroid difference. ``np1_direction`` is its limit as the shuffles
+    grow without bound."""
     pooled = np.hstack([x1, x2])
     n1 = x1.shape[1]
     perms = np.argsort(rng.random((n_permutations, pooled.shape[1])), axis=1)
@@ -119,6 +123,24 @@ def np1_rank_restricted(
     raw = u[:, :rank] @ ((u[:, :rank].T @ diff) / stds)
     b = raw / np.linalg.norm(raw)
     return -b if b @ diff < 0 else b
+
+
+def np1_gram_whitening(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """np1's infinite-shuffle limit from the samples' Gram matrix instead of
+    a gene-space factorisation: the centred pooled data ``C`` times
+    ``(C^T C)^(-1/2)`` (eigendecomposition, restricted to the top
+    ``numpy.linalg.matrix_rank(C)`` eigenvalues) times the class-mean
+    contrast weights. Unit norm, oriented along the centroid difference."""
+    pooled = np.hstack([x1, x2])
+    centred = pooled - pooled.mean(axis=1, keepdims=True)
+    n1, n2 = x1.shape[1], x2.shape[1]
+    weights = np.concatenate([np.full(n1, -1.0 / n1), np.full(n2, 1.0 / n2)])
+    eigenvalues, vectors = np.linalg.eigh(centred.T @ centred)
+    rank = np.linalg.matrix_rank(centred)
+    top, v = eigenvalues[-rank:], vectors[:, -rank:]
+    raw = centred @ (v @ ((v.T @ weights) / np.sqrt(top)))
+    b = raw / np.linalg.norm(raw)
+    return -b if b @ (centred @ weights) < 0 else b
 
 
 def hierarchy_normal_equations(

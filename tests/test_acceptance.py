@@ -182,7 +182,7 @@ class TestCriterion4Invariants:
             x2 += rng.standard_normal(n_genes)[:, None]
             ids = [f"g{i}" for i in range(n_genes)]
             lr1 = lr1_direction(ids, x1, x2)
-            np1 = np1_direction(ids, x1, x2, 100, rng)
+            np1 = np1_direction(ids, x1, x2)
             worst = max(
                 worst,
                 abs(float(np.sum(lr1.coefficients**2)) - 1.0),

@@ -126,12 +126,37 @@ class TestChdirCommand:
         for out in (out_a, out_b):
             assert run(
                 ["chdir", "--expression", expr, "--design", design,
-                 "--method", "np1", "--permutations", "120",
-                 "--seed", "7", "--out", out]
+                 "--method", "np1", "--seed", "7", "--out", out]
             ) == 0
         assert (out_a / "ranked_genes.tsv").read_bytes() == (
             out_b / "ranked_genes.tsv"
         ).read_bytes()
+
+    def test_np1_output_independent_of_seed(self, tmp_path):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((50, 9))
+        values[:5, 4:] += 2.0
+        expr, design = write_two_class(tmp_path, values, 4)
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"np1_{seed}"
+            assert run(
+                ["chdir", "--expression", expr, "--design", design,
+                 "--method", "np1", "--seed", seed, "--out", out]
+            ) == 0
+            tables.append((out / "ranked_genes.tsv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "permutations" not in manifest["parameters"]
+        assert tables[0] == tables[1]
+
+    def test_permutations_flag_is_usage_error(self, toy):
+        expr, design, tmp = toy
+        argv = ["chdir", "--expression", expr, "--design", design,
+                "--method", "np1", "--seed", "1"]
+        assert run([*argv, "--permutations", "200", "--out", tmp / "flag"]) == 2
+        config = tmp / "run.cfg"
+        config.write_text("permutations = 200\n")
+        assert run([*argv, "--config", config, "--out", tmp / "config"]) == 2
 
     def test_json_format(self, toy):
         expr, design, tmp = toy
@@ -345,6 +370,41 @@ class TestEnrichCommand:
                     "--seed", "1", "--out", tmp_path / "out"])
         assert code == 1
         assert capsys.readouterr().err == f"chardir enrich: error: {ranked}: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["hypergeom", "angle"])
+    def test_ranked_gene_ids_are_canonicalised(self, tmp_path, mode):
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text(
+            "gene_id\tcoefficient\tsignificant\n"
+            "ga\t0.8\ttrue\n gb \t0.6\ttrue\ngc\t0.0\tfalse\n"
+        )
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tGA\tGB\n")
+        out = tmp_path / "out"
+        assert run(["enrich", "--ranked", ranked, "--gmt", gmt, "--mode", mode,
+                    "--seed", "1", "--out", out]) == 0
+        (row,) = read_rows(out / "enrichment.tsv")
+        assert row["diagnostic"] == ""
+        if mode == "hypergeom":
+            assert row["overlap"] == "2"
+        else:
+            # The direction lies in the set: theta is 0 to rounding.
+            assert float(row["theta"]) <= 1e-7
+
+    def test_duplicate_canonical_ranked_ids_name_both_lines(self, tmp_path, capsys):
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text(
+            "# method: lr1\ngene_id\tcoefficient\tsignificant\n"
+            "GA\t0.8\ttrue\nGB\t0.5\tfalse\n\nga\t0.3\tfalse\n"
+        )
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tGA\tGB\n")
+        code = run(["enrich", "--ranked", ranked, "--gmt", gmt,
+                    "--seed", "1", "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"chardir enrich: error: {ranked}: rows 3 and 6: duplicate gene id 'GA'\n"
+        )
 
     def test_genes_without_universe_is_usage_error(self, tmp_path, capsys):
         genes = tmp_path / "genes.txt"

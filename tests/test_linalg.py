@@ -1,15 +1,10 @@
-"""Tests for the PCA, least-squares, and random-rotation primitives."""
+"""Tests for the PCA, sample-factorisation and random-rotation primitives."""
 
 import numpy as np
 import pytest
 
 from chardir.direction import lr1_direction, np1_direction
-from chardir.linalg import (
-    ZeroVarianceError,
-    pca_reduce,
-    random_rotation,
-    solve_least_squares,
-)
+from chardir.linalg import ZeroVarianceError, pca_reduce, random_rotation
 from chardir.projection import project_hierarchy
 
 from oracles import covariance_eigendecomposition
@@ -88,38 +83,6 @@ class TestPcaReduce:
             assert col[np.argmax(np.abs(col))] > 0
 
 
-class TestSolveLeastSquares:
-    def test_identity_design(self):
-        report = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(report.coefficients, [1.0, 2.0, 3.0])
-        assert report.rank == 3
-
-    def test_exact_single_column_fit(self):
-        report = solve_least_squares(np.array([[1.0], [2.0]]), np.array([2.0, 4.0]))
-        assert report.coefficients[0] == pytest.approx(2.0)
-        assert report.rank == 1
-
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(7)
-        design = rng.standard_normal((8, 3))
-        target = rng.standard_normal(8)
-        report = solve_least_squares(design, target)
-        oracle = np.linalg.solve(design.T @ design, design.T @ target)
-        np.testing.assert_allclose(report.coefficients, oracle, atol=1e-8)
-
-    def test_residual_orthogonal_to_design(self):
-        rng = np.random.default_rng(8)
-        design = rng.standard_normal((10, 4))
-        target = rng.standard_normal(10)
-        report = solve_least_squares(design, target)
-        residual = target - design @ report.coefficients
-        np.testing.assert_allclose(design.T @ residual, 0.0, atol=1e-8)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            solve_least_squares(np.array([[np.nan]]), np.array([1.0]))
-
-
 class TestRandomRotation:
     def test_dim_one_is_sign(self):
         values = {float(random_rotation(1, np.random.default_rng(s))[0, 0]) for s in range(40)}
@@ -165,7 +128,7 @@ class TestSampleFactorisation:
         monkeypatch.setattr(np.linalg, "svd", counting)
         for fit in (
             lambda: lr1_direction(gene_ids, x1, x2),
-            lambda: np1_direction(gene_ids, x1, x2, 100, np.random.default_rng(0)),
+            lambda: np1_direction(gene_ids, x1, x2),
             lambda: project_hierarchy(gene_ids, x1, x2, depth=3),
         ):
             rows.clear()
