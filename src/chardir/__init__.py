@@ -52,7 +52,7 @@ from .simulate import (
     generate,
     score_recovery,
 )
-from .welch import UndefinedStatisticError, WelchResult, bh_fdr, ttest_screen, welch_test
+from .welch import UndefinedStatisticError, WelchScreen, bh_fdr, ttest_screen, welch_test
 
 __all__ = [
     "__version__",
@@ -95,7 +95,7 @@ __all__ = [
     "generate",
     "score_recovery",
     "UndefinedStatisticError",
-    "WelchResult",
+    "WelchScreen",
     "bh_fdr",
     "ttest_screen",
     "welch_test",

@@ -23,11 +23,13 @@ from .data import (
     ExpressionMatrix,
     TwoClassDesign,
     align_design,
+    _content_lines,
     canonical_gene_id,
     matrix_to_tsv,
     parse_design_tsv,
     parse_expression_tsv,
     parse_gmt,
+    write_table,
 )
 from .direction import (
     CharacteristicDirection,
@@ -69,14 +71,6 @@ _ANALYSIS_ERRORS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -97,9 +91,10 @@ def _input_files(args) -> dict[str, str]:
     return {k: v for k, v in values.items() if isinstance(v, str)}
 
 
-def _write_manifest(out_dir: Path, args, seed: int) -> None:
+def _write_manifest(out_dir: Path, args) -> None:
     """``manifest.json``: every flag of the command (unset ones as ""), the
-    SHA-256 of every input file given, the seed and the tool version."""
+    SHA-256 of every input file given, the seed (null for an unseeded
+    command that draws no random numbers) and the tool version."""
     params = {
         k: "" if v is None else v
         for k, v in vars(args).items()
@@ -109,7 +104,7 @@ def _write_manifest(out_dir: Path, args, seed: int) -> None:
         "command": args.command,
         "parameters": params,
         "input_digests": {k: _sha256(Path(v)) for k, v in _input_files(args).items()},
-        "seed": seed,
+        "seed": args.seed,
         "tool_version": __version__,
     }
     with open(out_dir / "manifest.json", "w") as handle:
@@ -117,12 +112,13 @@ def _write_manifest(out_dir: Path, args, seed: int) -> None:
         handle.write("\n")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = int(np.random.SeedSequence().entropy % (2**63))
-    print(f"seed: {seed} (drawn; pass --seed to reproduce)")
-    return seed
+def _resolve_seed(args) -> None:
+    """Draw and print ``args.seed`` when ``--seed`` is unset, so the run can
+    be repeated; only the commands that draw random numbers (simulate,
+    benchmark) call this."""
+    if args.seed is None:
+        args.seed = int(np.random.SeedSequence().entropy % (2**63))
+        print(f"seed: {args.seed} (drawn; pass --seed to reproduce)")
 
 
 def _load_matrix(args) -> ExpressionMatrix:
@@ -226,19 +222,45 @@ def _read_ranked_file(path: Path):
     return list(line_of), significant, coefficients, method
 
 
+def _read_associations(path: Path) -> list[tuple[str, float]]:
+    """Read a gene-to-TSS-distance TSV: two cells per line, an optional
+    ``gene_id`` header as the first content line, blank and ``#`` lines
+    skipped.
+
+    Raises:
+        ValueError: a line without exactly two cells, or a distance that is
+            not a number; each names the physical line.
+    """
+    with open(path) as handle:
+        linenos, lines = _content_lines(handle)
+    if lines and lines[0].split("\t")[0] == "gene_id":
+        linenos, lines = linenos[1:], lines[1:]
+    pairs = []
+    for lineno, line in zip(linenos, lines):
+        cells = line.split("\t")
+        if len(cells) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected gene_id and distance")
+        try:
+            pairs.append((canonical_gene_id(cells[0]), float(cells[1])))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}, column 2: non-numeric distance {cells[1]!r}"
+            ) from None
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Table writers
 
 
-def _write_tsv(out_path: Path, columns, rows, comment: str = "") -> None:
-    """A header line (after ``# comment`` when given), then one line per row,
-    each cell written by ``_fmt``."""
+def _write_tsv(out_path: Path, header, columns, comment: str = "") -> None:
     with open(out_path, "w") as out:
-        if comment:
-            out.write(f"# {comment}\n")
-        out.write("\t".join(columns) + "\n")
-        for row in rows:
-            out.write("\t".join(map(_fmt, row)) + "\n")
+        write_table(out, header, columns, comment)
+
+
+def _field_columns(records, fields) -> list[list]:
+    """One column per named attribute of the records."""
+    return [[getattr(r, f) for r in records] for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +271,6 @@ def _cmd_chdir(parser, args) -> int:
     matrix = _load_matrix(args)
     design = _resolve_design(parser, args)
     x1, x2 = align_design(matrix, design)
-    seed = _resolve_seed(args)
 
     if args.method == "lr1":
         direction = lr1_direction(
@@ -270,9 +291,9 @@ def _cmd_chdir(parser, args) -> int:
         with open(out_path, "w") as handle:
             write_ranked_json(call, handle, method=direction.method)
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     print(
-        f"{direction.method}: {len(call.ranked_genes)} genes ranked, "
+        f"{direction.method}: {len(call.gene_ids)} genes ranked, "
         f"{call.selected_count} significant at alpha={args.alpha} "
         f"(magnitude {direction.magnitude:.4g}); wrote {out_path}"
     )
@@ -283,10 +304,14 @@ def _cmd_ttest(parser, args) -> int:
     matrix = _load_matrix(args)
     design = _resolve_design(parser, args)
     x1, x2 = align_design(matrix, design)
-    seed = _resolve_seed(args)
 
-    results = ttest_screen(matrix.gene_ids, x1, x2, args.fdr)
-    ranked = sorted(results, key=lambda r: (r.p, r.gene_id))
+    screen = ttest_screen(matrix.gene_ids, x1, x2, args.fdr)
+    order = np.lexsort((screen.gene_ids, screen.p))
+    columns = [
+        c[order]
+        for c in (screen.gene_ids, screen.t, screen.df, screen.p, screen.q,
+                  screen.significant, screen.diagnostic)
+    ]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,18 +319,20 @@ def _cmd_ttest(parser, args) -> int:
     _write_tsv(
         out_path,
         ["gene_id", "t", "df", "p", "q", "significant", "diagnostic"],
-        ([r.gene_id, r.t, r.df, r.p, r.q, r.significant, r.diagnostic] for r in ranked),
+        columns,
         "two-sided p-values",
     )
 
-    _write_manifest(out_dir, args, seed)
-    n_sig = sum(r.significant for r in results)
-    print(f"welch: {len(results)} genes tested, {n_sig} significant at FDR {args.fdr}; wrote {out_path}")
+    _write_manifest(out_dir, args)
+    n_sig = int(screen.significant.sum())
+    print(
+        f"welch: {len(screen.gene_ids)} genes tested, {n_sig} significant at FDR {args.fdr}; "
+        f"wrote {out_path}"
+    )
     return 0
 
 
 def _cmd_enrich(parser, args) -> int:
-    seed = _resolve_seed(args)
     with open(args.gmt) as handle:
         library = parse_gmt(handle)
 
@@ -328,8 +355,8 @@ def _cmd_enrich(parser, args) -> int:
         _write_tsv(
             out_path,
             ["set_name", "overlap", "set_size", "p", "q", "mean_rank", "diagnostic"],
-            ([r.set_name, r.overlap, r.set_size_in_universe, r.p, r.q, r.mean_rank,
-              r.diagnostic] for r in results),
+            _field_columns(results, ("set_name", "overlap", "set_size_in_universe", "p", "q",
+                                     "mean_rank", "diagnostic")),
         )
         top = results[0].set_name if results else "none"
     else:
@@ -345,14 +372,11 @@ def _cmd_enrich(parser, args) -> int:
             magnitude=float("nan"),
         )
         results = angle_enrich(direction, library)
-        _write_tsv(
-            out_path,
-            ["set_name", "theta", "p", "q", "diagnostic"],
-            ([r.set_name, r.theta, r.p, r.q, r.diagnostic] for r in results),
-        )
+        fields = ("set_name", "theta", "p", "q", "diagnostic")
+        _write_tsv(out_path, fields, _field_columns(results, fields))
         top = results[0].set_name if results else "none"
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     n_hits = sum(1 for r in results if r.q <= args.fdr and not r.diagnostic)
     print(
         f"enrich ({args.mode}): {len(results)} sets tested, {n_hits} at FDR {args.fdr}, "
@@ -362,23 +386,7 @@ def _cmd_enrich(parser, args) -> int:
 
 
 def _cmd_profile(parser, args) -> int:
-    seed = _resolve_seed(args)
-    pairs = []
-    with open(args.associations) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if lineno == 1 and cells[0] == "gene_id":
-                continue
-            if len(cells) != 2:
-                raise ValueError(
-                    f"{args.associations}: line {lineno}: expected gene_id and distance"
-                )
-            pairs.append((canonical_gene_id(cells[0]), float(cells[1])))
-
-    assoc = dedupe_tss_associations(pairs)
+    assoc = dedupe_tss_associations(_read_associations(Path(args.associations)))
     significant = _read_gene_lines(Path(args.significant))
     profile = sliding_window_profile(assoc, significant, args.window, args.universe)
 
@@ -388,10 +396,10 @@ def _cmd_profile(parser, args) -> int:
     _write_tsv(
         out_path,
         ["mean_distance", "minus_log10_p"],
-        ((d, -math.log10(p) if p > 0 else math.inf) for d, p in profile),
+        [[d for d, _ in profile], [-math.log10(p) if p > 0 else math.inf for _, p in profile]],
     )
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     print(f"profile: {len(profile)} windows over {len(assoc)} genes; wrote {out_path}")
     return 0
 
@@ -400,7 +408,6 @@ def _cmd_project(parser, args) -> int:
     matrix = _load_matrix(args)
     design = _resolve_design(parser, args)
     x1, x2 = align_design(matrix, design)
-    seed = _resolve_seed(args)
 
     samples = _two_class_samples(matrix.gene_ids, x1, x2)
     hierarchy = _project_samples(samples, args.depth, args.epsilon, args.max_components)
@@ -413,7 +420,7 @@ def _cmd_project(parser, args) -> int:
     _write_tsv(
         proj_path,
         ["sample_id", "class", *(f"cd{i + 1}" for i in range(hierarchy.depth))],
-        zip(sample_ids, hierarchy.class_of_sample, *hierarchy.coords.tolist()),
+        [sample_ids, hierarchy.class_of_sample, *hierarchy.coords],
         f"truncated: {hierarchy.truncated_reason}" if hierarchy.truncated_reason else "",
     )
 
@@ -432,7 +439,7 @@ def _cmd_project(parser, args) -> int:
     _write_tsv(
         density_path,
         ["grid_x", "density_class1", "density_class2"],
-        zip(grid.tolist(), dens1.tolist(), dens2.tolist()),
+        [grid, dens1, dens2],
     )
 
     _, scores = _principal_components(
@@ -443,10 +450,10 @@ def _cmd_project(parser, args) -> int:
     _write_tsv(
         pca_path,
         ["sample_id", "class", "pc1", "pc2"],
-        zip(sample_ids, hierarchy.class_of_sample, scores[0].tolist(), pc2.tolist()),
+        [sample_ids, hierarchy.class_of_sample, scores[0], pc2],
     )
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     note = f" ({hierarchy.truncated_reason})" if hierarchy.truncated_reason else ""
     print(
         f"project: depth {hierarchy.depth}{note}; wrote {proj_path}, "
@@ -455,11 +462,11 @@ def _cmd_project(parser, args) -> int:
     return 0
 
 
-def _spec_from_args(args, samples_per_class: int, seed: int) -> SyntheticSpec:
+def _spec_from_args(args, samples_per_class: int) -> SyntheticSpec:
     return SyntheticSpec(
         n_genes=args.n_genes,
         samples_per_class=samples_per_class,
-        seed=seed,
+        seed=args.seed,
         intrinsic_dim=args.intrinsic_dim,
         variance_scale=args.variance_scale,
         frac_correlating=args.frac_correlating,
@@ -469,8 +476,8 @@ def _spec_from_args(args, samples_per_class: int, seed: int) -> SyntheticSpec:
 
 
 def _cmd_simulate(parser, args) -> int:
-    seed = _resolve_seed(args)
-    spec = _spec_from_args(args, args.samples_per_class, seed)
+    _resolve_seed(args)
+    spec = _spec_from_args(args, args.samples_per_class)
     outcome = generate(spec)
 
     gene_ids = synthetic_gene_ids(spec.n_genes)
@@ -499,7 +506,7 @@ def _cmd_simulate(parser, args) -> int:
         handle.write("TRUE_DE\tplanted differentially expressed genes\t")
         handle.write("\t".join(planted) + "\n")
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     print(
         f"simulate: {spec.n_genes} genes x {2 * n} samples, "
         f"{len(planted)} planted DE genes; wrote {expr_path}, {design_path}, {truth_path}"
@@ -508,13 +515,13 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_benchmark(parser, args) -> int:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         parser.error("--sizes must list at least one sample size")
     methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
 
-    template = _spec_from_args(args, max(sizes), seed)
+    template = _spec_from_args(args, max(sizes))
     cells, curves = benchmark_sweep_roc(
         template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs
     )
@@ -522,20 +529,17 @@ def _cmd_benchmark(parser, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.tsv"
-    _write_tsv(
-        sweep_path,
-        ["method", "samples_per_class", "mean_gini", "stderr", "n_runs", "n_excluded"],
-        ([c.method, c.samples_per_class, c.mean_gini, c.stderr, c.n_runs, c.n_excluded]
-         for c in cells),
-    )
+    fields = ("method", "samples_per_class", "mean_gini", "stderr", "n_runs", "n_excluded")
+    _write_tsv(sweep_path, fields, _field_columns(cells, fields))
     roc_path = out_dir / "roc.tsv"
     _write_tsv(
         roc_path,
         ["method", "fpr", "tpr"],
-        ((c.method, *p) for c in curves for p in zip(c.fpr.tolist(), c.tpr.tolist())),
+        [[c.method for c in curves for _ in c.fpr],
+         *(np.concatenate([getattr(c, f) for c in curves]) for f in ("fpr", "tpr"))],
     )
 
-    _write_manifest(out_dir, args, seed)
+    _write_manifest(out_dir, args)
     print(f"benchmark: {len(sizes)} sizes x {args.runs} runs; wrote {sweep_path}, {roc_path}")
     return 0
 
@@ -561,7 +565,7 @@ def _add_design_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
+    p.add_argument("--seed", type=int, default=None, help="random seed (simulate, benchmark)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="flat key=value file of flag defaults")
 

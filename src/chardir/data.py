@@ -26,6 +26,7 @@ __all__ = [
     "parse_design_tsv",
     "align_design",
     "matrix_to_tsv",
+    "write_table",
 ]
 
 
@@ -363,8 +364,28 @@ def align_design(
     return matrix.values[:, idx1], matrix.values[:, idx2]
 
 
+def _cells(column) -> Iterable[str]:
+    """One column's cells: booleans as ``true``/``false``, everything else by
+    ``str`` (a float's ``str`` is its shortest round-trip ``repr``); arrays
+    are read through ``tolist()``, so numpy scalars print as Python's."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if bool in set(map(type, values)):
+        return [("true" if v else "false") if type(v) is bool else str(v) for v in values]
+    return map(str, values)
+
+
+def write_table(out: TextIO, header, columns, comment: str = "") -> None:
+    """Write a TSV table: ``# comment`` when given, the header line, then one
+    line per row of the equally long ``columns``, each column formatted once.
+    This is the one formatter of output-table cells; a table with zero rows
+    is its header alone."""
+    if comment:
+        out.write(f"# {comment}\n")
+    out.write("\t".join(header) + "\n")
+    rows = map("\t".join, zip(*map(_cells, columns)))
+    out.writelines(f"{row}\n" for row in rows)
+
+
 def matrix_to_tsv(matrix: ExpressionMatrix, out: TextIO) -> None:
     """Write the matrix as a TSV that parse_expression_tsv round-trips."""
-    out.write("gene_id\t" + "\t".join(matrix.sample_ids) + "\n")
-    for gid, row in zip(matrix.gene_ids, matrix.values):
-        out.write(gid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+    write_table(out, ["gene_id", *matrix.sample_ids], [matrix.gene_ids, *matrix.values.T])

@@ -14,6 +14,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
+from .data import write_table
 from .linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
@@ -25,7 +26,6 @@ from .linalg import (
 __all__ = [
     "CharacteristicDirection",
     "SignificantGeneCall",
-    "RankedGene",
     "NoDifferentialSignalError",
     "lr1_direction",
     "np1_direction",
@@ -68,22 +68,19 @@ class CharacteristicDirection:
             raise ValueError("coefficients and gene_ids lengths differ")
 
 
-class RankedGene(NamedTuple):
-    gene_id: str
-    coefficient: float
-    squared_coefficient: float
-    cumulative_fraction: float
-
-
 @dataclass(frozen=True)
 class SignificantGeneCall:
     """Genes ranked by squared coefficient with a cumulative-mass cutoff.
 
-    ``selected_count`` is the length of the shortest ranking prefix whose
-    squared coefficients sum to at least ``alpha``.
+    ``gene_ids``, ``coefficients`` and ``cumulative`` (the running sum of
+    the squared coefficients) are arrays in rank order. ``selected_count``
+    is the length of the shortest ranking prefix whose squared
+    coefficients sum to at least ``alpha``.
     """
 
-    ranked_genes: tuple[RankedGene, ...]
+    gene_ids: np.ndarray
+    coefficients: np.ndarray
+    cumulative: np.ndarray
     alpha: float
     selected_count: int
 
@@ -225,24 +222,12 @@ def call_significant(
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    ids = np.array(direction.gene_ids)
     coeffs = direction.coefficients
-    order = np.lexsort((np.array(direction.gene_ids), -(coeffs**2)))
-    squared = coeffs[order] ** 2
-    cumulative = np.cumsum(squared)
-    ranked = tuple(
-        RankedGene(
-            gene_id=direction.gene_ids[i],
-            coefficient=c,
-            squared_coefficient=sq,
-            cumulative_fraction=cum,
-        )
-        for i, c, sq, cum in zip(
-            order.tolist(), coeffs[order].tolist(), squared.tolist(), cumulative.tolist()
-        )
-    )
-    selected = int(np.searchsorted(cumulative, alpha) + 1)
-    selected = min(selected, len(ranked))
-    return SignificantGeneCall(ranked, float(alpha), selected)
+    order = np.lexsort((ids, -(coeffs**2)))
+    cumulative = np.cumsum(coeffs[order] ** 2)
+    selected = min(int(np.searchsorted(cumulative, alpha) + 1), len(order))
+    return SignificantGeneCall(ids[order], coeffs[order], cumulative, float(alpha), selected)
 
 
 RANKED_COLUMNS = (
@@ -256,17 +241,18 @@ RANKED_COLUMNS = (
 )
 
 
-def _ranked_rows(call: SignificantGeneCall):
-    for rank, gene in enumerate(call.ranked_genes, start=1):
-        yield {
-            "gene_id": gene.gene_id,
-            "coefficient": gene.coefficient,
-            "squared_coefficient": gene.squared_coefficient,
-            "cumulative_fraction": gene.cumulative_fraction,
-            "rank": rank,
-            "discriminant_sign": "+" if gene.coefficient >= 0 else "-",
-            "significant": rank <= call.selected_count,
-        }
+def _ranked_columns(call: SignificantGeneCall) -> list[np.ndarray]:
+    """The ranked-gene table's columns, in ``RANKED_COLUMNS`` order."""
+    rank = np.arange(1, len(call.gene_ids) + 1)
+    return [
+        call.gene_ids,
+        call.coefficients,
+        call.coefficients**2,
+        call.cumulative,
+        rank,
+        np.where(call.coefficients >= 0, "+", "-"),
+        rank <= call.selected_count,
+    ]
 
 
 def write_ranked_tsv(
@@ -279,33 +265,18 @@ def write_ranked_tsv(
     """
     if method:
         out.write(f"# method: {method}\n")
-    out.write(f"# alpha: {call.alpha!r}\n")
-    out.write("\t".join(RANKED_COLUMNS) + "\n")
-    for row in _ranked_rows(call):
-        out.write(
-            "\t".join(
-                [
-                    row["gene_id"],
-                    repr(row["coefficient"]),
-                    repr(row["squared_coefficient"]),
-                    repr(row["cumulative_fraction"]),
-                    str(row["rank"]),
-                    row["discriminant_sign"],
-                    "true" if row["significant"] else "false",
-                ]
-            )
-            + "\n"
-        )
+    write_table(out, RANKED_COLUMNS, _ranked_columns(call), f"alpha: {call.alpha!r}")
 
 
 def write_ranked_json(
     call: SignificantGeneCall, out: TextIO, method: str | None = None
 ) -> None:
     """JSON alternative to the TSV output, identical fields."""
+    columns = (column.tolist() for column in _ranked_columns(call))
     payload = {
         "alpha": call.alpha,
         "selected_count": call.selected_count,
-        "genes": list(_ranked_rows(call)),
+        "genes": [dict(zip(RANKED_COLUMNS, row)) for row in zip(*columns)],
     }
     if method:
         payload["method"] = method

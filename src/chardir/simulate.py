@@ -161,11 +161,13 @@ def synthetic_gene_ids(n_genes: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RecoveryScore:
-    """Ranking efficiency of per-gene scores against the truth mask."""
+    """Ranking efficiency of per-gene scores against the truth mask, with
+    the ROC's vertices as ``fpr``/``tpr`` arrays from (0, 0) to (1, 1)."""
 
     auc: float
     gini: float
-    roc_points: tuple[tuple[float, float], ...]
+    fpr: np.ndarray
+    tpr: np.ndarray
 
 
 def score_recovery(per_gene_scores, de_mask) -> RecoveryScore:
@@ -198,11 +200,7 @@ def score_recovery(per_gene_scores, de_mask) -> RecoveryScore:
     tpr = tp / n_pos
     fpr = fp / n_neg
     auc = float(np.trapezoid(tpr, fpr))
-    return RecoveryScore(
-        auc=auc,
-        gini=2.0 * auc - 1.0,
-        roc_points=tuple(zip(fpr.tolist(), tpr.tolist())),
-    )
+    return RecoveryScore(auc=auc, gini=2.0 * auc - 1.0, fpr=fpr, tpr=tpr)
 
 
 def method_scores(outcome: SimulationOutcome, method: str) -> np.ndarray:
@@ -400,10 +398,8 @@ def benchmark_sweep_roc(
             scored = run[method]
             if isinstance(scored, str):
                 continue
-            points = score_recovery(scored, run["__mask__"]).roc_points
-            fpr = np.array([p[0] for p in points])
-            tpr = np.array([p[1] for p in points])
-            rows.append(np.interp(grid, fpr, tpr))
+            score = score_recovery(scored, run["__mask__"])
+            rows.append(np.interp(grid, score.fpr, score.tpr))
         if not rows:
             raise RuntimeError(f"all runs failed for method {method}")
         curves.append(MeanRocCurve(method, grid, np.vstack(rows).mean(axis=0)))

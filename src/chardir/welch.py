@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "WelchResult",
+    "WelchScreen",
     "UndefinedStatisticError",
     "welch_arrays",
     "welch_test",
@@ -24,20 +24,21 @@ class UndefinedStatisticError(ValueError):
 
 
 @dataclass(frozen=True)
-class WelchResult:
-    """Per-gene Welch test outcome with its BH q-value.
+class WelchScreen:
+    """Welch test outcomes with their BH q-values, one array entry per gene
+    in input gene order.
 
     ``diagnostic`` is non-empty for degenerate rows (zero variance); those
     rows are never flagged significant unless the means actually differ.
     """
 
-    gene_id: str
-    t: float
-    df: float
-    p: float
-    q: float
-    significant: bool
-    diagnostic: str = ""
+    gene_ids: np.ndarray
+    t: np.ndarray
+    df: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    significant: np.ndarray
+    diagnostic: np.ndarray
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -260,7 +261,7 @@ def ttest_screen(
     x1: np.ndarray,
     x2: np.ndarray,
     fdr_threshold: float = 0.05,
-) -> list[WelchResult]:
+) -> WelchScreen:
     """Welch-test every gene row and correct across genes with BH.
 
     A gene is significant iff its q-value is at or below ``fdr_threshold``.
@@ -273,23 +274,15 @@ def ttest_screen(
         raise ValueError("fdr_threshold must lie in (0, 1]")
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    gene_ids = list(gene_ids)
+    gene_ids = np.array(list(gene_ids), dtype=str)
     if x1.shape[0] != len(gene_ids) or x2.shape[0] != len(gene_ids):
         raise ValueError("gene_ids and matrices disagree on gene count")
 
     t, df, p, undefined = welch_arrays(x1, x2)
     q = np.ones(len(gene_ids))
     q[~undefined] = bh_fdr(p[~undefined])
-
-    results = []
-    columns = (t.tolist(), df.tolist(), p.tolist(), q.tolist(), undefined.tolist())
-    for gid, t_i, df_i, p_i, q_i, undefined_i in zip(gene_ids, *columns):
-        if undefined_i:
-            diag = "zero variance, equal means"
-        elif math.isinf(t_i):
-            diag = "zero variance, unequal means"
-        else:
-            diag = ""
-        significant = q_i <= fdr_threshold and not undefined_i
-        results.append(WelchResult(gid, t_i, df_i, p_i, q_i, significant, diag))
-    return results
+    diagnostic = np.full(len(gene_ids), "", dtype=object)
+    diagnostic[np.isinf(t)] = "zero variance, unequal means"
+    diagnostic[undefined] = "zero variance, equal means"
+    significant = (q <= fdr_threshold) & ~undefined
+    return WelchScreen(gene_ids, t, df, p, q, significant, diagnostic)

@@ -7,7 +7,8 @@ normal equations instead of PCA-space regression, closed forms
 instead of adaptive integration, a row-by-row walk instead of the
 column-wise expression parser, gene-space nulls and deflation instead
 of the sample-space factorisation, and 40-digit hypergeometric series
-instead of the double-precision incomplete-beta continued fraction.
+instead of the double-precision incomplete-beta continued fraction,
+and a cell-by-cell row writer instead of the column-wise table writer.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
@@ -340,3 +341,24 @@ def parse_expression_rows(
 
     values = np.vstack([rows[g] for g in order])
     return ExpressionMatrix(tuple(order), tuple(header[1:]), values)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def row_table(header, rows, comment: str = "") -> str:
+    """A TSV table written one row at a time with each cell formatted on its
+    own, booleans as ``true``/``false``, floats by ``repr`` and the rest by
+    ``str``, instead of one column at a time."""
+    out = io.StringIO()
+    if comment:
+        out.write(f"# {comment}\n")
+    out.write("\t".join(header) + "\n")
+    for row in rows:
+        out.write("\t".join(map(_fmt, row)) + "\n")
+    return out.getvalue()

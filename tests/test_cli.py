@@ -439,6 +439,30 @@ class TestProfileCommand:
         expected_p = exact_hypergeom_tail(3, 3, 3, 100)
         assert first_logp == pytest.approx(-math.log10(expected_p), rel=1e-9)
 
+    def profile_run(self, tmp_path, associations):
+        assoc = tmp_path / "assoc.tsv"
+        assoc.write_text(associations)
+        sig = tmp_path / "sig.txt"
+        sig.write_text("G0\nG1\n")
+        return run(
+            ["profile", "--associations", assoc, "--significant", sig,
+             "--window", "2", "--universe", "100", "--seed", "1", "--out", tmp_path / "out"]
+        )
+
+    def test_header_after_comment_line(self, tmp_path):
+        rows = "".join(f"G{i}\t{i * 10}.0\n" for i in range(5))
+        assert self.profile_run(tmp_path, "# tss\ngene_id\tdistance\n" + rows) == 0
+        with_header = (tmp_path / "out" / "profile.tsv").read_bytes()
+        assert self.profile_run(tmp_path, rows) == 0
+        assert (tmp_path / "out" / "profile.tsv").read_bytes() == with_header
+        assert len(with_header.splitlines()) == 1 + 5 - 2 + 1
+
+    def test_non_numeric_distance_names_line_and_column(self, tmp_path, capsys):
+        code = self.profile_run(tmp_path, "gene_id\tdistance\n\nG0\t1.0\nG1\tx7\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "assoc.tsv: line 4, column 2: non-numeric distance 'x7'" in err
+
 
 class TestProjectCommand:
     def test_projection_files(self, toy):
@@ -686,9 +710,22 @@ class TestPipeline:
         assert "numpy" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
-    def test_unseeded_run_prints_drawn_seed(self, toy, capsys):
-        expr, design, tmp = toy
+    def test_unseeded_run_prints_drawn_seed(self, tmp_path, capsys):
         assert run(
-            ["chdir", "--expression", expr, "--design", design, "--out", tmp / "o"]
+            ["simulate", "--n-genes", "20", "--samples-per-class", "3", "--out", tmp_path / "o"]
         ) == 0
-        assert "seed:" in capsys.readouterr().out
+        seed = json.loads((tmp_path / "o" / "manifest.json").read_text())["seed"]
+        assert f"seed: {seed} (drawn" in capsys.readouterr().out
+
+    def test_unseeded_deterministic_command_draws_no_seed(self, toy, capsys):
+        expr, design, tmp = toy
+        manifests = []
+        for out in ("a", "b"):
+            assert run(
+                ["chdir", "--expression", expr, "--design", design, "--out", tmp / out]
+            ) == 0
+            assert "seed:" not in capsys.readouterr().out
+            manifest = (tmp / out / "manifest.json").read_text()
+            manifests.append(manifest.replace(str(tmp / out), "OUT"))
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["seed"] is None

@@ -18,9 +18,10 @@ from chardir.data import (
     parse_design_tsv,
     parse_expression_tsv,
     parse_gmt,
+    write_table,
 )
 
-from oracles import parse_expression_rows
+from oracles import parse_expression_rows, row_table
 
 
 class TestParseExpression:
@@ -304,3 +305,33 @@ class TestGeneSetTypes:
         s2 = GeneSet("S", "", frozenset({"G2"}))
         with pytest.raises(ExpressionDataError, match="duplicate"):
             GeneSetLibrary((s1, s2))
+
+
+class TestWriteTable:
+    HEADER = ["name", "count", "flag", "value"]
+    ROWS = [
+        ("a", 3, True, float("nan")),
+        ("b", -7, False, float("inf")),
+        ("c", 0, True, -0.0),
+        ("d", 10**20, False, 1e-310),
+        ("e", 1, False, 0.1),
+        ("f", 2, True, -float("inf")),
+    ]
+
+    def written(self, header, columns, comment=""):
+        out = io.StringIO()
+        write_table(out, header, columns, comment)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("comment", ["", "two-sided p-values"])
+    def test_matches_row_writer_on_mixed_table(self, comment):
+        columns = [list(c) for c in zip(*self.ROWS)]
+        expected = row_table(self.HEADER, self.ROWS, comment)
+        assert self.written(self.HEADER, columns, comment) == expected
+        arrays = [np.array(c) for c in columns]
+        assert self.written(self.HEADER, arrays, comment) == expected
+
+    def test_zero_rows_is_header_alone(self):
+        expected = row_table(self.HEADER, [], "note")
+        assert self.written(self.HEADER, [[], np.array([]), [], []], "note") == expected
+        assert expected == "# note\nname\tcount\tflag\tvalue\n"

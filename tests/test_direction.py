@@ -227,8 +227,8 @@ class TestCallSignificant:
     def test_ranking_sorted_with_lexicographic_ties(self):
         d = self.make_direction([0.5, -0.5, 0.5, -0.5], ids=["d", "b", "a", "c"])
         call = call_significant(d, 1.0)
-        assert [g.gene_id for g in call.ranked_genes] == ["a", "b", "c", "d"]
-        squared = [g.squared_coefficient for g in call.ranked_genes]
+        assert call.gene_ids.tolist() == ["a", "b", "c", "d"]
+        squared = (call.coefficients**2).tolist()
         assert squared == sorted(squared, reverse=True)
 
     def test_cumulative_fraction_runs_to_one(self):
@@ -236,7 +236,7 @@ class TestCallSignificant:
         b = rng.standard_normal(10)
         b /= np.linalg.norm(b)
         call = call_significant(self.make_direction(b), 0.3)
-        assert call.ranked_genes[-1].cumulative_fraction == pytest.approx(1.0)
+        assert call.cumulative[-1] == pytest.approx(1.0)
 
     def test_alpha_out_of_range(self):
         d = self.make_direction([1.0])
@@ -252,7 +252,7 @@ class TestCallSignificant:
         )[1:]
         a = call_significant(lr1_direction(gene_ids, x1, x2), 0.6)
         b = call_significant(lr1_direction(gene_ids, -x1, -x2), 0.6)
-        assert [g.gene_id for g in a.ranked_genes] == [g.gene_id for g in b.ranked_genes]
+        assert a.gene_ids.tolist() == b.gene_ids.tolist()
         assert a.selected_count == b.selected_count
 
 

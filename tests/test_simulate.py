@@ -124,8 +124,8 @@ class TestScoreRecovery:
 
     def test_roc_endpoints(self):
         result = score_recovery([0.3, 0.1, 0.9, 0.5], [True, False, True, False])
-        assert result.roc_points[0] == (0.0, 0.0)
-        assert result.roc_points[-1] == (1.0, 1.0)
+        assert (result.fpr[0], result.tpr[0]) == (0.0, 0.0)
+        assert (result.fpr[-1], result.tpr[-1]) == (1.0, 1.0)
 
     def test_null_scores_average_to_zero_gini(self):
         rng = np.random.default_rng(2)

@@ -225,10 +225,10 @@ class TestBhFdr:
 
 class TestScreen:
     def test_degenerate_gene_not_significant(self):
-        results = ttest_screen(["G1"], np.ones((1, 3)), np.ones((1, 3)), 0.05)
-        assert results[0].q == 1.0
-        assert not results[0].significant
-        assert "zero variance" in results[0].diagnostic
+        screen = ttest_screen(["G1"], np.ones((1, 3)), np.ones((1, 3)), 0.05)
+        assert screen.q[0] == 1.0
+        assert not screen.significant[0]
+        assert "zero variance" in screen.diagnostic[0]
 
     def test_null_genes_rarely_flagged(self):
         # BH controls the FDR under the null; pooled over 20 seeded runs of
@@ -238,8 +238,8 @@ class TestScreen:
             rng = np.random.default_rng(1000 + seed)
             x1 = rng.standard_normal((100, 4))
             x2 = rng.standard_normal((100, 4))
-            results = ttest_screen([f"g{i}" for i in range(100)], x1, x2, 0.05)
-            flagged += sum(r.significant for r in results)
+            screen = ttest_screen([f"g{i}" for i in range(100)], x1, x2, 0.05)
+            flagged += int(screen.significant.sum())
         assert flagged <= 5
 
     def test_shifted_gene_detected(self):
@@ -247,22 +247,22 @@ class TestScreen:
         x1 = rng.standard_normal((51, 5))
         x2 = rng.standard_normal((51, 5))
         x2[0] += 10.0  # ten-sigma shift
-        results = ttest_screen([f"g{i}" for i in range(51)], x1, x2, 0.05)
-        assert results[0].significant
-        assert sum(r.significant for r in results[1:]) == 0
+        screen = ttest_screen([f"g{i}" for i in range(51)], x1, x2, 0.05)
+        assert screen.significant[0]
+        assert int(screen.significant[1:].sum()) == 0
 
     def test_screen_matches_welch_test_per_gene(self):
         rng = np.random.default_rng(8)
         x1 = rng.standard_normal((10, 4))
         x2 = rng.standard_normal((10, 6))
-        results = ttest_screen([f"g{i}" for i in range(10)], x1, x2, 0.1)
-        for i, r in enumerate(results):
+        screen = ttest_screen([f"g{i}" for i in range(10)], x1, x2, 0.1)
+        for i in range(10):
             t, df, p = welch_test(x1[i], x2[i])
-            assert r.t == t and r.df == df and r.p == p
+            assert screen.t[i] == t and screen.df[i] == df and screen.p[i] == p
 
     def test_q_at_least_p(self):
         rng = np.random.default_rng(9)
         x1 = rng.standard_normal((30, 4))
         x2 = rng.standard_normal((30, 4))
-        for r in ttest_screen([f"g{i}" for i in range(30)], x1, x2, 0.05):
-            assert r.q >= r.p
+        screen = ttest_screen([f"g{i}" for i in range(30)], x1, x2, 0.05)
+        assert np.all(screen.q >= screen.p)
