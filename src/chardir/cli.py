@@ -229,7 +229,8 @@ def _read_associations(path: Path) -> list[tuple[str, float]]:
 
     Raises:
         ValueError: a line without exactly two cells, or a distance that is
-            not a number; each names the physical line.
+            not a number or is negative or non-finite; each names the
+            physical line.
     """
     with open(path) as handle:
         linenos, lines = _content_lines(handle)
@@ -241,11 +242,14 @@ def _read_associations(path: Path) -> list[tuple[str, float]]:
         if len(cells) != 2:
             raise ValueError(f"{path}: line {lineno}: expected gene_id and distance")
         try:
-            pairs.append((canonical_gene_id(cells[0]), float(cells[1])))
+            distance = float(cells[1])
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}, column 2: non-numeric distance {cells[1]!r}"
             ) from None
+        if not 0 <= distance < math.inf:
+            raise ValueError(f"{path}: line {lineno}, column 2: invalid distance {cells[1]!r}")
+        pairs.append((canonical_gene_id(cells[0]), distance))
     return pairs
 
 
@@ -256,11 +260,6 @@ def _read_associations(path: Path) -> list[tuple[str, float]]:
 def _write_tsv(out_path: Path, header, columns, comment: str = "") -> None:
     with open(out_path, "w") as out:
         write_table(out, header, columns, comment)
-
-
-def _field_columns(records, fields) -> list[list]:
-    """One column per named attribute of the records."""
-    return [[getattr(r, f) for r in records] for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +350,7 @@ def _cmd_enrich(parser, args) -> int:
     out_path = out_dir / "enrichment.tsv"
 
     if args.mode == "hypergeom":
-        results = hypergeom_enrich(significant, library, universe, ranking)
-        _write_tsv(
-            out_path,
-            ["set_name", "overlap", "set_size", "p", "q", "mean_rank", "diagnostic"],
-            _field_columns(results, ("set_name", "overlap", "set_size_in_universe", "p", "q",
-                                     "mean_rank", "diagnostic")),
-        )
-        top = results[0].set_name if results else "none"
+        result = hypergeom_enrich(significant, library, universe, ranking)
     else:
         if coefficients is None:
             raise ValueError(
@@ -371,15 +363,15 @@ def _cmd_enrich(parser, args) -> int:
             method=method or "LR1",
             magnitude=float("nan"),
         )
-        results = angle_enrich(direction, library)
-        fields = ("set_name", "theta", "p", "q", "diagnostic")
-        _write_tsv(out_path, fields, _field_columns(results, fields))
-        top = results[0].set_name if results else "none"
+        result = angle_enrich(direction, library)
+    columns = vars(result)
+    _write_tsv(out_path, list(columns), list(columns.values()))
 
     _write_manifest(out_dir, args)
-    n_hits = sum(1 for r in results if r.q <= args.fdr and not r.diagnostic)
+    n_hits = int(np.count_nonzero((result.q <= args.fdr) & (result.diagnostic == "")))
+    top = result.set_name[0] if len(result.set_name) else "none"
     print(
-        f"enrich ({args.mode}): {len(results)} sets tested, {n_hits} at FDR {args.fdr}, "
+        f"enrich ({args.mode}): {len(result.set_name)} sets tested, {n_hits} at FDR {args.fdr}, "
         f"top hit {top}; wrote {out_path}"
     )
     return 0
@@ -530,7 +522,7 @@ def _cmd_benchmark(parser, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.tsv"
     fields = ("method", "samples_per_class", "mean_gini", "stderr", "n_runs", "n_excluded")
-    _write_tsv(sweep_path, fields, _field_columns(cells, fields))
+    _write_tsv(sweep_path, fields, [[getattr(c, f) for c in cells] for f in fields])
     roc_path = out_dir / "roc.tsv"
     _write_tsv(
         roc_path,

@@ -301,11 +301,13 @@ def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
     """Parse a GMT gene-set library: name, description, then member ids.
 
     Member ids are canonicalized to upper case and deduplicated; empty
-    trailing fields are dropped. Raises on lines with fewer than 3 fields
-    and on duplicate set names.
+    trailing fields are dropped. Each distinct id is one string object
+    across the library. Raises on lines with fewer than 3 fields and on
+    duplicate set names.
     """
     sets: list[GeneSet] = []
     names: set[str] = set()
+    ids: dict[str, str] = {}
     for lineno, line in enumerate(_as_lines(text), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -321,7 +323,8 @@ def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
             raise ExpressionDataError(f"line {lineno}: empty set name")
         if name in names:
             raise ExpressionDataError(f"line {lineno}: duplicate set name {name!r}")
-        members = set(map(str.upper, filter(None, map(str.strip, cells[2:]))))  # canonical_gene_id
+        genes = list(map(str.upper, filter(None, map(str.strip, cells[2:]))))  # canonical_gene_id
+        members = set(map(ids.setdefault, genes, genes))
         if not members:
             raise ExpressionDataError(f"line {lineno}: set {name!r} has no members")
         names.add(name)

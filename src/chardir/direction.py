@@ -18,8 +18,8 @@ from .data import write_table
 from .linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
+    _component_rule,
     _factor_samples,
-    _principal_components,
     _SampleFactors,
 )
 
@@ -162,7 +162,7 @@ def _lr1_normal(
     """Unnormalized lr1 hyperplane normal in the row space of
     ``factors.basis``: the class contrast regressed on the principal scores
     :func:`~chardir.linalg.pca_reduce` would keep."""
-    k = _principal_components(factors, epsilon, max_components)[0].n_components
+    k = _component_rule(factors, epsilon, max_components)[0]
     return _scaled_contrast(factors, n1, 2, k)
 
 

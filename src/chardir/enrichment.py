@@ -4,9 +4,9 @@ curves, and the sliding-window TSS-distance profile."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,36 +33,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnrichmentResult:
-    """Hypergeometric over-representation of one gene set.
+    """Hypergeometric over-representation of every library set: one array
+    per column, rows sorted by p and then set name. ``set_size`` counts the
+    set's members in the universe, and ``mean_rank`` is their mean 1-based
+    rank in the supplied ranking (NaN without a ranking or a ranked member);
+    smaller values mean the set leans toward the top of the ranking."""
 
-    ``mean_rank`` is the mean 1-based rank of the set's members in the
-    supplied gene ranking (NaN when no ranking was given); smaller values
-    mean the set leans toward the top of the ranking.
-    """
-
-    set_name: str
-    overlap: int
-    set_size_in_universe: int
-    p: float
-    q: float
-    mean_rank: float
-    diagnostic: str = ""
+    set_name: np.ndarray
+    overlap: np.ndarray
+    set_size: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    mean_rank: np.ndarray
+    diagnostic: np.ndarray
 
 
 @dataclass(frozen=True)
 class AngleEnrichmentResult:
-    """Principal-angle enrichment of one gene set.
+    """Principal-angle enrichment of every library set: one array per
+    column, rows sorted by p and then set name. ``theta`` is the angle
+    between the characteristic direction and the coordinate subspace
+    spanned by the set's genes; 0 means the direction lies inside it."""
 
-    ``theta`` is the angle between the characteristic direction and the
-    coordinate subspace spanned by the set's genes; 0 means the direction
-    lies entirely inside the subspace.
-    """
+    set_name: np.ndarray
+    theta: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    diagnostic: np.ndarray
 
-    set_name: str
-    theta: float
-    p: float
-    q: float
-    diagnostic: str = ""
+
+def _member_index(index: dict[str, int], gene_sets) -> tuple[np.ndarray, np.ndarray]:
+    """``(which, where)``: the set number and gene position of every member
+    of ``gene_sets`` found in ``index`` (gene id -> position), set by set
+    with positions ascending inside a set, so the order does not follow the
+    string-hash seed. Members outside the index are dropped."""
+    sizes = np.fromiter(map(len, (s.members for s in gene_sets)), np.int64, len(gene_sets))
+    members = chain.from_iterable(s.members for s in gene_sets)
+    where = np.fromiter(map(index.get, members, repeat(-1)), np.int64, int(sizes.sum()))
+    key = np.repeat(np.arange(len(sizes)) * len(index), sizes)
+    key += where
+    key = key[where >= 0]
+    key.sort()
+    return np.divmod(key, len(index))
+
+
+def _tabulate(result_type, gene_sets, present: np.ndarray, **columns):
+    """``result_type`` from the per-set ``columns`` plus ``set_name``, the BH
+    ``q`` over the sets with a member present (the others get q = 1 and a
+    diagnostic), with rows sorted by p and then set name."""
+    tested = present > 0
+    q = np.ones(len(tested))
+    q[tested] = bh_fdr(columns["p"][tested])
+    diagnostic = np.full(len(tested), "", dtype=object)
+    diagnostic[~tested] = "no overlap with gene universe"
+    names = np.array([s.name for s in gene_sets], dtype=str)
+    columns.update(set_name=names, q=q, diagnostic=diagnostic)
+    order = np.lexsort((names, columns["p"]))
+    return result_type(**{k: v[order] for k, v in columns.items()})
 
 
 def hypergeom_tail(k: int, n_significant: int, set_size: int, universe: int) -> float:
@@ -129,89 +156,55 @@ def hypergeom_enrich(
     library: GeneSetLibrary,
     universe,
     ranking=None,
-) -> list[EnrichmentResult]:
+) -> EnrichmentResult:
     """Score every library set for over-representation among the
     significant genes, BH-correct across the library, and sort by p.
 
-    Genes outside the universe are ignored everywhere. Sets with no member
-    in the universe are reported with p = q = 1 and a diagnostic, and are
-    left out of the BH correction.
+    Genes outside the universe are ignored everywhere; a gene's rank is
+    its 1-based position in ``ranking``. Sets with no member in the
+    universe are reported with p = q = 1 and a diagnostic, and are left
+    out of the BH correction.
     """
-    universe_list = list(universe)
-    universe_set = set(universe_list)
-    if len(universe_set) != len(universe_list):
+    universe = list(universe)
+    index = dict(zip(universe, range(len(universe))))
+    if len(index) != len(universe):
         raise ValueError("universe contains duplicate gene ids")
-    if not universe_set:
+    if not index:
         raise ValueError("universe is empty")
-    sig = set(significant) & universe_set
-    ranks = (
-        {g: i for i, g in enumerate(ranking, start=1) if g in universe_set}
-        if ranking is not None
-        else None
-    )
+    n, n_sets = len(index), len(library)
+    which, where = _member_index(index, library)
 
-    names, overlaps, sizes, pvals, mean_ranks, diagnostics = [], [], [], [], [], []
-    for gene_set in library:
-        members = gene_set.members & universe_set
-        names.append(gene_set.name)
-        sizes.append(len(members))
-        if not members:
-            overlaps.append(0)
-            pvals.append(1.0)
-            mean_ranks.append(float("nan"))
-            diagnostics.append("no overlap with gene universe")
-            continue
-        overlap = len(members & sig)
-        overlaps.append(overlap)
-        pvals.append(hypergeom_tail(overlap, len(sig), len(members), len(universe_set)))
-        if ranks is None:
-            mean_ranks.append(float("nan"))
-        else:
-            member_ranks = [ranks[g] for g in members if g in ranks]
-            mean_ranks.append(
-                float(np.mean(member_ranks)) if member_ranks else float("nan")
-            )
-        diagnostics.append("")
+    marked = np.zeros(n, dtype=bool)
+    found = np.fromiter(map(index.get, significant, repeat(-1)), np.int64)
+    marked[found[found >= 0]] = True
+    size = np.bincount(which, minlength=n_sets)
+    overlap = np.bincount(which[marked[where]], minlength=n_sets)
+    # The tail depends only on (overlap, size): one call per distinct pair.
+    pairs, inverse = np.unique(overlap * (n + 1) + size, return_inverse=True)
+    n_marked = int(marked.sum())
+    tails = [hypergeom_tail(int(k), n_marked, int(m), n) for k, m in zip(*np.divmod(pairs, n + 1))]
 
-    qvals = _bh_skipping_diagnostics(pvals, diagnostics)
-    results = [
-        EnrichmentResult(n, o, s, float(p), float(q), mr, d)
-        for n, o, s, p, q, mr, d in zip(
-            names, overlaps, sizes, pvals, qvals, mean_ranks, diagnostics
+    rank = np.zeros(n)
+    if ranking is not None:
+        found = np.fromiter(map(index.get, ranking, repeat(-1)), np.int64)
+        rank[found[found >= 0]] = np.flatnonzero(found >= 0) + 1
+    member_rank = rank[where]
+    with np.errstate(invalid="ignore"):
+        mean_rank = np.bincount(which, member_rank, n_sets) / np.bincount(
+            which[member_rank > 0], minlength=n_sets
         )
-    ]
-    return sorted(results, key=lambda r: (r.p, r.set_name))
-
-
-def _bh_skipping_diagnostics(pvals, diagnostics) -> np.ndarray:
-    """BH over the non-diagnostic entries only; diagnostic rows get q = 1."""
-    qvals = np.ones(len(pvals))
-    tested = [i for i, d in enumerate(diagnostics) if not d]
-    if tested:
-        qvals[tested] = bh_fdr([pvals[i] for i in tested])
-    return qvals
+    return _tabulate(EnrichmentResult, library, size, overlap=overlap, set_size=size,
+                     p=np.array(tails)[inverse], mean_rank=mean_rank)
 
 
 def _set_angles(direction: CharacteristicDirection, gene_sets) -> tuple[np.ndarray, np.ndarray]:
     """First principal angle of each set, and how many of its members are
     in the direction's universe (the angle of a set with none is pi/2).
-
-    Squared coefficients are summed in ascending gene-index order, so the
-    result does not depend on the iteration order of the member sets
-    (which follows the per-process string-hash seed).
-    """
-    index = {g: i for i, g in enumerate(direction.gene_ids)}
-    members = [sorted(index[g] for g in s.members if g in index) for s in gene_sets]
-    counts = np.array([len(m) for m in members], dtype=np.int64)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(members), dtype=np.intp, count=int(counts.sum())
-    )
-    mass = np.bincount(
-        np.repeat(np.arange(len(members)), counts),
-        weights=direction.coefficients[flat] ** 2,
-        minlength=len(members),
-    )
-    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), counts
+    Squared coefficients are summed in ascending gene-index order."""
+    index = dict(zip(direction.gene_ids, range(len(direction.gene_ids))))
+    which, where = _member_index(index, gene_sets)
+    mass = np.bincount(which, direction.coefficients[where] ** 2, len(gene_sets))
+    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), np.bincount(which, minlength=len(gene_sets))
 
 
 def principal_angle(
@@ -259,7 +252,7 @@ def angle_null_pvalue(theta, n: int):
 
 def angle_enrich(
     direction: CharacteristicDirection, library: GeneSetLibrary
-) -> list[AngleEnrichmentResult]:
+) -> AngleEnrichmentResult:
     """Principal-angle p-value for every library set, BH-corrected across
     the library and sorted by p ascending.
 
@@ -269,18 +262,8 @@ def angle_enrich(
     if len(library) == 0:
         raise ValueError("gene set library is empty")
     thetas, present = _set_angles(direction, library)
-    defined = present > 0
-    pvals = np.where(defined, angle_null_pvalue(thetas, len(direction.gene_ids)), 1.0)
-    diagnostics = ["" if d else "no overlap with gene universe" for d in defined]
-
-    qvals = _bh_skipping_diagnostics(pvals, diagnostics)
-    results = [
-        AngleEnrichmentResult(s.name, th, p, q, d)
-        for s, th, p, q, d in zip(
-            library, thetas.tolist(), pvals.tolist(), qvals.tolist(), diagnostics
-        )
-    ]
-    return sorted(results, key=lambda r: (r.p, r.set_name))
+    pvals = np.where(present > 0, angle_null_pvalue(thetas, len(direction.gene_ids)), 1.0)
+    return _tabulate(AngleEnrichmentResult, library, present, theta=thetas, p=pvals)
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,12 @@ def _factor_samples(data: np.ndarray) -> _SampleFactors:
     return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
 
-def _principal_components(
+def _component_rule(
     factors: _SampleFactors, epsilon: float, max_components: int
-) -> tuple[PcaModel, np.ndarray]:
-    """The :func:`pca_reduce` component choice, read off a factorisation."""
+) -> tuple[int, np.ndarray, float, bool]:
+    """The :func:`pca_reduce` component choice read off a factorisation:
+    the count k, the k component variances, the retained variance fraction
+    and whether ``max_components`` capped k."""
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if max_components < 1:
@@ -101,18 +103,18 @@ def _principal_components(
     cumulative = np.cumsum(variances) / total
     available = min(n_samples - 1, len(variances))
     k_target = min(int(np.searchsorted(cumulative, 1.0 - epsilon) + 1), available)
-    capped = k_target > max_components
     k = min(k_target, max_components)
+    return k, variances[:k], float(cumulative[k - 1]), k_target > max_components
 
+
+def _principal_components(
+    factors: _SampleFactors, epsilon: float, max_components: int
+) -> tuple[PcaModel, np.ndarray]:
+    """The :func:`pca_reduce` model and scores, read off a factorisation."""
+    k, variances, retained, capped = _component_rule(factors, epsilon, max_components)
     basis = factors.basis[:, :k]
     flips = np.where(basis[np.abs(basis).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    model = PcaModel(
-        mean=factors.mean,
-        basis=basis * flips,
-        variances=variances[:k].copy(),
-        retained_fraction=float(cumulative[k - 1]),
-        capped=capped,
-    )
+    model = PcaModel(factors.mean, basis * flips, variances.copy(), retained, capped)
     return model, flips[:, None] * factors.coords[:k]
 
 

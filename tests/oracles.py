@@ -8,7 +8,9 @@ instead of adaptive integration, a row-by-row walk instead of the
 column-wise expression parser, gene-space nulls and deflation instead
 of the sample-space factorisation, and 40-digit hypergeometric series
 instead of the double-precision incomplete-beta continued fraction,
-and a cell-by-cell row writer instead of the column-wise table writer.
+a cell-by-cell row writer instead of the column-wise table writer,
+and per-set Python set intersections instead of the membership index
+behind hypergeometric enrichment.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
@@ -362,3 +364,36 @@ def row_table(header, rows, comment: str = "") -> str:
     for row in rows:
         out.write("\t".join(map(_fmt, row)) + "\n")
     return out.getvalue()
+
+
+def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[tuple]:
+    """Hypergeometric enrichment set by set with Python set intersections
+    and a rank list per set, instead of one membership index and bincounts.
+    Rows are ``(set_name, overlap, set_size, p, q, mean_rank, diagnostic)``,
+    sorted by p and then set name."""
+    from chardir.enrichment import hypergeom_tail
+    from chardir.welch import bh_fdr
+
+    universe_set = set(universe)
+    sig = set(significant) & universe_set
+    ranks = (
+        {g: i for i, g in enumerate(ranking, start=1) if g in universe_set}
+        if ranking is not None
+        else None
+    )
+    rows = []
+    for gene_set in library:
+        members = gene_set.members & universe_set
+        if not members:
+            rows.append([gene_set.name, 0, 0, 1.0, 1.0, math.nan,
+                         "no overlap with gene universe"])
+            continue
+        overlap = len(members & sig)
+        p = hypergeom_tail(overlap, len(sig), len(members), len(universe_set))
+        member_ranks = [ranks[g] for g in members if g in ranks] if ranks is not None else []
+        mean_rank = float(np.mean(member_ranks)) if member_ranks else math.nan
+        rows.append([gene_set.name, overlap, len(members), p, None, mean_rank, ""])
+    tested = [row for row in rows if not row[6]]
+    for row, q in zip(tested, bh_fdr([row[3] for row in tested]).tolist()):
+        row[4] = q
+    return sorted(map(tuple, rows), key=lambda row: (row[3], row[0]))

@@ -280,16 +280,20 @@ class TestEnrichCommand:
             exact_hypergeom_tail(0, 5, 2, 10), rel=1e-12
         )
 
-    def test_angle_mode_independent_of_hash_seed(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["angle", "hypergeom"])
+    def test_enrichment_independent_of_hash_seed(self, tmp_path, mode):
         # Set members iterate in string-hash order, which differs between
-        # processes; the angle table must not.
+        # processes; the enrichment table must not.
         rng = np.random.default_rng(12)
         coefficients = rng.standard_normal(2000)
         coefficients /= np.linalg.norm(coefficients)
         ranked = tmp_path / "ranked.tsv"
         ranked.write_text(
             "gene_id\tcoefficient\tsignificant\n"
-            + "".join(f"G{i}\t{c!r}\tfalse\n" for i, c in enumerate(coefficients.tolist()))
+            + "".join(
+                f"G{i}\t{c!r}\t{'true' if i < 200 else 'false'}\n"
+                for i, c in enumerate(coefficients.tolist())
+            )
         )
         gmt = tmp_path / "sets.gmt"
         sets = [rng.choice(2000, 100, replace=False) for _ in range(50)]
@@ -304,7 +308,7 @@ class TestEnrichCommand:
             out = tmp_path / f"enr{hash_seed}"
             proc = subprocess.run(
                 [sys.executable, "-m", "chardir.cli", "enrich", "--ranked", str(ranked),
-                 "--gmt", str(gmt), "--mode", "angle", "--seed", "1", "--out", str(out)],
+                 "--gmt", str(gmt), "--mode", mode, "--seed", "1", "--out", str(out)],
                 env={**os.environ, "PYTHONHASHSEED": hash_seed},
                 capture_output=True,
                 text=True,
@@ -462,6 +466,18 @@ class TestProfileCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "assoc.tsv: line 4, column 2: non-numeric distance 'x7'" in err
+
+    def test_infinite_distance_names_line_and_column(self, tmp_path, capsys):
+        code = self.profile_run(tmp_path, "G0\t1.0\nG1\tinf\nG2\t2.0\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "assoc.tsv: line 2, column 2: invalid distance 'inf'" in err
+
+    def test_negative_distance_names_line_and_column(self, tmp_path, capsys):
+        code = self.profile_run(tmp_path, "# tss\nG0\t1.0\nG1\t5.0\nG2\t-3\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "assoc.tsv: line 4, column 2: invalid distance '-3'" in err
 
 
 class TestProjectCommand:

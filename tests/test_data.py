@@ -239,6 +239,11 @@ class TestParseGmt:
             cells = line.rstrip("\n").rstrip("\r").split("\t")
             assert gene_set.members == {canonical_gene_id(c) for c in cells[2:] if c.strip()}
 
+    def test_member_id_is_one_object_across_sets(self):
+        lib = parse_gmt("S1\td\tg1\tG2\nS2\td\t G1\tg2 \nS3\td\tG1\n")
+        copies = [g for s in lib for g in s.members if g == "G1"]
+        assert len(copies) == 3 and all(g is copies[0] for g in copies)
+
 
 class TestDesign:
     def make_matrix(self, n_samples=6):

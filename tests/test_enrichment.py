@@ -27,6 +27,7 @@ from oracles import (
     angle_pvalue_quad,
     enumerated_hypergeom_tail,
     exact_hypergeom_tail,
+    hypergeom_enrich_rows,
 )
 
 
@@ -219,9 +220,9 @@ class TestAngleEnrich:
     def test_full_span_set_is_least_surprising(self):
         d = make_direction(np.full(4, 0.5))
         lib = GeneSetLibrary((GeneSet("ALL", "", frozenset(d.gene_ids)),))
-        results = angle_enrich(d, lib)
-        assert results[0].theta == pytest.approx(0.0)
-        assert results[0].p == pytest.approx(1.0, abs=1e-9)
+        result = angle_enrich(d, lib)
+        assert result.theta[0] == pytest.approx(0.0)
+        assert result.p[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_sets_identical_stats(self):
         d = make_direction(np.array([0.8, 0.36, 0.48]))
@@ -229,8 +230,8 @@ class TestAngleEnrich:
         lib = GeneSetLibrary(
             (GeneSet("A", "", members), GeneSet("B", "", members))
         )
-        a, b = angle_enrich(d, lib)
-        assert a.p == b.p and a.q == b.q
+        result = angle_enrich(d, lib)
+        assert result.p[0] == result.p[1] and result.q[0] == result.q[1]
 
     def test_concentrated_direction_extreme_alignment(self):
         # b^2 = 0.99 on one gene in a 100-gene universe. The aligned-side
@@ -242,10 +243,10 @@ class TestAngleEnrich:
         coeffs[0] = math.sqrt(0.99)
         d = make_direction(coeffs)
         lib = GeneSetLibrary((GeneSet("TOP", "", frozenset({"g0"})),))
-        result = angle_enrich(d, lib)[0]
+        result = angle_enrich(d, lib)
         observed_theta = math.acos(math.sqrt(0.99))
-        assert result.theta == pytest.approx(observed_theta, abs=1e-12)
-        assert result.p == pytest.approx(1.0, abs=1e-9)
+        assert result.theta[0] == pytest.approx(observed_theta, abs=1e-12)
+        assert result.p[0] == pytest.approx(1.0, abs=1e-9)
         assert 1.0 - angle_pvalue_betainc(observed_theta, 100) < 1e-15
 
         rng = np.random.default_rng(5)
@@ -261,11 +262,11 @@ class TestAngleEnrich:
         lib = GeneSetLibrary(
             (GeneSet("IN", "", frozenset({"B"})), GeneSet("OUT", "", frozenset({"Z"})))
         )
-        results = angle_enrich(d, lib)
-        flagged = [r for r in results if r.diagnostic]
+        result = angle_enrich(d, lib)
+        flagged = np.flatnonzero(result.diagnostic != "")
         assert len(flagged) == 1
-        assert flagged[0].set_name == "OUT"
-        assert flagged[0].p == 1.0 and flagged[0].q == 1.0
+        assert result.set_name[flagged[0]] == "OUT"
+        assert result.p[flagged[0]] == 1.0 and result.q[flagged[0]] == 1.0
 
     def test_sorted_by_p(self):
         rng = np.random.default_rng(6)
@@ -276,8 +277,8 @@ class TestAngleEnrich:
             GeneSet(f"S{i}", "", frozenset(rng.choice(d.gene_ids, 5, replace=False)))
             for i in range(8)
         )
-        results = angle_enrich(d, GeneSetLibrary(sets))
-        assert [r.p for r in results] == sorted(r.p for r in results)
+        result = angle_enrich(d, GeneSetLibrary(sets))
+        assert result.p.tolist() == sorted(result.p.tolist())
 
 
 class TestHypergeomEnrich:
@@ -290,20 +291,44 @@ class TestHypergeomEnrich:
                 GeneSet("MISS", "", frozenset(universe[10:15])),
             )
         )
-        results = hypergeom_enrich(significant, lib, universe, ranking=universe)
-        assert results[0].set_name == "HIT"
-        assert results[0].overlap == 5
-        assert results[0].p == pytest.approx(
+        result = hypergeom_enrich(significant, lib, universe, ranking=universe)
+        assert result.set_name[0] == "HIT"
+        assert result.overlap[0] == 5
+        assert result.p[0] == pytest.approx(
             exact_hypergeom_tail(5, 5, 5, 20), rel=1e-12
         )
-        assert results[0].mean_rank == pytest.approx(3.0)
+        assert result.mean_rank[0] == pytest.approx(3.0)
 
     def test_no_overlap_set_diagnostic(self):
         universe = ["g0", "g1"]
         lib = GeneSetLibrary((GeneSet("OUT", "", frozenset({"zz"})),))
-        result = hypergeom_enrich(["g0"], lib, universe)[0]
-        assert result.p == 1.0 and result.q == 1.0
-        assert result.diagnostic
+        result = hypergeom_enrich(["g0"], lib, universe)
+        assert result.p[0] == 1.0 and result.q[0] == 1.0
+        assert result.diagnostic[0]
+
+    @pytest.mark.parametrize("ranked", [True, False])
+    def test_matches_per_set_oracle_exactly(self, ranked):
+        # Sets reach outside the universe (one lies wholly outside), some
+        # significant genes are outside it, and the ranking is longer than
+        # the universe, so ranks count positions of genes the universe lacks.
+        rng = np.random.default_rng(31)
+        universe = [f"G{i}" for i in range(300)]
+        pool = universe + [f"X{i}" for i in range(100)]
+        sets = [
+            GeneSet(f"S{k}", "", frozenset(rng.choice(pool, rng.integers(1, 60), replace=False)))
+            for k in range(60)
+        ]
+        sets.append(GeneSet("ABSENT", "", frozenset({"X0", "X1", "Y"})))
+        library = GeneSetLibrary(tuple(rng.permutation(np.array(sets, dtype=object))))
+        significant = list(rng.choice(pool, 50, replace=False))
+        ranking = list(rng.permutation(pool)) if ranked else None
+
+        result = hypergeom_enrich(significant, library, universe, ranking)
+        rows = list(zip(*(column.tolist() for column in vars(result).values())))
+        expected = hypergeom_enrich_rows(significant, library, universe, ranking)
+        assert repr(rows) == repr(expected)
+        assert any(row[0] == "ABSENT" and row[6] for row in rows)
+        assert any(not math.isnan(row[5]) for row in rows) == ranked
 
 
 class TestOverlapCurve:
