@@ -11,6 +11,16 @@ benchmark with known ground truth.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# One BLAS thread: at chardir's matrix shapes helper threads only burn CPU,
+# and they make last bits of a product depend on the machine's core count.
+# Only possible before numpy loads; a thread count the user set is kept.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(_THREAD_VARIABLES, "1"))
+
 from .data import (
     ExpressionDataError,
     ExpressionMatrix,

@@ -2,7 +2,10 @@
 
 Every subcommand writes its tables plus a ``manifest.json`` recording the
 command, resolved parameters, input digests, seed and tool version;
-re-running with the same manifest reproduces the outputs byte for byte.
+re-running with the same manifest reproduces the outputs byte for byte
+when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+are left unset (``import chardir`` then pins BLAS to one thread) or set
+equal between the runs.
 Exit codes: 0 success, 1 analysis error, 2 usage error.
 """
 
@@ -507,6 +510,9 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_benchmark(parser, args) -> int:
+    for flag in ("runs", "jobs"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
     _resolve_seed(args)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:

@@ -10,6 +10,7 @@ planted in a sub-block of known genes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -155,6 +156,8 @@ def generate(spec: SyntheticSpec) -> SimulationOutcome:
     )
 
 
+# Every run of a sweep shares one gene count, so only the last is kept.
+@functools.lru_cache(maxsize=1)
 def synthetic_gene_ids(n_genes: int) -> tuple[str, ...]:
     return tuple(f"G{i + 1:05d}" for i in range(n_genes))
 

@@ -36,6 +36,17 @@ sys.exit(main())
 """
 
 
+# The BLAS thread-count variables that ``import chardir`` pins.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def env_without_thread_variables(**extra):
+    """This process's environment with none of the thread variables, so a
+    runner's own settings cannot leak into a subprocess, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    return {**env, **extra}
+
+
 def run(argv):
     try:
         return main([str(a) for a in argv])
@@ -558,6 +569,58 @@ class TestProjectCommand:
         ) == 0
         assert rows.count(40) == 1
 
+    def test_outputs_independent_of_blas_thread_variable(self, tmp_path):
+        # A full-rank 20,000 x 10+10 pooled matrix: large enough that
+        # OpenBLAS splits its products over threads when it may.
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal((20000, 20)) * rng.uniform(0.5, 3.0, (20000, 1))
+        values += rng.uniform(2.0, 12.0, (20000, 1))
+        values[:400, 10:] += 2.0
+        expr, design = write_two_class(tmp_path, values, 10)
+        outputs = []
+        for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "chardir.cli", "project", "--expression", str(expr),
+                 "--design", str(design), "--depth", "3", "--seed", "1", "--out", str(out)],
+                env=env_without_thread_variables(**extra),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / t).read_bytes()
+                            for t in ("projection.tsv", "pca.tsv", "density.tsv")])
+        assert outputs[0] == outputs[1]
+
+
+class TestThreadPin:
+    """``import chardir`` before numpy pins BLAS to one thread unless one
+    of the thread variables is already set."""
+
+    @staticmethod
+    def thread_variables_after(statement, **extra):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import json, os; {statement}; "
+             f"print(json.dumps([os.environ.get(v) for v in {THREAD_VARIABLES!r}]))"],
+            env=env_without_thread_variables(**extra),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_sets_all_three(self):
+        assert self.thread_variables_after("import chardir") == ["1", "1", "1"]
+
+    def test_user_setting_is_kept_and_nothing_added(self):
+        got = self.thread_variables_after("import chardir", OMP_NUM_THREADS="3")
+        assert got == [None, "3", None]
+
+    def test_numpy_loaded_first_leaves_all_unset(self):
+        got = self.thread_variables_after("import numpy; import chardir")
+        assert got == [None, None, None]
+
 
 class TestPipeline:
     def test_simulate_chdir_enrich_end_to_end(self, tmp_path):
@@ -594,6 +657,17 @@ class TestPipeline:
                 ((out / "sweep.tsv").read_bytes(), (out / "roc.tsv").read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("flag", ["--runs", "--jobs"])
+    def test_benchmark_count_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bench"
+        assert run(
+            ["benchmark", "--n-genes", "30", "--sizes", "3", "--roc-samples", "3",
+             "--runs", "2", flag, value, "--seed", "5", "--out", out]
+        ) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_benchmark_simulates_each_size_and_run_once(self, tmp_path, monkeypatch):
         import chardir.simulate
