@@ -16,6 +16,8 @@ import hashlib
 import json
 import math
 import sys
+from itertools import compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -155,105 +157,111 @@ def _read_gene_lines(path: Path) -> list[str]:
     return genes
 
 
-def _read_ranked_file(path: Path):
-    """Read a ranked-gene or Welch output TSV.
+def _floats(cells: list[str]) -> tuple[np.ndarray, int | None]:
+    """The cells by ``float()`` up to the first one it rejects, and that
+    cell's index (None when every cell converts)."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, cells))  # keeps the values before a failure
+    except ValueError:
+        return np.array(values), len(values)
+    return np.array(values), None
 
-    Returns (ranking, significant, coefficients, method) where ranking is
-    the row order of the canonical gene ids, coefficients maps gene to
-    coefficient when that column exists (None otherwise), and method comes
-    from the comment header when present.
+
+def _read_ranked_file(path: Path):
+    """Read a ranked-gene or Welch output TSV, column by column: (ranking,
+    significant, coefficients, method), the canonical gene ids in row order,
+    the significant ones, the coefficient column as an array (None without
+    one) and the last ``# method:`` comment.
 
     Raises:
-        ValueError: a required column is missing from the header, a row
-            stops before one of the columns read, a coefficient is not a
-            number, or two rows carry the same canonical gene id; row errors
-            name the physical lines and the column.
+        ValueError: a required column missing from the header, a row that
+            stops before a column read, a non-numeric coefficient or a
+            repeated canonical gene id, naming the physical lines and the
+            column; of several faults the earliest row's first.
     """
-    line_of: dict[str, int] = {}
-    significant: list[str] = []
-    coefficients: dict[str, float] | None = None
-    method = None
-    header = None
+    header, comments, faults = None, [], []  # faults: (row, rank within the row, message)
+    linenos, genes, flags, values = [], [], [], [np.zeros(0)]
     with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("method:"):
-                    method = comment.split(":", 1)[1].strip()
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = cells
+        numbered = enumerate(handle, start=1)
+        # A chunk of lines at a time, so only the cells read outlive their chunk.
+        while not faults and (chunk := list(islice(numbered, 1024))):
+            comments += [line for _, line in chunk if line.startswith("#")]
+            chunk = [(i, line.rstrip("\n")) for i, line in chunk if line.strip() and line[0] != "#"]
+            if header is None and chunk:
+                header = chunk.pop(0)[1].split("\t")
                 for column in ("gene_id", "significant"):
                     if column not in header:
-                        raise ValueError(
-                            f"{path}: expected a '{column}' column in the ranked file"
-                        )
-                read = sorted(
-                    header.index(c) for c in ("gene_id", "significant", "coefficient") if c in header
-                )
-                if "coefficient" in header:
-                    coefficients = {}
+                        raise ValueError(f"{path}: expected a '{column}' column in the ranked file")
+                read = sorted(header.index(c) for c in ("gene_id", "significant", "coefficient")
+                              if c in header)
+            start = len(linenos)
+            linenos += [i for i, _ in chunk]
+            rows = [line for _, line in chunk]
+            tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
+            short = np.flatnonzero(tabs < (read[-1] if rows else 0))
+            if short.size:
+                rows, col = rows[: short[0]], next(c for c in read if c > tabs[short[0]])
+                faults.append((start + len(rows), 0, f"row {linenos[start + len(rows)]}, "
+                                                     f"column {col + 1}: missing '{header[col]}' cell"))
+            if not rows:
                 continue
-            if len(cells) <= read[-1]:
-                col = next(i for i in read if i >= len(cells))
-                raise ValueError(
-                    f"{path}: row {lineno}, column {col + 1}: missing '{header[col]}' cell"
-                )
-            row = dict(zip(header, cells))
-            gene = canonical_gene_id(row["gene_id"])
-            if gene in line_of:
-                raise ValueError(
-                    f"{path}: rows {line_of[gene]} and {lineno}: duplicate gene id {gene!r}"
-                )
-            line_of[gene] = lineno
-            if row["significant"] == "true":
-                significant.append(gene)
-            if coefficients is not None:
-                try:
-                    coefficients[gene] = float(row["coefficient"])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {header.index('coefficient') + 1}: "
-                        f"non-numeric coefficient {row['coefficient']!r}"
-                    ) from None
+            picked = zip(*map(itemgetter(*read), map(str.split, rows, repeat("\t"))))
+            cells = dict(zip([header[c] for c in read], picked))
+            genes += map(str.upper, map(str.strip, cells["gene_id"]))  # canonical_gene_id
+            flags += map("true".__eq__, cells["significant"])
+            if "coefficient" in cells:
+                chunk_values, bad = _floats(cells["coefficient"])
+                values.append(chunk_values)
+                if bad is not None:
+                    col = header.index("coefficient") + 1
+                    faults.append((start + bad, 2, f"row {linenos[start + bad]}, column {col}: "
+                                                   f"non-numeric coefficient {cells['coefficient'][bad]!r}"))
     if header is None:
         raise ValueError(f"{path}: empty ranked file")
-    return list(line_of), significant, coefficients, method
+    if len(set(genes)) < len(genes):
+        first = dict(zip(reversed(genes), range(len(genes) - 1, -1, -1)))
+        i = next(i for i, gene in enumerate(genes) if first[gene] != i)
+        faults.append((i, 1, f"rows {linenos[first[genes[i]]]} and {linenos[i]}: "
+                             f"duplicate gene id {genes[i]!r}"))
+    if faults:
+        raise ValueError(f"{path}: {min(faults)[2]}")
+    methods = [c.split(":", 1)[1].strip() for c in (line.lstrip("#").strip() for line in comments)
+               if c.startswith("method:")]
+    coefficients = np.concatenate(values) if "coefficient" in header else None
+    return genes, list(compress(genes, flags)), coefficients, (methods or [None])[-1]
 
 
-def _read_associations(path: Path) -> list[tuple[str, float]]:
-    """Read a gene-to-TSS-distance TSV: two cells per line, an optional
+def _read_associations(path: Path) -> tuple[list[str], np.ndarray]:
+    """Read a gene-to-TSS-distance TSV (two cells per line, an optional
     ``gene_id`` header as the first content line, blank and ``#`` lines
-    skipped.
+    skipped) into the canonical gene ids and the distances, in file order.
 
     Raises:
         ValueError: a line without exactly two cells, or a distance that is
-            not a number or is negative or non-finite; each names the
-            physical line.
+            not a number or is negative or non-finite, naming the physical
+            line; of several faults the earliest line's first.
     """
     with open(path) as handle:
         linenos, lines = _content_lines(handle)
     if lines and lines[0].split("\t")[0] == "gene_id":
         linenos, lines = linenos[1:], lines[1:]
-    pairs = []
-    for lineno, line in zip(linenos, lines):
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected gene_id and distance")
-        try:
-            distance = float(cells[1])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}, column 2: non-numeric distance {cells[1]!r}"
-            ) from None
-        if not 0 <= distance < math.inf:
-            raise ValueError(f"{path}: line {lineno}, column 2: invalid distance {cells[1]!r}")
-        pairs.append((canonical_gene_id(cells[0]), distance))
-    return pairs
+    ragged = np.flatnonzero(np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) != 1)
+    end = int(ragged[0]) if ragged.size else len(lines)
+    faults = []  # (line index, message); the first is raised
+    if ragged.size:
+        faults.append((end, f"line {linenos[end]}: expected gene_id and distance"))
+    cells = "\t".join(lines[:end]).split("\t") if end else []
+    distances, bad = _floats(cells[1::2])
+    if bad is not None:
+        faults.append((bad, f"line {linenos[bad]}, column 2: non-numeric distance {cells[2 * bad + 1]!r}"))
+    invalid = np.flatnonzero(~((distances >= 0) & (distances < math.inf)))
+    if invalid.size:
+        i = int(invalid[0])
+        faults.append((i, f"line {linenos[i]}, column 2: invalid distance {cells[2 * i + 1]!r}"))
+    if faults:
+        raise ValueError(f"{path}: {min(faults)[1]}")
+    return list(map(str.upper, map(str.strip, cells[::2]))), distances  # canonical_gene_id
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +370,7 @@ def _cmd_enrich(parser, args) -> int:
             )
         direction = CharacteristicDirection(
             gene_ids=tuple(ranking),
-            coefficients=np.array([coefficients[g] for g in ranking]),
+            coefficients=coefficients,
             method=method or "LR1",
             magnitude=float("nan"),
         )
@@ -381,21 +389,19 @@ def _cmd_enrich(parser, args) -> int:
 
 
 def _cmd_profile(parser, args) -> int:
-    assoc = dedupe_tss_associations(_read_associations(Path(args.associations)))
+    genes, distances = dedupe_tss_associations(*_read_associations(Path(args.associations)))
     significant = _read_gene_lines(Path(args.significant))
-    profile = sliding_window_profile(assoc, significant, args.window, args.universe)
+    mean_distance, log_p = sliding_window_profile(
+        genes, distances, significant, args.window, args.universe
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "profile.tsv"
-    _write_tsv(
-        out_path,
-        ["mean_distance", "minus_log10_p"],
-        [[d for d, _ in profile], [-math.log10(p) if p > 0 else math.inf for _, p in profile]],
-    )
+    _write_tsv(out_path, ["mean_distance", "minus_log10_p"], [mean_distance, -log_p / math.log(10)])
 
     _write_manifest(out_dir, args)
-    print(f"profile: {len(profile)} windows over {len(assoc)} genes; wrote {out_path}")
+    print(f"profile: {len(log_p)} windows over {len(genes)} genes; wrote {out_path}")
     return 0
 
 

@@ -8,8 +8,8 @@ report errors with row/column locations.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -141,21 +141,42 @@ class GeneSet:
             raise ExpressionDataError(f"gene set {self.name!r} has no members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneSetLibrary:
-    """Ordered collection of gene sets with unique names."""
+    """Ordered gene sets with unique names, stored in columns: the set
+    ``names`` and ``descriptions``; ``ids``, the distinct member ids in
+    first-seen order, one string object each; and per member its set number
+    ``which`` and id code ``code``, set by set with codes ascending and
+    unrepeated inside a set. Iteration and ``sets`` hand out ``GeneSet``
+    views built on demand; ``from_sets`` builds a library from them."""
 
-    sets: tuple[GeneSet, ...] = field(default_factory=tuple)
+    names: tuple[str, ...]
+    descriptions: tuple[str, ...]
+    ids: tuple[str, ...]
+    which: np.ndarray
+    code: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(self.sets))
-        names = [s.name for s in self.sets]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        if len(set(self.names)) != len(self.names):
+            dupes = sorted({n for n in self.names if self.names.count(n) > 1})
             raise ExpressionDataError(f"duplicate gene set names: {dupes}")
 
+    @classmethod
+    def from_sets(cls, sets: Iterable[GeneSet]) -> GeneSetLibrary:
+        """The library of ``sets``, in their order."""
+        return _library((s.name, s.description, sorted(s.members)) for s in sets)
+
+    @property
+    def sets(self) -> tuple[GeneSet, ...]:
+        ends = np.cumsum(np.bincount(self.which, minlength=len(self.names)))
+        members = np.split(self.code, ends[:-1])
+        return tuple(
+            GeneSet(name, description, frozenset(map(self.ids.__getitem__, m.tolist())))
+            for name, description, m in zip(self.names, self.descriptions, members)
+        )
+
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.names)
 
     def __iter__(self):
         return iter(self.sets)
@@ -297,22 +318,35 @@ def parse_expression_tsv(
     return ExpressionMatrix(tuple(unique), tuple(sample_ids), values)
 
 
-def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
-    """Parse a GMT gene-set library: name, description, then member ids.
+def _library(rows) -> GeneSetLibrary:
+    """The library of ``(name, description, member ids)`` rows. Each member
+    is coded by one dict operation as its row arrives, so only the distinct
+    ids are kept; repeats in a set are dropped by a sort and a neighbour
+    comparison."""
+    names, descriptions, codes = [], [], []
+    ids: dict[str, int] = {}  # id -> counter value at first sight
+    counter = count()
+    for name, description, genes in rows:
+        names.append(name)
+        descriptions.append(description)
+        codes.append(np.fromiter(map(ids.setdefault, genes, counter), np.int64, len(genes)))
+    position = np.zeros(next(counter), np.int64)
+    position[np.fromiter(ids.values(), np.int64, len(ids))] = np.arange(len(ids))
+    key = np.repeat(np.arange(len(codes), dtype=np.int64) * len(ids), list(map(len, codes)))
+    key += position[np.concatenate(codes)] if codes else 0
+    key.sort()
+    which, code = np.divmod(key[np.diff(key, prepend=-1) != 0], max(len(ids), 1))
+    return GeneSetLibrary(tuple(names), tuple(descriptions), tuple(ids), which, code)
 
-    Member ids are canonicalized to upper case and deduplicated; empty
-    trailing fields are dropped. Each distinct id is one string object
-    across the library. Raises on lines with fewer than 3 fields and on
-    duplicate set names.
-    """
-    sets: list[GeneSet] = []
+
+def _gmt_rows(text: str | TextIO | Iterable[str]):
+    """``(name, description, canonical member ids)`` per GMT line."""
     names: set[str] = set()
-    ids: dict[str, str] = {}
     for lineno, line in enumerate(_as_lines(text), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
-        cells = line.split("\t")
+        cells = line.split("\t", 2)
         if len(cells) < 3:
             raise ExpressionDataError(
                 f"line {lineno}: expected name, description and >= 1 gene, "
@@ -323,13 +357,23 @@ def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
             raise ExpressionDataError(f"line {lineno}: empty set name")
         if name in names:
             raise ExpressionDataError(f"line {lineno}: duplicate set name {name!r}")
-        genes = list(map(str.upper, filter(None, map(str.strip, cells[2:]))))  # canonical_gene_id
-        members = set(map(ids.setdefault, genes, genes))
-        if not members:
+        # canonical_gene_id; upper-casing maps characters one by one and keeps tabs
+        genes = list(filter(None, map(str.strip, cells[2].upper().split("\t"))))
+        if not genes:
             raise ExpressionDataError(f"line {lineno}: set {name!r} has no members")
         names.add(name)
-        sets.append(GeneSet(name, cells[1].strip(), frozenset(members)))
-    return GeneSetLibrary(tuple(sets))
+        yield name, cells[1].strip(), genes
+
+
+def parse_gmt(text: str | TextIO | Iterable[str]) -> GeneSetLibrary:
+    """Parse a GMT gene-set library: name, description, then member ids.
+
+    Member ids are canonicalized to upper case and deduplicated; empty
+    trailing fields are dropped. Each distinct id is one string object
+    across the library. Raises on lines with fewer than 3 fields and on
+    duplicate set names.
+    """
+    return _library(_gmt_rows(text))
 
 
 def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .data import GeneSet, GeneSetLibrary
 from .direction import CharacteristicDirection
-from .welch import _betainc, bh_fdr
+from .welch import _betainc, _stirling_error, bh_fdr
 
 __all__ = [
     "EnrichmentResult",
@@ -62,22 +62,21 @@ class AngleEnrichmentResult:
     diagnostic: np.ndarray
 
 
-def _member_index(index: dict[str, int], gene_sets) -> tuple[np.ndarray, np.ndarray]:
+def _member_index(index: dict[str, int], library: GeneSetLibrary) -> tuple[np.ndarray, np.ndarray]:
     """``(which, where)``: the set number and gene position of every member
-    of ``gene_sets`` found in ``index`` (gene id -> position), set by set
+    of ``library`` found in ``index`` (gene id -> position), set by set
     with positions ascending inside a set, so the order does not follow the
-    string-hash seed. Members outside the index are dropped."""
-    sizes = np.fromiter(map(len, (s.members for s in gene_sets)), np.int64, len(gene_sets))
-    members = chain.from_iterable(s.members for s in gene_sets)
-    where = np.fromiter(map(index.get, members, repeat(-1)), np.int64, int(sizes.sum()))
-    key = np.repeat(np.arange(len(sizes)) * len(index), sizes)
-    key += where
+    string-hash seed. Each distinct id is looked up once; members outside
+    the index are dropped."""
+    where = np.fromiter(map(index.get, library.ids, repeat(-1)), np.int64, len(library.ids))
+    where = where[library.code]
+    key = library.which * len(index) + where
     key = key[where >= 0]
     key.sort()
     return np.divmod(key, len(index))
 
 
-def _tabulate(result_type, gene_sets, present: np.ndarray, **columns):
+def _tabulate(result_type, library: GeneSetLibrary, present: np.ndarray, **columns):
     """``result_type`` from the per-set ``columns`` plus ``set_name``, the BH
     ``q`` over the sets with a member present (the others get q = 1 and a
     diagnostic), with rows sorted by p and then set name."""
@@ -86,10 +85,78 @@ def _tabulate(result_type, gene_sets, present: np.ndarray, **columns):
     q[tested] = bh_fdr(columns["p"][tested])
     diagnostic = np.full(len(tested), "", dtype=object)
     diagnostic[~tested] = "no overlap with gene universe"
-    names = np.array([s.name for s in gene_sets], dtype=str)
+    names = np.array(library.names, dtype=str)
     columns.update(set_name=names, q=q, diagnostic=diagnostic)
     order = np.lexsort((names, columns["p"]))
     return result_type(**{k: v[order] for k, v in columns.items()})
+
+
+def _deviance(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Loader's ``bd0(x, m) = x log(x / m) + m - x`` for x >= 0 and m > 0.
+    Where ``v = (x - m) / (x + m)`` is below 1/3 in size it is summed as
+    ``(x - m) v + 2 x (v^3 / 3 + v^5 / 5 + ...)``, so no two large terms
+    cancel."""
+    d = x - m
+    v = d / (x + m)
+    series = np.polyval(1.0 / np.arange(37, 1, -2), v * v)  # 1/3 + v^2/5 + ... + v^34/37
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.where(x > 0, x * np.log(x / m), 0.0) - d
+    return np.where(np.abs(v) < 1 / 3, d * v + 2 * x * v**3 * series, direct)
+
+
+def _log_hypergeom_tail(k, marked, drawn, universe) -> np.ndarray:
+    """``log P(K >= k)`` elementwise over broadcast integer arrays, K the
+    overlap of ``drawn`` genes drawn from ``universe`` with ``marked``.
+
+    The sum is anchored at its largest term, ``max(k, mode)``, whose log pmf
+    is Loader's saddle-point form (Stirling errors and ``bd0`` deviances of
+    the binomials behind the hypergeometric, "Fast and accurate computation
+    of binomial probabilities", 2000), and extended by exact term ratios
+    away from it, one vector step per series index. Each element stops by
+    its own rule, so its value does not depend on the rest of the batch.
+    Within 1e-12 relative of the exact tail wherever it is a normal double,
+    and within 1e-12 absolute in log space beyond.
+    """
+    k, marked, drawn, universe = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.int64) for a in (k, marked, drawn, universe))
+    )
+    out = np.zeros(k.shape)
+    tail = np.flatnonzero(k > np.maximum(0, marked + drawn - universe))
+    k, m, n, big = (a.ravel()[tail] for a in (k, marked, drawn, universe))
+    free = big - m - n  # pmf(j + 1) / pmf(j) = (m - j)(n - j) / ((j + 1)(free + j + 1))
+    hi = np.minimum(m, n)
+    anchor = np.minimum(np.maximum(k, (m + 1) * (n + 1) // (big + 2)), hi)
+    # Terms at j >= k and at j < k, relative to pmf(anchor). Below a mode
+    # above k the series runs on to give P(K < k), so p near 1 is 1 - P(K < k).
+    sums = np.zeros((2, len(tail)))
+    sums[0] = 1.0
+    for step, stop in ((1, hi), (-1, np.where(anchor > k, np.maximum(0, m + n - big), k))):
+        j, term = anchor.copy(), np.ones(len(tail))
+        live = np.flatnonzero(j != stop)
+        while live.size:
+            i = j[live] + (step - 1) // 2  # the ratio pmf(i + 1) / pmf(i) of this step
+            ratio = (m[live] - i) * (n[live] - i) / ((i + 1) * (free[live] + i + 1))
+            term[live] *= ratio if step > 0 else 1.0 / ratio
+            j[live] += step
+            side = (j[live] < k[live]).astype(np.intp)
+            sums[side, live] += term[live]
+            live = live[(j[live] != stop[live]) & (term[live] > 1e-20 * sums[side, live])]
+    # log pmf(x) = S(x, m) + S(n - x, big - m) - S(n, big) less four deviances,
+    # S(x, size) = e(size) - e(x) - e(size - x) - log(2 pi x (size - x) / size) / 2
+    # for 0 < x < size and 0 otherwise, e the Stirling error.
+    x, p, q = anchor, n / big, (big - n) / big
+    xs, sizes = np.stack([x, n - x, n]), np.stack([m, big - m, big])
+    inner = (xs > 0) & (xs < sizes)
+    xs, ys = np.where(inner, xs, 1), np.where(inner, sizes - xs, 1)
+    err = _stirling_error(np.stack([sizes, xs, ys]).astype(np.float64))
+    part = np.where(inner, err[0] - err[1] - err[2] - 0.5 * np.log(2 * math.pi * xs * ys / sizes), 0.0)
+    dev = _deviance(np.stack([x, m - x, n - x, free + x]).astype(np.float64),
+                    np.stack([m * p, m * q, (big - m) * p, (big - m) * q]))
+    log_anchor = part[0] + part[1] - part[2] - (dev[0] + dev[1] + dev[2] + dev[3])
+    lower = np.minimum(np.exp(log_anchor) * sums[1], 0.5)
+    out.flat[tail] = np.where((lower > 0) & (lower < 0.5), np.log1p(-lower),
+                              np.minimum(0.0, log_anchor + np.log(sums[0])))
+    return out
 
 
 def hypergeom_tail(k: int, n_significant: int, set_size: int, universe: int) -> float:
@@ -97,10 +164,9 @@ def hypergeom_tail(k: int, n_significant: int, set_size: int, universe: int) -> 
 
     K is the overlap when ``set_size`` genes are drawn without replacement
     from a universe of ``universe`` genes of which ``n_significant`` are
-    marked. The sum is anchored at the largest tail term, computed exactly
-    with integer binomials, and extended by exact term ratios, keeping the
-    relative error near machine precision (<= 1e-12 for universe <= 1e5)
-    without overflow.
+    marked. One point of the log-space kernel behind ``hypergeom_enrich``
+    and ``sliding_window_profile``: within 1e-12 relative of the exact tail
+    wherever it is a normal double; smaller tails underflow toward 0.
     """
     for name, value in (
         ("k", k),
@@ -114,41 +180,7 @@ def hypergeom_tail(k: int, n_significant: int, set_size: int, universe: int) -> 
         raise ValueError("marked and drawn counts cannot exceed the universe")
     if k > min(n_significant, set_size):
         raise ValueError("k cannot exceed min(n_significant, set_size)")
-
-    lo = max(0, n_significant + set_size - universe)
-    hi = min(n_significant, set_size)
-    if k <= lo:
-        return 1.0
-
-    # Anchor at the largest term in the tail: the distribution mode, or k
-    # itself when the whole tail is past the mode.
-    mode = (n_significant + 1) * (set_size + 1) // (universe + 2)
-    anchor = min(max(k, mode), hi)
-    anchor_pmf = (
-        math.comb(n_significant, anchor) * math.comb(universe - n_significant, set_size - anchor)
-    ) / math.comb(universe, set_size)
-
-    def ratio(j: int) -> float:
-        # pmf(j + 1) / pmf(j)
-        return ((n_significant - j) * (set_size - j)) / (
-            (j + 1) * (universe - n_significant - set_size + j + 1)
-        )
-
-    terms = [anchor_pmf]
-    value = anchor_pmf
-    for j in range(anchor, hi):  # upward from the anchor
-        value *= ratio(j)
-        if value == 0.0:
-            break
-        terms.append(value)
-    value = anchor_pmf
-    for j in range(anchor - 1, k - 1, -1):  # downward to k
-        value /= ratio(j)
-        if value == 0.0:
-            break
-        terms.append(value)
-
-    return min(1.0, math.fsum(terms))
+    return float(np.exp(_log_hypergeom_tail(k, n_significant, set_size, universe)))
 
 
 def hypergeom_enrich(
@@ -179,10 +211,10 @@ def hypergeom_enrich(
     marked[found[found >= 0]] = True
     size = np.bincount(which, minlength=n_sets)
     overlap = np.bincount(which[marked[where]], minlength=n_sets)
-    # The tail depends only on (overlap, size): one call per distinct pair.
+    # The tail depends only on (overlap, size): one kernel element per distinct pair.
     pairs, inverse = np.unique(overlap * (n + 1) + size, return_inverse=True)
-    n_marked = int(marked.sum())
-    tails = [hypergeom_tail(int(k), n_marked, int(m), n) for k, m in zip(*np.divmod(pairs, n + 1))]
+    k, m = np.divmod(pairs, n + 1)
+    p = np.exp(_log_hypergeom_tail(k, np.count_nonzero(marked), m, n))[inverse]
 
     rank = np.zeros(n)
     if ranking is not None:
@@ -194,17 +226,19 @@ def hypergeom_enrich(
             which[member_rank > 0], minlength=n_sets
         )
     return _tabulate(EnrichmentResult, library, size, overlap=overlap, set_size=size,
-                     p=np.array(tails)[inverse], mean_rank=mean_rank)
+                     p=p, mean_rank=mean_rank)
 
 
-def _set_angles(direction: CharacteristicDirection, gene_sets) -> tuple[np.ndarray, np.ndarray]:
+def _set_angles(
+    direction: CharacteristicDirection, library: GeneSetLibrary
+) -> tuple[np.ndarray, np.ndarray]:
     """First principal angle of each set, and how many of its members are
     in the direction's universe (the angle of a set with none is pi/2).
     Squared coefficients are summed in ascending gene-index order."""
     index = dict(zip(direction.gene_ids, range(len(direction.gene_ids))))
-    which, where = _member_index(index, gene_sets)
-    mass = np.bincount(which, direction.coefficients[where] ** 2, len(gene_sets))
-    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), np.bincount(which, minlength=len(gene_sets))
+    which, where = _member_index(index, library)
+    mass = np.bincount(which, direction.coefficients[where] ** 2, len(library))
+    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), np.bincount(which, minlength=len(library))
 
 
 def principal_angle(
@@ -222,7 +256,7 @@ def principal_angle(
     Raises:
         ValueError: no set member occurs in the direction's universe.
     """
-    theta, present = _set_angles(direction, [gene_set])
+    theta, present = _set_angles(direction, GeneSetLibrary.from_sets([gene_set]))
     if not present[0]:
         raise ValueError(
             f"gene set {gene_set.name!r} has no member in the gene universe"
@@ -334,64 +368,56 @@ def aggregate_overlap_curves(curves) -> OverlapCurveSummary:
     ratios = np.vstack([c.ratios for c in curves])
     defined = np.isfinite(ratios)
     n_defined = defined.sum(axis=0)
-    mean = np.full(len(ns), np.nan)
-    stderr = np.full(len(ns), np.nan)
-    for i in range(len(ns)):
-        vals = ratios[defined[:, i], i]
-        if vals.size:
-            mean[i] = vals.mean()
-        if vals.size >= 2:
-            stderr[i] = vals.std(ddof=1) / math.sqrt(vals.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(defined, ratios, 0.0).sum(axis=0) / n_defined
+        squares = (np.where(defined, ratios - mean, 0.0) ** 2).sum(axis=0)
+        stderr = np.sqrt(squares / (n_defined - 1)) / np.sqrt(n_defined)
     return OverlapCurveSummary(
         ns=ns,
         mean_ratio=mean,
-        stderr=stderr,
+        stderr=np.where(n_defined >= 2, stderr, np.nan),
         n_defined=n_defined,
         n_undefined=len(curves) - n_defined,
     )
 
 
-def dedupe_tss_associations(pairs) -> list[tuple[str, float]]:
-    """Sort gene-to-TSS-distance pairs ascending and keep, per gene, only
-    the most proximal association."""
-    best: dict[str, float] = {}
-    for gene, distance in pairs:
-        distance = float(distance)
-        if distance < 0 or not math.isfinite(distance):
-            raise ValueError(f"invalid distance {distance!r} for gene {gene!r}")
-        if gene not in best or distance < best[gene]:
-            best[gene] = distance
-    return sorted(best.items(), key=lambda item: (item[1], item[0]))
+def dedupe_tss_associations(genes, distances) -> tuple[np.ndarray, np.ndarray]:
+    """Gene-to-TSS-distance associations sorted by (distance, gene), each
+    gene kept once at its most proximal distance; ``(genes, distances)``."""
+    genes, distances = np.asarray(genes, dtype=str), np.asarray(distances, dtype=np.float64)
+    order = np.lexsort((genes, distances))
+    _, first = np.unique(genes[order], return_index=True)
+    keep = order[np.sort(first)]
+    return genes[keep], distances[keep]
 
 
 def sliding_window_profile(
-    ordered_assoc,
+    genes,
+    distances,
     significant,
     window: int,
     universe: int,
-) -> list[tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Enrichment profile along a distance-ordered gene list.
 
-    For every stride-1 window of ``window`` genes, pairs the window's mean
-    distance with the hypergeometric upper-tail p-value of its overlap
-    with the significant set. The input must be sorted by distance
-    ascending with each gene appearing once.
+    For every stride-1 window of ``window`` genes, returns the window's mean
+    distance and the log of the hypergeometric upper-tail p-value of its
+    overlap with the significant set, finite however small the p-value.
+    The genes must be sorted by distance ascending, each appearing once.
     """
-    ordered_assoc = list(ordered_assoc)
-    genes = [g for g, _ in ordered_assoc]
-    distances = np.array([d for _, d in ordered_assoc], dtype=np.float64)
+    genes = list(genes)
+    distances = np.asarray(distances, dtype=np.float64)
     if len(set(genes)) != len(genes):
-        raise ValueError("ordered_assoc contains duplicate genes; dedupe first")
+        raise ValueError("genes contain duplicates; dedupe first")
     if np.any(np.diff(distances) < 0):
-        raise ValueError("ordered_assoc must be sorted by distance ascending")
+        raise ValueError("genes must be sorted by distance ascending")
     if not 1 <= window <= len(genes):
         raise ValueError("window must lie in [1, list length]")
     if universe < len(genes):
         raise ValueError("universe smaller than the association list")
 
     significant = set(significant)
-    n_sig = len(significant)
-    hits = np.fromiter((g in significant for g in genes), dtype=np.int64)
+    hits = np.fromiter(map(significant.__contains__, genes), dtype=np.int64, count=len(genes))
     hit_prefix = np.concatenate([[0], np.cumsum(hits)])
     dist_prefix = np.concatenate([[0.0], np.cumsum(distances)])
 
@@ -399,5 +425,5 @@ def sliding_window_profile(
     mean_distances = (dist_prefix[window:] - dist_prefix[:-window]) / window
     # Only the overlap varies between windows, over a few distinct values.
     distinct, which = np.unique(overlaps, return_inverse=True)
-    tails = np.array([hypergeom_tail(int(k), n_sig, window, universe) for k in distinct])
-    return list(zip(mean_distances.tolist(), tails[which].tolist()))
+    log_p = _log_hypergeom_tail(distinct, len(significant), window, universe)[which]
+    return mean_distances, log_p

@@ -9,8 +9,12 @@ column-wise expression parser, gene-space nulls and deflation instead
 of the sample-space factorisation, and 40-digit hypergeometric series
 instead of the double-precision incomplete-beta continued fraction,
 a cell-by-cell row writer instead of the column-wise table writer,
-and per-set Python set intersections instead of the membership index
-behind hypergeometric enrichment.
+per-set Python set intersections instead of the membership index
+behind hypergeometric enrichment, a big-integer anchor (or exact
+big-integer sums with 40-digit logarithms) instead of the log-space
+hypergeometric kernel, line-by-line readers instead of the columnar GMT
+and ranked-file readers, and a loop over n instead of the column
+reduction behind overlap-curve aggregation.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
@@ -27,7 +31,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, special
 
-from chardir.data import ExpressionDataError, ExpressionMatrix, canonical_gene_id
+from chardir.data import ExpressionDataError, ExpressionMatrix, GeneSet, canonical_gene_id
 
 
 def exact_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
@@ -43,6 +47,56 @@ def exact_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> 
         for j in range(k, hi + 1)
     )
     return tail / total
+
+
+def exact_log_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
+    """log P(K >= k) from exact integer binomials, the logarithm of their
+    ratio taken at 40 digits, so it stays finite where the tail underflows."""
+    lo = max(0, n_marked + n_drawn - universe)
+    hi = min(n_marked, n_drawn)
+    if k <= lo:
+        return 0.0
+    tail = sum(
+        math.comb(n_marked, j) * math.comb(universe - n_marked, n_drawn - j)
+        for j in range(k, hi + 1)
+    )
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.mpf(tail) / math.comb(universe, n_drawn)))
+
+
+def anchored_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
+    """P(K >= k) anchored at the largest tail term, computed exactly from
+    three integer binomials, and extended by term ratios in double
+    precision; the anchor underflows to 0 in the far tail."""
+    lo = max(0, n_marked + n_drawn - universe)
+    hi = min(n_marked, n_drawn)
+    if k <= lo:
+        return 1.0
+    mode = (n_marked + 1) * (n_drawn + 1) // (universe + 2)
+    anchor = min(max(k, mode), hi)
+    anchor_pmf = (
+        math.comb(n_marked, anchor) * math.comb(universe - n_marked, n_drawn - anchor)
+    ) / math.comb(universe, n_drawn)
+
+    def ratio(j: int) -> float:  # pmf(j + 1) / pmf(j)
+        return ((n_marked - j) * (n_drawn - j)) / (
+            (j + 1) * (universe - n_marked - n_drawn + j + 1)
+        )
+
+    terms = [anchor_pmf]
+    value = anchor_pmf
+    for j in range(anchor, hi):  # upward from the anchor
+        value *= ratio(j)
+        if value == 0.0:
+            break
+        terms.append(value)
+    value = anchor_pmf
+    for j in range(anchor - 1, k - 1, -1):  # downward to k
+        value /= ratio(j)
+        if value == 0.0:
+            break
+        terms.append(value)
+    return min(1.0, math.fsum(terms))
 
 
 def enumerated_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
@@ -397,3 +451,108 @@ def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[
     for row, q in zip(tested, bh_fdr([row[3] for row in tested]).tolist()):
         row[4] = q
     return sorted(map(tuple, rows), key=lambda row: (row[3], row[0]))
+
+
+def parse_gmt_lines(text: str) -> tuple[list[GeneSet], list[str]]:
+    """A GMT library line by line, each set's members as a Python set: the
+    sets in order and the distinct member ids in first-seen order."""
+    sets: list[GeneSet] = []
+    ids: dict[str, None] = {}
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) < 3:
+            raise ExpressionDataError(
+                f"line {lineno}: expected name, description and >= 1 gene, "
+                f"got {len(cells)} fields"
+            )
+        name = cells[0].strip()
+        if not name:
+            raise ExpressionDataError(f"line {lineno}: empty set name")
+        if name in {s.name for s in sets}:
+            raise ExpressionDataError(f"line {lineno}: duplicate set name {name!r}")
+        members = set()
+        for cell in cells[2:]:
+            if cell.strip():
+                members.add(canonical_gene_id(cell))
+                ids.setdefault(canonical_gene_id(cell))
+        if not members:
+            raise ExpressionDataError(f"line {lineno}: set {name!r} has no members")
+        sets.append(GeneSet(name, cells[1].strip(), frozenset(members)))
+    return sets, list(ids)
+
+
+def read_ranked_lines(path):
+    """A ranked-gene TSV line by line with a dict per row: (ranking,
+    significant, {gene: coefficient} or None, method), raising at the first
+    faulty row."""
+    line_of: dict[str, int] = {}
+    significant: list[str] = []
+    coefficients: dict[str, float] | None = None
+    method = None
+    header = None
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                comment = line.lstrip("#").strip()
+                if comment.startswith("method:"):
+                    method = comment.split(":", 1)[1].strip()
+                continue
+            cells = line.split("\t")
+            if header is None:
+                header = cells
+                for column in ("gene_id", "significant"):
+                    if column not in header:
+                        raise ValueError(
+                            f"{path}: expected a '{column}' column in the ranked file"
+                        )
+                read = sorted(
+                    header.index(c) for c in ("gene_id", "significant", "coefficient") if c in header
+                )
+                if "coefficient" in header:
+                    coefficients = {}
+                continue
+            if len(cells) <= read[-1]:
+                col = next(i for i in read if i >= len(cells))
+                raise ValueError(
+                    f"{path}: row {lineno}, column {col + 1}: missing '{header[col]}' cell"
+                )
+            row = dict(zip(header, cells))
+            gene = canonical_gene_id(row["gene_id"])
+            if gene in line_of:
+                raise ValueError(
+                    f"{path}: rows {line_of[gene]} and {lineno}: duplicate gene id {gene!r}"
+                )
+            line_of[gene] = lineno
+            if row["significant"] == "true":
+                significant.append(gene)
+            if coefficients is not None:
+                try:
+                    coefficients[gene] = float(row["coefficient"])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {header.index('coefficient') + 1}: "
+                        f"non-numeric coefficient {row['coefficient']!r}"
+                    ) from None
+    if header is None:
+        raise ValueError(f"{path}: empty ranked file")
+    return list(line_of), significant, coefficients, method
+
+
+def aggregate_ratios_by_n(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``ratios`` (experiments x n), the mean of the finite
+    values and their ddof=1 standard error (NaN below two), one n at a time."""
+    mean = np.full(ratios.shape[1], np.nan)
+    stderr = np.full(ratios.shape[1], np.nan)
+    for i in range(ratios.shape[1]):
+        vals = ratios[np.isfinite(ratios[:, i]), i]
+        if vals.size:
+            mean[i] = vals.mean()
+        if vals.size >= 2:
+            stderr[i] = vals.std(ddof=1) / math.sqrt(vals.size)
+    return mean, stderr

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from chardir.cli import main
+from chardir.cli import _read_ranked_file, main
 
-from oracles import covariance_eigendecomposition, exact_hypergeom_tail
+from oracles import covariance_eigendecomposition, exact_hypergeom_tail, read_ranked_lines
 
 TOY_EXPRESSION = (
     "gene_id\tc1\tc2\tc3\tt1\tt2\tt3\n"
@@ -85,6 +85,45 @@ def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split("\t")
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+
+
+RANKED_HEADER = "gene_id\tcoefficient\tsignificant\n"
+RANKED_CASES = {
+    "padded_lower_case_ids": "# method: lr1\n" + RANKED_HEADER + " ga \t0.8\ttrue\ngB\t-0.6\tfalse\n",
+    "crlf_endings": RANKED_HEADER.replace("\n", "\r\n") + "GA\t0.8\ttrue\r\nGB\t0.6\tfalse\r\n",
+    "blank_lines": "\n# method: np1\n\n" + RANKED_HEADER + "\nGA\t0.8\ttrue\n\n \nGB\t0.6\ttrue\n",
+    "trailing_tabs": "gene_id\tcoefficient\tsignificant\t\nGA\t0.8\ttrue\t\nGB\t0.6\tfalse\t\t\n",
+    "columns_reordered_row_lengths_vary": "rank\tsignificant\tgene_id\tcoefficient\tnote\n"
+    "1\ttrue\tGA\t0.8\n2\tfalse\tGB\t-0.1\tx\ty\n",
+    "no_coefficient_column": "gene_id\tsignificant\nGA\ttrue\nGB\tfalse\n",
+    "ragged_row": RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.6\nGC\t0.1\tfalse\n",
+    "missing_column": "gene_id\tcoefficient\nGA\t0.8\n",
+    "non_numeric_coefficient": RANKED_HEADER + "GA\t0.8\ttrue\n\nGB\tx0.6\ttrue\n",
+    "duplicate_id": RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.5\tfalse\n\nga\t0.3\tfalse\n",
+    "faults_in_several_rows": RANKED_HEADER + "GA\t0.8\ttrue\nGB\tx\ttrue\nga\t0.1\tfalse\nGC\n",
+    "duplicate_and_non_numeric_in_one_row": RANKED_HEADER + "GA\t0.8\ttrue\nga\tzz\ttrue\nGB\n",
+    "header_only": "# method: lr1\n" + RANKED_HEADER,
+    "empty": "# method: lr1\n\n",
+}
+
+
+@pytest.mark.parametrize("text", RANKED_CASES.values(), ids=RANKED_CASES.keys())
+def test_ranked_reader_matches_line_by_line_oracle(tmp_path, text):
+    path = tmp_path / "ranked.tsv"
+    path.write_bytes(text.encode())
+    try:
+        ranking, significant, coefficients, method = read_ranked_lines(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _read_ranked_file(path)
+        assert str(raised.value) == str(exc)
+        return
+    got = _read_ranked_file(path)
+    assert got[0] == ranking and got[1] == significant and got[3] == method
+    if coefficients is None:
+        assert got[2] is None
+    else:
+        assert repr(got[2].tolist()) == repr([coefficients[g] for g in ranking])
 
 
 class TestChdirCommand:
@@ -453,6 +492,30 @@ class TestProfileCommand:
         assert first_mean == pytest.approx(10.0)
         expected_p = exact_hypergeom_tail(3, 3, 3, 100)
         assert first_logp == pytest.approx(-math.log10(expected_p), rel=1e-9)
+
+    def test_far_tail_windows_are_finite_and_exact(self, tmp_path):
+        # G1..G400 at distances 1..400 with G1..G300 significant: window i
+        # (from 0) overlaps the significant set in 300 - i genes, and the
+        # p-values of 100 of the 101 windows underflow a double.
+        assoc = tmp_path / "assoc.tsv"
+        assoc.write_text("".join(f"G{i}\t{i}\n" for i in range(1, 401)))
+        sig = tmp_path / "sig.txt"
+        sig.write_text("".join(f"G{i}\n" for i in range(1, 301)))
+        out = tmp_path / "out"
+        assert run(
+            ["profile", "--associations", assoc, "--significant", sig,
+             "--window", "300", "--universe", "20000", "--seed", "1", "--out", out]
+        ) == 0
+        rows = read_rows(out / "profile.tsv")
+        assert len(rows) == 101
+        den = math.comb(20000, 300)
+        num = 0
+        for i in range(101):  # overlap k = 300 - i: each window adds one tail term
+            k = 300 - i
+            num += math.comb(300, k) * math.comb(19700, 300 - k)
+            exact = -(math.log(num) - math.log(den)) / math.log(10)
+            cell = rows[i]["minus_log10_p"]
+            assert cell != "inf" and abs(float(cell) - exact) <= 1e-9, (i, cell, exact)
 
     def profile_run(self, tmp_path, associations):
         assoc = tmp_path / "assoc.tsv"

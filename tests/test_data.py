@@ -21,7 +21,7 @@ from chardir.data import (
     write_table,
 )
 
-from oracles import parse_expression_rows, row_table
+from oracles import parse_expression_rows, parse_gmt_lines, row_table
 
 
 class TestParseExpression:
@@ -245,6 +245,46 @@ class TestParseGmt:
         assert len(copies) == 3 and all(g is copies[0] for g in copies)
 
 
+GMT_CASES = {
+    "padded_lower_case_ids": "S1\tdesc\t g1 \tg2\tG3\nS2\t\tgA \t\x0bq\n",
+    "repeated_members": "S1\td\tG1\tg1\t G1 \tG2\tG2\nS2\td\tG2\tg2\tG1\n",
+    "crlf_endings": "S1\td\tG1\tG2\r\nS2\td\tG2\tG3\r\n",
+    "blank_lines": "\n\nS1\td\tG1\n  \n\t\nS2\td\tG1\tG4\n",
+    "trailing_tabs": "S1\td\tG1\t\t\t\nS2\t d \tG2\t \t\n",
+    "hash_line_is_a_set": "# c\tx\tG1\nS1\td\tg1\n",
+    "duplicate_set_name": "S\td\tG1\nS2\td\tG3\n S \td\tG2\n",
+    "empty_set_name": "S1\td\tG1\n \td\tG2\n",
+    "short_line": "S1\td\tG1\nS2\td\n",
+    "no_members": "S1\td\tG1\nS2\td\t \t\n",
+}
+
+
+class TestParseGmtColumns:
+    @pytest.mark.parametrize("text", GMT_CASES.values(), ids=GMT_CASES.keys())
+    def test_matches_line_by_line_oracle(self, text):
+        try:
+            sets, ids = parse_gmt_lines(text)
+        except ExpressionDataError as exc:
+            with pytest.raises(ExpressionDataError, match=f"^{re.escape(str(exc))}$"):
+                parse_gmt(text)
+            return
+        lib = parse_gmt(text)
+        assert lib.sets == tuple(sets)
+        assert lib.ids == tuple(ids)
+        assert lib.names == tuple(s.name for s in sets)
+        assert lib.descriptions == tuple(s.description for s in sets)
+
+    def test_codes_are_unrepeated_and_ascending_within_a_set(self):
+        lib = parse_gmt(GMT_CASES["repeated_members"])
+        assert lib.which.tolist() == [0, 0, 1, 1]
+        assert lib.code.tolist() == [0, 1, 0, 1]
+
+    def test_from_sets_round_trips_views(self):
+        lib = parse_gmt(GMT_CASES["padded_lower_case_ids"] + "S3\td\tG9\tg1\n")
+        again = GeneSetLibrary.from_sets(lib)
+        assert again.sets == lib.sets and again.names == lib.names
+
+
 class TestDesign:
     def make_matrix(self, n_samples=6):
         return ExpressionMatrix(
@@ -309,7 +349,7 @@ class TestGeneSetTypes:
         s1 = GeneSet("S", "", frozenset({"G1"}))
         s2 = GeneSet("S", "", frozenset({"G2"}))
         with pytest.raises(ExpressionDataError, match="duplicate"):
-            GeneSetLibrary((s1, s2))
+            GeneSetLibrary.from_sets((s1, s2))
 
 
 class TestWriteTable:

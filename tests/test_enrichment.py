@@ -10,6 +10,8 @@ from scipy import integrate
 from chardir.data import GeneSet, GeneSetLibrary
 from chardir.direction import CharacteristicDirection
 from chardir.enrichment import (
+    OverlapCurve,
+    _log_hypergeom_tail,
     aggregate_overlap_curves,
     angle_enrich,
     angle_null_pvalue,
@@ -22,11 +24,14 @@ from chardir.enrichment import (
 )
 
 from oracles import (
+    aggregate_ratios_by_n,
+    anchored_hypergeom_tail,
     angle_pdf,
     angle_pvalue_betainc,
     angle_pvalue_quad,
     enumerated_hypergeom_tail,
     exact_hypergeom_tail,
+    exact_log_hypergeom_tail,
     hypergeom_enrich_rows,
 )
 
@@ -88,6 +93,60 @@ class TestHypergeomTail:
             hypergeom_tail(0, 11, 2, 10)
         with pytest.raises(ValueError):
             hypergeom_tail(-1, 2, 2, 10)
+
+
+class TestLogHypergeomTail:
+    @pytest.mark.parametrize(
+        "case",
+        [(290, 1000, 300, 20_000), (400, 400, 495, 20_000), (300, 2000, 300, 20_000)],
+    )
+    def test_far_tail_log_p(self, case):
+        # p underflows to 0 in the first two cases and is subnormal in the third.
+        assert abs(_log_hypergeom_tail(*case) - exact_log_hypergeom_tail(*case)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 14])
+    def test_log_p_near_one_keeps_relative_accuracy(self, k):
+        # The mode (15) lies in the tail, so p = 1 - P(K < k) with P(K < k)
+        # down to 1.8e-7 at k = 1.
+        exact = exact_log_hypergeom_tail(k, 1000, 300, 20_000)
+        assert abs(_log_hypergeom_tail(k, 1000, 300, 20_000) - exact) <= 1e-12 * abs(exact)
+
+    def test_grid_relative_accuracy_where_p_is_normal(self):
+        checked = 0
+        for universe in (7, 60, 1_000, 20_000):
+            for marked in sorted({1, universe // 50 + 1, universe // 7, universe // 2, universe - 1}):
+                for drawn in sorted({1, 15, 300, universe // 3, universe - 2} - {0}):
+                    if drawn > min(universe, 2_000):
+                        continue
+                    lo, hi = max(0, marked + drawn - universe), min(marked, drawn)
+                    for k in sorted(set(np.linspace(lo, hi, 13).astype(int).tolist())):
+                        exact = exact_hypergeom_tail(k, marked, drawn, universe)
+                        if exact < np.finfo(float).tiny:
+                            continue
+                        got = math.exp(_log_hypergeom_tail(k, marked, drawn, universe))
+                        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (k, marked, drawn, universe)
+                        assert got == pytest.approx(
+                            anchored_hypergeom_tail(k, marked, drawn, universe), rel=1e-12, abs=0.0
+                        )
+                        checked += 1
+        assert checked > 300
+
+    def test_batch_values_equal_values_alone(self):
+        rng = np.random.default_rng(14)
+        sizes = np.exp(rng.uniform(np.log(15), np.log(500), 300)).astype(int)
+        enrich = (rng.binomial(sizes, 0.05 + 0.5 * (rng.random(300) < 0.1)), 950, sizes, 20_000)
+        overlaps = rng.integers(0, 60, 100)
+        profile = (overlaps, 400, 300, 20_000)
+        for case in (enrich, profile):
+            batch = _log_hypergeom_tail(*case)
+            alone = [_log_hypergeom_tail(*point) for point in zip(*np.broadcast_arrays(*case))]
+            assert batch.tobytes() == np.array(alone).tobytes()
+            assert np.all(np.isfinite(batch)) and np.all(batch <= 0.0)
+
+    def test_scalar_tail_is_one_point_of_the_kernel(self):
+        assert hypergeom_tail(300, 2000, 300, 20_000) == math.exp(
+            _log_hypergeom_tail(300, 2000, 300, 20_000)
+        )
 
 
 class TestPrincipalAngle:
@@ -219,7 +278,7 @@ class TestAngleNull:
 class TestAngleEnrich:
     def test_full_span_set_is_least_surprising(self):
         d = make_direction(np.full(4, 0.5))
-        lib = GeneSetLibrary((GeneSet("ALL", "", frozenset(d.gene_ids)),))
+        lib = GeneSetLibrary.from_sets((GeneSet("ALL", "", frozenset(d.gene_ids)),))
         result = angle_enrich(d, lib)
         assert result.theta[0] == pytest.approx(0.0)
         assert result.p[0] == pytest.approx(1.0, abs=1e-9)
@@ -227,7 +286,7 @@ class TestAngleEnrich:
     def test_identical_sets_identical_stats(self):
         d = make_direction(np.array([0.8, 0.36, 0.48]))
         members = frozenset({"g0", "g1"})
-        lib = GeneSetLibrary(
+        lib = GeneSetLibrary.from_sets(
             (GeneSet("A", "", members), GeneSet("B", "", members))
         )
         result = angle_enrich(d, lib)
@@ -242,7 +301,7 @@ class TestAngleEnrich:
         coeffs = np.full(100, math.sqrt(0.01 / 99))
         coeffs[0] = math.sqrt(0.99)
         d = make_direction(coeffs)
-        lib = GeneSetLibrary((GeneSet("TOP", "", frozenset({"g0"})),))
+        lib = GeneSetLibrary.from_sets((GeneSet("TOP", "", frozenset({"g0"})),))
         result = angle_enrich(d, lib)
         observed_theta = math.acos(math.sqrt(0.99))
         assert result.theta[0] == pytest.approx(observed_theta, abs=1e-12)
@@ -259,7 +318,7 @@ class TestAngleEnrich:
 
     def test_no_overlap_flagged(self):
         d = make_direction(np.array([1.0, 0.0, 0.0]), ids=["A", "B", "C"])
-        lib = GeneSetLibrary(
+        lib = GeneSetLibrary.from_sets(
             (GeneSet("IN", "", frozenset({"B"})), GeneSet("OUT", "", frozenset({"Z"})))
         )
         result = angle_enrich(d, lib)
@@ -277,7 +336,7 @@ class TestAngleEnrich:
             GeneSet(f"S{i}", "", frozenset(rng.choice(d.gene_ids, 5, replace=False)))
             for i in range(8)
         )
-        result = angle_enrich(d, GeneSetLibrary(sets))
+        result = angle_enrich(d, GeneSetLibrary.from_sets(sets))
         assert result.p.tolist() == sorted(result.p.tolist())
 
 
@@ -285,7 +344,7 @@ class TestHypergeomEnrich:
     def test_significant_set_is_top_hit(self):
         universe = [f"g{i}" for i in range(20)]
         significant = universe[:5]
-        lib = GeneSetLibrary(
+        lib = GeneSetLibrary.from_sets(
             (
                 GeneSet("HIT", "", frozenset(significant)),
                 GeneSet("MISS", "", frozenset(universe[10:15])),
@@ -301,7 +360,7 @@ class TestHypergeomEnrich:
 
     def test_no_overlap_set_diagnostic(self):
         universe = ["g0", "g1"]
-        lib = GeneSetLibrary((GeneSet("OUT", "", frozenset({"zz"})),))
+        lib = GeneSetLibrary.from_sets((GeneSet("OUT", "", frozenset({"zz"})),))
         result = hypergeom_enrich(["g0"], lib, universe)
         assert result.p[0] == 1.0 and result.q[0] == 1.0
         assert result.diagnostic[0]
@@ -319,7 +378,7 @@ class TestHypergeomEnrich:
             for k in range(60)
         ]
         sets.append(GeneSet("ABSENT", "", frozenset({"X0", "X1", "Y"})))
-        library = GeneSetLibrary(tuple(rng.permutation(np.array(sets, dtype=object))))
+        library = GeneSetLibrary.from_sets(tuple(rng.permutation(np.array(sets, dtype=object))))
         significant = list(rng.choice(pool, 50, replace=False))
         ranking = list(rng.permutation(pool)) if ranked else None
 
@@ -382,40 +441,65 @@ class TestOverlapCurve:
         assert math.isnan(summary.mean_ratio[0])
         assert summary.mean_ratio[2] == pytest.approx(1.0)
 
+    def test_aggregation_matches_loop_over_n(self):
+        rng = np.random.default_rng(8)
+        ratios = rng.uniform(0.2, 3.0, (6, 40))
+        ratios[rng.random(ratios.shape) < 0.2] = np.nan
+        ratios[rng.random(ratios.shape) < 0.1] = np.inf
+        ratios[:, 3] = np.nan  # no finite value
+        ratios[1:, 4] = np.inf  # a single finite value
+        ns = np.arange(1, 41)
+        curves = [OverlapCurve(ns, ns, ns, row) for row in ratios]
+        summary = aggregate_overlap_curves(curves)
+        mean, stderr = aggregate_ratios_by_n(ratios)
+        np.testing.assert_allclose(summary.mean_ratio, mean, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(summary.stderr, stderr, rtol=1e-14, atol=0.0)
+        assert np.isnan(summary.mean_ratio[3]) and np.isnan(summary.stderr[4])
+        assert not np.isnan(summary.mean_ratio[4])
+
+
+def windows(assoc, significant, window, universe):
+    """``(mean distance, p)`` per window of ``sliding_window_profile`` over
+    ``(gene, distance)`` pairs."""
+    genes, distances = zip(*assoc)
+    mean, log_p = sliding_window_profile(genes, distances, significant, window, universe)
+    return list(zip(mean.tolist(), np.exp(log_p).tolist()))
+
 
 class TestSlidingWindow:
     def test_no_significant_genes(self):
         assoc = [(f"g{i}", float(i)) for i in range(10)]
-        profile = sliding_window_profile(assoc, set(), 3, 100)
+        profile = windows(assoc, set(), 3, 100)
         assert all(p == 1.0 for _, p in profile)
 
     def test_fully_significant_window(self):
         assoc = [(f"g{i}", float(i)) for i in range(3)]
         significant = {f"g{i}" for i in range(10)}
-        profile = sliding_window_profile(assoc, significant, 3, 100)
+        profile = windows(assoc, significant, 3, 100)
         expected = exact_hypergeom_tail(3, 10, 3, 100)
         assert expected == pytest.approx(7.42115e-4, rel=1e-4)
         assert profile[0][1] == pytest.approx(expected, rel=1e-12)
 
     def test_window_count(self):
         assoc = [(f"g{i}", float(i)) for i in range(25)]
-        profile = sliding_window_profile(assoc, {"g1"}, 7, 30)
+        profile = windows(assoc, {"g1"}, 7, 30)
         assert len(profile) == 25 - 7 + 1
 
     def test_mean_distance_per_window(self):
         assoc = [("a", 0.0), ("b", 10.0), ("c", 50.0)]
-        profile = sliding_window_profile(assoc, set(), 2, 10)
+        profile = windows(assoc, set(), 2, 10)
         assert profile[0][0] == pytest.approx(5.0)
         assert profile[1][0] == pytest.approx(30.0)
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
-            sliding_window_profile([("a", 5.0), ("b", 1.0)], set(), 1, 10)
+            windows([("a", 5.0), ("b", 1.0)], set(), 1, 10)
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError):
-            sliding_window_profile([("a", 1.0)], set(), 2, 10)
+            windows([("a", 1.0)], set(), 2, 10)
 
     def test_dedupe_keeps_most_proximal(self):
         pairs = [("g1", 500.0), ("g2", 30.0), ("g1", 100.0)]
-        assert dedupe_tss_associations(pairs) == [("g2", 30.0), ("g1", 100.0)]
+        genes, distances = dedupe_tss_associations(*zip(*pairs))
+        assert list(zip(genes.tolist(), distances.tolist())) == [("g2", 30.0), ("g1", 100.0)]
