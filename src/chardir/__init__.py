@@ -46,23 +46,20 @@ from .enrichment import (
     angle_enrich,
     angle_null_pvalue,
     hypergeom_enrich,
-    hypergeom_tail,
     overlap_curve,
-    principal_angle,
     sliding_window_profile,
 )
-from .linalg import PcaModel, ZeroVarianceError, pca_reduce, random_rotation
-from .projection import density_estimate, project, project_hierarchy
+from .linalg import ZeroVarianceError, random_rotation
+from .projection import density_estimate, project_hierarchy
 from .simulate import (
     RecoveryScore,
     SimulationOutcome,
     SyntheticSpec,
-    benchmark_roc,
-    benchmark_sweep,
+    benchmark_sweep_roc,
     generate,
     score_recovery,
 )
-from .welch import UndefinedStatisticError, WelchScreen, bh_fdr, ttest_screen, welch_test
+from .welch import WelchScreen, bh_fdr, ttest_screen, welch_arrays
 
 __all__ = [
     "__version__",
@@ -86,27 +83,20 @@ __all__ = [
     "angle_enrich",
     "angle_null_pvalue",
     "hypergeom_enrich",
-    "hypergeom_tail",
     "overlap_curve",
-    "principal_angle",
     "sliding_window_profile",
-    "PcaModel",
     "ZeroVarianceError",
-    "pca_reduce",
     "random_rotation",
     "density_estimate",
-    "project",
     "project_hierarchy",
     "RecoveryScore",
     "SimulationOutcome",
     "SyntheticSpec",
-    "benchmark_roc",
-    "benchmark_sweep",
+    "benchmark_sweep_roc",
     "generate",
     "score_recovery",
-    "UndefinedStatisticError",
     "WelchScreen",
     "bh_fdr",
     "ttest_screen",
-    "welch_test",
+    "welch_arrays",
 ]

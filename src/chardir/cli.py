@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ExpressionDataError,
     ExpressionMatrix,
     TwoClassDesign,
     align_design,
@@ -38,7 +37,6 @@ from .data import (
 )
 from .direction import (
     CharacteristicDirection,
-    NoDifferentialSignalError,
     _two_class_samples,
     call_significant,
     lr1_direction,
@@ -52,7 +50,7 @@ from .enrichment import (
     hypergeom_enrich,
     sliding_window_profile,
 )
-from .linalg import ZeroVarianceError, _principal_components
+from .linalg import _principal_components
 from .projection import _project_samples, density_estimate
 from .simulate import (
     METHODS,
@@ -61,19 +59,13 @@ from .simulate import (
     generate,
     synthetic_gene_ids,
 )
-from .welch import UndefinedStatisticError, ttest_screen
+from .welch import ttest_screen
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
 
-_ANALYSIS_ERRORS = (
-    ExpressionDataError,
-    ZeroVarianceError,
-    NoDifferentialSignalError,
-    UndefinedStatisticError,
-    ValueError,
-    OSError,
-)
+# Every error the package raises on bad input or degenerate data is a ValueError.
+_ANALYSIS_ERRORS = (ValueError, OSError)
 
 
 def _sha256(path: Path) -> str:
@@ -343,6 +335,8 @@ def _cmd_ttest(parser, args) -> int:
 
 
 def _cmd_enrich(parser, args) -> int:
+    if not (args.ranked or (args.genes and args.universe)):
+        parser.error("enrich needs --ranked, or --genes with --universe")
     with open(args.gmt) as handle:
         library = parse_gmt(handle)
 
@@ -350,8 +344,6 @@ def _cmd_enrich(parser, args) -> int:
         ranking, significant, coefficients, method = _read_ranked_file(Path(args.ranked))
         universe = _read_gene_lines(Path(args.universe)) if args.universe else ranking
     else:
-        if not args.universe:
-            parser.error("--genes requires --universe")
         significant = _read_gene_lines(Path(args.genes))
         universe = _read_gene_lines(Path(args.universe))
         ranking, coefficients, method = None, None, None
@@ -443,7 +435,7 @@ def _cmd_project(parser, args) -> int:
         [grid, dens1, dens2],
     )
 
-    _, scores = _principal_components(
+    scores = _principal_components(
         samples.factors, args.epsilon, max(2, args.max_components)
     )
     pca_path = out_dir / "pca.tsv"
@@ -660,13 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Inject key=value pairs from --config as flags before the explicit
-    ones, so the command line wins on conflicts."""
-    if "--config" not in argv:
+    ones, so the command line wins on conflicts. The file is found as
+    argparse finds it, so ``--config=PATH`` and ``--config PATH`` agree."""
+    finder = argparse.ArgumentParser(prog="chardir", add_help=False)
+    finder.add_argument("--config")
+    config = finder.parse_known_args(argv)[0].config
+    if config is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # argparse will report the missing value
-    config_path = Path(argv[at + 1])
+    config_path = Path(config)
     if not config_path.is_file():
         raise FileNotFoundError(f"--config: file not found: {config_path}")
     injected: list[str] = []

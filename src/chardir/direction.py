@@ -160,8 +160,9 @@ def _lr1_normal(
     factors: _SampleFactors, n1: int, epsilon: float, max_components: int
 ) -> np.ndarray:
     """Unnormalized lr1 hyperplane normal in the row space of
-    ``factors.basis``: the class contrast regressed on the principal scores
-    :func:`~chardir.linalg.pca_reduce` would keep."""
+    ``factors.basis``: the class contrast regressed on the scores of the
+    leading principal components that capture a fraction 1 - epsilon of the
+    pooled variance, at most ``max_components`` of them."""
     k = _component_rule(factors, epsilon, max_components)[0]
     return _scaled_contrast(factors, n1, 2, k)
 
@@ -175,12 +176,14 @@ def lr1_direction(
 ) -> CharacteristicDirection:
     """Characteristic direction via indicator regression in PCA space.
 
-    The pooled samples are reduced to the principal components
-    :func:`~chardir.linalg.pca_reduce` would keep, and a -1/+1 class
-    contrast is regressed on the component scores. The scores are
-    orthogonal, so the least-squares normal is the centroid difference in
-    component coordinates divided by each component's squared singular
-    value, mapped back through the orthonormal basis to gene space.
+    The pooled samples are reduced to their leading principal components,
+    kept until they capture a fraction 1 - epsilon of the total variance,
+    up to ``max_components`` and never more than the numerical rank or
+    n_samples - 1, and a -1/+1 class contrast is regressed on the
+    component scores. The scores are orthogonal, so the least-squares
+    normal is the centroid difference in component coordinates divided by
+    each component's squared singular value, mapped back through the
+    orthonormal basis to gene space.
 
     Raises:
         NoDifferentialSignalError: the classes coincide.

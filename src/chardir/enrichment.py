@@ -1,6 +1,10 @@
 """Enrichment statistics: hypergeometric over-representation, the
 principal-angle p-value against an isotropic null, top-n overlap-ratio
-curves, and the sliding-window TSS-distance profile."""
+curves, and the sliding-window TSS-distance profile.
+
+Every hypergeometric p-value, per set or per window, is the exponential of
+one log-space tail kernel over arrays of counts; a set's principal angle is
+``arccos(sqrt(sum of its members' squared coefficients))``."""
 
 from __future__ import annotations
 
@@ -19,9 +23,7 @@ __all__ = [
     "AngleEnrichmentResult",
     "OverlapCurve",
     "OverlapCurveSummary",
-    "hypergeom_tail",
     "hypergeom_enrich",
-    "principal_angle",
     "angle_null_pvalue",
     "angle_enrich",
     "overlap_curve",
@@ -159,30 +161,6 @@ def _log_hypergeom_tail(k, marked, drawn, universe) -> np.ndarray:
     return out
 
 
-def hypergeom_tail(k: int, n_significant: int, set_size: int, universe: int) -> float:
-    """Upper-tail probability P(K >= k) of the hypergeometric overlap.
-
-    K is the overlap when ``set_size`` genes are drawn without replacement
-    from a universe of ``universe`` genes of which ``n_significant`` are
-    marked. One point of the log-space kernel behind ``hypergeom_enrich``
-    and ``sliding_window_profile``: within 1e-12 relative of the exact tail
-    wherever it is a normal double; smaller tails underflow toward 0.
-    """
-    for name, value in (
-        ("k", k),
-        ("n_significant", n_significant),
-        ("set_size", set_size),
-        ("universe", universe),
-    ):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer")
-    if n_significant > universe or set_size > universe:
-        raise ValueError("marked and drawn counts cannot exceed the universe")
-    if k > min(n_significant, set_size):
-        raise ValueError("k cannot exceed min(n_significant, set_size)")
-    return float(np.exp(_log_hypergeom_tail(k, n_significant, set_size, universe)))
-
-
 def hypergeom_enrich(
     significant,
     library: GeneSetLibrary,
@@ -239,29 +217,6 @@ def _set_angles(
     which, where = _member_index(index, library)
     mass = np.bincount(which, direction.coefficients[where] ** 2, len(library))
     return np.arccos(np.sqrt(np.minimum(mass, 1.0))), np.bincount(which, minlength=len(library))
-
-
-def principal_angle(
-    direction: CharacteristicDirection, gene_set: GeneSet
-) -> tuple[float, int]:
-    """First principal angle between the direction and the coordinate
-    subspace spanned by the set's genes.
-
-    ``theta = arccos(sqrt(sum of squared coefficients over the set))``.
-    Members absent from the direction's gene universe are dropped.
-
-    Returns:
-        (theta, n_dropped) with theta in [0, pi/2].
-
-    Raises:
-        ValueError: no set member occurs in the direction's universe.
-    """
-    theta, present = _set_angles(direction, GeneSetLibrary.from_sets([gene_set]))
-    if not present[0]:
-        raise ValueError(
-            f"gene set {gene_set.name!r} has no member in the gene universe"
-        )
-    return float(theta[0]), len(gene_set.members) - int(present[0])
 
 
 def angle_null_pvalue(theta, n: int):
@@ -403,7 +358,9 @@ def sliding_window_profile(
     For every stride-1 window of ``window`` genes, returns the window's mean
     distance and the log of the hypergeometric upper-tail p-value of its
     overlap with the significant set, finite however small the p-value.
-    The genes must be sorted by distance ascending, each appearing once.
+    The genes must be sorted by distance ascending, each appearing once,
+    and ``universe`` must count at least the genes listed and the distinct
+    significant genes.
     """
     genes = list(genes)
     distances = np.asarray(distances, dtype=np.float64)
@@ -417,6 +374,8 @@ def sliding_window_profile(
         raise ValueError("universe smaller than the association list")
 
     significant = set(significant)
+    if len(significant) > universe:
+        raise ValueError("more distinct significant genes than the universe")
     hits = np.fromiter(map(significant.__contains__, genes), dtype=np.int64, count=len(genes))
     hit_prefix = np.concatenate([[0], np.cumsum(hits)])
     dist_prefix = np.concatenate([[0.0], np.cumsum(distances)])

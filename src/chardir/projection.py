@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExpressionMatrix
 from .direction import (
     CharacteristicDirection,
     NoDifferentialSignalError,
@@ -33,7 +32,6 @@ from .linalg import (
 __all__ = [
     "ProjectionHierarchy",
     "DensityCurve",
-    "project",
     "project_hierarchy",
     "density_estimate",
     "silverman_bandwidth",
@@ -65,13 +63,6 @@ class ProjectionHierarchy:
     @property
     def depth(self) -> int:
         return len(self.directions)
-
-
-def project(direction: CharacteristicDirection, matrix: ExpressionMatrix) -> np.ndarray:
-    """Coordinate of every sample along the direction: ``b . X`` per column."""
-    if direction.gene_ids != matrix.gene_ids:
-        raise ValueError("direction and matrix gene universes differ")
-    return direction.coefficients @ matrix.values
 
 
 def project_hierarchy(

@@ -31,12 +31,12 @@ __all__ = [
     "synthetic_gene_ids",
     "method_scores",
     "score_recovery",
-    "benchmark_sweep",
-    "benchmark_roc",
     "benchmark_sweep_roc",
 ]
 
 METHODS = ("LR1", "NP1", "WELCH")
+# Points of the common false-positive-rate grid the mean ROC is sampled on.
+ROC_GRID_POINTS = 101
 
 
 def _round_count(x: float) -> int:
@@ -310,44 +310,6 @@ def _run_all(
         return dict(zip(tasks, [f.result() for f in futures]))
 
 
-def benchmark_sweep(
-    spec_template: SyntheticSpec,
-    sample_sizes,
-    n_runs: int,
-    methods=METHODS,
-    n_jobs: int = 1,
-) -> list[SweepCell]:
-    """Mean Gini per method and sample size over repeated simulations.
-
-    ``spec_template.seed`` is the master seed; each run draws fresh data
-    from a deterministically derived per-run seed, every method scores the
-    same data, and runs where an estimator degenerates are counted and
-    excluded rather than silently dropped. Aggregation uses compensated
-    summation over the run-ordered values, so results do not depend on
-    ``n_jobs``.
-    """
-    return benchmark_sweep_roc(spec_template, sample_sizes, None, n_runs, methods, n_jobs)[0]
-
-
-def benchmark_roc(
-    spec_template: SyntheticSpec,
-    samples_per_class: int,
-    n_runs: int,
-    methods=METHODS,
-    n_jobs: int = 1,
-    grid_points: int = 101,
-) -> list[MeanRocCurve]:
-    """Run-averaged ROC curves on a common false-positive-rate grid.
-
-    Each run's ROC is linearly interpolated onto the grid before
-    averaging; seeds derive exactly as in :func:`benchmark_sweep`, so the
-    two benchmarks see the same data for the same (size, run) pair.
-    """
-    return benchmark_sweep_roc(
-        spec_template, [], samples_per_class, n_runs, methods, n_jobs, grid_points
-    )[1]
-
-
 def benchmark_sweep_roc(
     spec_template: SyntheticSpec,
     sample_sizes,
@@ -355,12 +317,19 @@ def benchmark_sweep_roc(
     n_runs: int,
     methods=METHODS,
     n_jobs: int = 1,
-    grid_points: int = 101,
 ) -> tuple[list[SweepCell], list[MeanRocCurve]]:
-    """:func:`benchmark_sweep` over ``sample_sizes`` and :func:`benchmark_roc`
-    at ``roc_samples`` (no curves when None) from one set of runs: a
-    (size, run) pair that both need is simulated and scored once. A size
-    or method listed twice counts once, at its first position."""
+    """Mean Gini per method at each of ``sample_sizes``, and the mean ROC
+    per method at ``roc_samples`` (none when None), over ``n_runs`` runs.
+
+    ``spec_template.seed`` is the master seed: each run draws its data from
+    a seed derived from (master seed, size, run index), every method scores
+    the same data, and a (size, run) pair both tables need runs once. Runs
+    where an estimator degenerates are counted and excluded. Ginis are
+    averaged by compensated summation in run order and each ROC is
+    interpolated onto a common false-positive-rate grid before averaging,
+    so results do not depend on ``n_jobs``. A size or method listed twice
+    counts once, at its first position.
+    """
     methods = _validated_methods(methods)
     sample_sizes = list(dict.fromkeys(sample_sizes))
     if n_runs < 1:
@@ -393,7 +362,7 @@ def benchmark_sweep_roc(
 
     if roc_samples is None:
         return cells, []
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, ROC_GRID_POINTS)
     curves = []
     for method in methods:
         rows = []

@@ -10,17 +10,11 @@ import numpy as np
 
 __all__ = [
     "WelchScreen",
-    "UndefinedStatisticError",
     "welch_arrays",
-    "welch_test",
     "student_t_two_sided",
     "bh_fdr",
     "ttest_screen",
 ]
-
-
-class UndefinedStatisticError(ValueError):
-    """Test statistic is undefined (zero variance, equal means)."""
 
 
 @dataclass(frozen=True)
@@ -217,21 +211,6 @@ def welch_arrays(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     p = student_t_two_sided(t, df)
     p[undefined] = 1.0
     return t, df, p, undefined
-
-
-def welch_test(x1, x2) -> tuple[float, float, float]:
-    """Welch's t-test between two samples: ``(t, df, p)`` of the single row
-    of :func:`welch_arrays`.
-
-    Raises:
-        UndefinedStatisticError: both variances and the mean difference
-            are zero.
-        ValueError: a sample has fewer than 2 values or non-finite data.
-    """
-    t, df, p, undefined = welch_arrays(np.reshape(x1, (1, -1)), np.reshape(x2, (1, -1)))
-    if undefined[0]:
-        raise UndefinedStatisticError("zero variance in both samples with equal means")
-    return float(t[0]), float(df[0]), float(p[0])
 
 
 def bh_fdr(pvals) -> np.ndarray:

@@ -425,7 +425,7 @@ def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[
     and a rank list per set, instead of one membership index and bincounts.
     Rows are ``(set_name, overlap, set_size, p, q, mean_rank, diagnostic)``,
     sorted by p and then set name."""
-    from chardir.enrichment import hypergeom_tail
+    from chardir.enrichment import _log_hypergeom_tail
     from chardir.welch import bh_fdr
 
     universe_set = set(universe)
@@ -443,7 +443,7 @@ def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[
                          "no overlap with gene universe"])
             continue
         overlap = len(members & sig)
-        p = hypergeom_tail(overlap, len(sig), len(members), len(universe_set))
+        p = float(np.exp(_log_hypergeom_tail(overlap, len(sig), len(members), len(universe_set))))
         member_ranks = [ranks[g] for g in members if g in ranks] if ranks is not None else []
         mean_rank = float(np.mean(member_ranks)) if member_ranks else math.nan
         rows.append([gene_set.name, overlap, len(members), p, None, mean_rank, ""])

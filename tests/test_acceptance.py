@@ -18,21 +18,19 @@ from chardir.enrichment import (
     _log_hypergeom_tail,
     aggregate_overlap_curves,
     angle_null_pvalue,
-    hypergeom_tail,
     overlap_curve,
 )
-from chardir.linalg import pca_reduce
+from chardir.linalg import _component_rule, _factor_samples, _principal_components
 from chardir.projection import project_hierarchy
 from chardir.simulate import (
     SyntheticSpec,
-    benchmark_roc,
-    benchmark_sweep,
+    benchmark_sweep_roc,
     generate,
     method_scores,
     score_recovery,
     synthetic_gene_ids,
 )
-from chardir.welch import bh_fdr, welch_test
+from chardir.welch import bh_fdr, welch_arrays
 
 from oracles import angle_pdf, normal_equation_direction, student_t_two_sided_quad
 
@@ -58,7 +56,7 @@ class TestCriterion1GiniSweep:
     def test_lr1_beats_welch_at_every_size_and_most_when_small(self):
         sizes = [3, 4, 5, 6, 8, 10]
         template = SyntheticSpec(samples_per_class=3, seed=MASTER_SEED, **PAPER_SWEEP)
-        cells = benchmark_sweep(template, sizes, 100, methods=("LR1", "WELCH"))
+        cells, _ = benchmark_sweep_roc(template, sizes, None, 100, methods=("LR1", "WELCH"))
         by = {(c.method, c.samples_per_class): c.mean_gini for c in cells}
         gaps = {n: by[("LR1", n)] - by[("WELCH", n)] for n in sizes}
         ok = all(gaps[n] > 0 for n in sizes) and gaps[3] > gaps[10]
@@ -76,10 +74,8 @@ class TestCriterion2RocDominance:
         template = SyntheticSpec(
             samples_per_class=5, seed=MASTER_SEED, **{**PAPER_SWEEP, "n_genes": 100}
         )
-        curves = {
-            c.method: c
-            for c in benchmark_roc(template, 5, 100, methods=("LR1", "WELCH"))
-        }
+        _, curves = benchmark_sweep_roc(template, [], 5, 100, methods=("LR1", "WELCH"))
+        curves = {c.method: c for c in curves}
         lr1, welch = curves["LR1"], curves["WELCH"]
         band = lr1.fpr <= 0.3
         pointwise = np.all(lr1.tpr[band] >= welch.tpr[band])
@@ -96,8 +92,8 @@ class TestCriterion2RocDominance:
 
 class TestCriterion3Oracles:
     def test_a_hypergeometric_exact_for_universe_up_to_60(self):
-        # Every case goes through the log-space kernel in one batch;
-        # hypergeom_tail is one point of it, checked on a sample.
+        # Every case goes through the log-space kernel in one batch; a
+        # sample of single points must give the same values alone.
         cases, expected = [], []
         for universe in range(1, 61):
             for n_marked in range(universe + 1):
@@ -118,10 +114,10 @@ class TestCriterion3Oracles:
         got = np.exp(_log_hypergeom_tail(*np.array(cases).T))
         worst = float(np.max(np.abs(got - expected) / expected))
         sample = np.random.default_rng(MASTER_SEED).choice(len(cases), 300, replace=False)
-        scalar = [hypergeom_tail(*cases[i]) for i in sample]
+        scalar = [float(np.exp(_log_hypergeom_tail(*cases[i]))) for i in sample]
         report(
             3,
-            f"(a) hypergeom_tail matches exact enumeration for every case "
+            f"(a) the hypergeometric tail matches exact enumeration for every case "
             f"with universe <= 60 (worst rel err {worst:.2e} <= 1e-12)",
             worst <= 1e-12 and scalar == got[sample].tolist(),
         )
@@ -154,7 +150,7 @@ class TestCriterion3Oracles:
         for _ in range(1000):
             x1 = rng.standard_normal(int(rng.integers(2, 10))) * rng.uniform(0.5, 3)
             x2 = rng.standard_normal(int(rng.integers(2, 10))) + rng.normal(0, 2)
-            t, df, p = welch_test(x1, x2)
+            (t,), (df,), (p,), _ = welch_arrays([x1], [x2])
             worst = max(worst, abs(p - student_t_two_sided_quad(t, df)))
         report(
             3,
@@ -207,15 +203,20 @@ class TestCriterion4Invariants:
         for _ in range(25):
             data = rng.standard_normal((int(rng.integers(5, 40)), int(rng.integers(3, 12))))
             epsilon = float(rng.choice([1e-3, 1e-6, 0.05]))
-            model, scores = pca_reduce(data, epsilon=epsilon, max_components=20)
-            gram = model.basis.T @ model.basis
-            ok &= bool(np.allclose(gram, np.eye(model.n_components), atol=1e-8))
-            centered = data - model.mean[:, None]
+            factors = _factor_samples(data)
+            k, _, _, capped = _component_rule(factors, epsilon, 20)
+            scores = _principal_components(factors, epsilon, 20)
+            basis = factors.basis[:, :k]
+            ok &= bool(np.allclose(basis.T @ basis, np.eye(k), atol=1e-8))
+            centered = data - factors.mean[:, None]
+            # Score rows are orthogonal: row i over its squared norm gives
+            # the signed basis column it is the coordinate on.
+            signed = centered @ scores.T / np.sum(scores**2, axis=1)
             unexplained = float(
-                np.sum((centered - model.basis @ scores) ** 2) / (data.shape[1] - 1)
+                np.sum((centered - signed @ scores) ** 2) / (data.shape[1] - 1)
             )
             total = float(centered.var(axis=1, ddof=1).sum())
-            ok &= unexplained <= epsilon * total + 1e-12 or model.capped
+            ok &= unexplained <= epsilon * total + 1e-12 or capped
         report(4, "PCA orthonormality and reconstruction bounds hold", ok)
 
     def test_deflation_identity(self):

@@ -470,6 +470,19 @@ class TestEnrichCommand:
         assert code == 2
         assert "--universe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lists", [[], ["--universe"]])
+    def test_no_gene_list_is_usage_error(self, tmp_path, capsys, lists):
+        universe = tmp_path / "universe.txt"
+        universe.write_text("G1\n")
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tG1\n")
+        flags = [flag for name in lists for flag in (name, universe)]
+        code = run(["enrich", *flags, "--gmt", gmt, "--seed", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--ranked" in err and "--genes" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestProfileCommand:
     def test_profile_output(self, tmp_path):
@@ -552,6 +565,16 @@ class TestProfileCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "assoc.tsv: line 4, column 2: invalid distance '-3'" in err
+
+    def test_more_significant_genes_than_universe_is_analysis_error(self, tmp_path, capsys):
+        assoc = tmp_path / "assoc.tsv"
+        assoc.write_text("A\t1\nB\t2\nC\t3\n")
+        sig = tmp_path / "sig.txt"
+        sig.write_text("A\nB\nC\nD\nE\n")
+        code = run(["profile", "--associations", assoc, "--significant", sig,
+                    "--window", "2", "--universe", "4", "--seed", "1", "--out", tmp_path / "out"])
+        assert code == 1
+        assert "more distinct significant genes than the universe" in capsys.readouterr().err
 
 
 class TestProjectCommand:
@@ -780,6 +803,24 @@ class TestPipeline:
         ) == 0
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["parameters"]["alpha"] == 0.5
+
+    def test_config_equals_spelling_applies_the_file(self, toy, capsys):
+        expr, design, tmp = toy
+        config = tmp / "cfg.txt"
+        config.write_text("alpha = 0.9\n")
+        out = tmp / "out"
+        assert run(
+            ["chdir", "--expression", expr, "--design", design,
+             f"--config={config}", "--seed", "1", "--out", out]
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["alpha"] == 0.9
+        missing = tmp / "missing.cfg"
+        assert run(
+            ["chdir", "--expression", expr, "--design", design,
+             f"--config={missing}", "--seed", "1", "--out", tmp / "out2"]
+        ) == 2
+        assert f"--config: file not found: {missing}" in capsys.readouterr().err
 
     def test_console_script_entry_point(self, toy):
         expr, design, tmp = toy

@@ -12,14 +12,13 @@ from chardir.direction import CharacteristicDirection
 from chardir.enrichment import (
     OverlapCurve,
     _log_hypergeom_tail,
+    _set_angles,
     aggregate_overlap_curves,
     angle_enrich,
     angle_null_pvalue,
     dedupe_tss_associations,
     hypergeom_enrich,
-    hypergeom_tail,
     overlap_curve,
-    principal_angle,
     sliding_window_profile,
 )
 
@@ -44,18 +43,18 @@ def make_direction(coefficients, ids=None):
 
 class TestHypergeomTail:
     def test_k_zero_is_one(self):
-        assert hypergeom_tail(0, 5, 2, 10) == 1.0
+        assert np.exp(_log_hypergeom_tail(0, 5, 2, 10)) == 1.0
 
     def test_small_case_vs_full_enumeration(self):
         # C(10, 2) draws enumerated one by one: only draws of two marked
         # genes count, 10 of 45.
         expected = enumerated_hypergeom_tail(2, 5, 2, 10)
         assert expected == pytest.approx(10 / 45)
-        assert hypergeom_tail(2, 5, 2, 10) == pytest.approx(expected, rel=1e-14)
+        assert np.exp(_log_hypergeom_tail(2, 5, 2, 10)) == pytest.approx(expected, rel=1e-14)
 
     def test_everything_significant_gives_one(self):
         for k in range(0, 4):
-            assert hypergeom_tail(k, 10, 3, 10) == 1.0
+            assert np.exp(_log_hypergeom_tail(k, 10, 3, 10)) == 1.0
 
     def test_matches_exact_oracle_on_medium_cases(self):
         rng = np.random.default_rng(0)
@@ -65,7 +64,7 @@ class TestHypergeomTail:
             n_drawn = int(rng.integers(0, universe + 1))
             k = int(rng.integers(0, min(n_marked, n_drawn) + 1))
             expected = exact_hypergeom_tail(k, n_marked, n_drawn, universe)
-            assert hypergeom_tail(k, n_marked, n_drawn, universe) == pytest.approx(
+            assert np.exp(_log_hypergeom_tail(k, n_marked, n_drawn, universe)) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -78,21 +77,24 @@ class TestHypergeomTail:
         ]
         for k, n_marked, n_drawn, universe in cases:
             expected = exact_hypergeom_tail(k, n_marked, n_drawn, universe)
-            assert hypergeom_tail(k, n_marked, n_drawn, universe) == pytest.approx(
+            assert np.exp(_log_hypergeom_tail(k, n_marked, n_drawn, universe)) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_forced_overlap_support_bound(self):
         # Drawing 8 of 10 with 9 marked forces at least 7 overlaps.
-        assert hypergeom_tail(7, 9, 8, 10) == 1.0
+        assert np.exp(_log_hypergeom_tail(7, 9, 8, 10)) == 1.0
 
     def test_inconsistent_counts_rejected(self):
+        # The callers reject counts the kernel cannot take: more marked or
+        # drawn genes than the universe, and an empty draw.
+        genes, distances = ["a", "b", "c"], [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="more distinct significant genes"):
+            sliding_window_profile(genes, distances, ["a", "b", "c", "d", "e"], 2, 4)
         with pytest.raises(ValueError):
-            hypergeom_tail(3, 2, 5, 10)
+            sliding_window_profile(genes, distances, ["a"], 3, 2)
         with pytest.raises(ValueError):
-            hypergeom_tail(0, 11, 2, 10)
-        with pytest.raises(ValueError):
-            hypergeom_tail(-1, 2, 2, 10)
+            sliding_window_profile(genes, distances, ["a"], 0, 10)
 
 
 class TestLogHypergeomTail:
@@ -144,39 +146,40 @@ class TestLogHypergeomTail:
             assert np.all(np.isfinite(batch)) and np.all(batch <= 0.0)
 
     def test_scalar_tail_is_one_point_of_the_kernel(self):
-        assert hypergeom_tail(300, 2000, 300, 20_000) == math.exp(
-            _log_hypergeom_tail(300, 2000, 300, 20_000)
-        )
+        universe = [f"g{i}" for i in range(20_000)]
+        library = GeneSetLibrary.from_sets([GeneSet("S", "", frozenset(universe[:300]))])
+        result = hypergeom_enrich(universe[:2000], library, universe)
+        assert result.p[0] == math.exp(_log_hypergeom_tail(300, 2000, 300, 20_000))
 
 
 class TestPrincipalAngle:
+    @staticmethod
+    def angle(direction, *members):
+        """``(theta, members present)`` of one set through ``_set_angles``."""
+        library = GeneSetLibrary.from_sets([GeneSet("S", "", frozenset(members))])
+        theta, present = _set_angles(direction, library)
+        return float(theta[0]), int(present[0])
+
     def test_full_set_gives_zero(self):
         d = make_direction(np.array([0.6, 0.8]))
-        theta, dropped = principal_angle(d, GeneSet("S", "", frozenset(d.gene_ids)))
+        theta, present = self.angle(d, *d.gene_ids)
         assert theta == pytest.approx(0.0)
-        assert dropped == 0
+        assert present == 2
 
     def test_partial_projection(self):
         d = make_direction(np.array([0.6, 0.8]), ids=["A", "B"])
-        theta, _ = principal_angle(d, GeneSet("S", "", frozenset({"A"})))
+        theta, _ = self.angle(d, "A")
         assert theta == pytest.approx(math.acos(0.6), abs=1e-12)
 
     def test_unsupported_set_is_orthogonal(self):
         d = make_direction(np.array([1.0, 0.0, 0.0]), ids=["A", "B", "C"])
-        theta, _ = principal_angle(d, GeneSet("S", "", frozenset({"B", "C"})))
+        theta, _ = self.angle(d, "B", "C")
         assert theta == pytest.approx(math.pi / 2)
 
     def test_absent_members_counted(self):
         d = make_direction(np.array([0.6, 0.8]), ids=["A", "B"])
-        theta, dropped = principal_angle(
-            d, GeneSet("S", "", frozenset({"A", "Z1", "Z2"}))
-        )
-        assert dropped == 2
-
-    def test_empty_intersection_raises(self):
-        d = make_direction(np.array([1.0]), ids=["A"])
-        with pytest.raises(ValueError):
-            principal_angle(d, GeneSet("S", "", frozenset({"Z"})))
+        _, present = self.angle(d, "A", "Z1", "Z2")
+        assert 3 - present == 2
 
 
 class TestAngleNull:

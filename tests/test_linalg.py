@@ -4,10 +4,31 @@ import numpy as np
 import pytest
 
 from chardir.direction import lr1_direction, np1_direction
-from chardir.linalg import ZeroVarianceError, pca_reduce, random_rotation
+from chardir.linalg import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_COMPONENTS,
+    ZeroVarianceError,
+    _component_rule,
+    _factor_samples,
+    _principal_components,
+    random_rotation,
+)
 from chardir.projection import project_hierarchy
 
 from oracles import covariance_eigendecomposition
+
+
+def pca(data, epsilon=DEFAULT_EPSILON, max_components=DEFAULT_MAX_COMPONENTS):
+    """(factors, (k, variances, retained, capped), scores) of ``data``."""
+    factors = _factor_samples(data)
+    rule = _component_rule(factors, epsilon, max_components)
+    return factors, rule, _principal_components(factors, epsilon, max_components)
+
+
+def signed_basis(centered, scores):
+    """The gene-space basis the scores are coordinates in: score rows are
+    orthogonal, so column i is ``centered @ scores[i] / |scores[i]|^2``."""
+    return centered @ scores.T / np.sum(scores**2, axis=1)
 
 
 class TestPcaReduce:
@@ -16,70 +37,69 @@ class TestPcaReduce:
         direction = rng.standard_normal(50)
         positions = np.array([-2.0, -1.0, 0.5, 3.0])
         data = np.outer(direction, positions)
-        model, scores = pca_reduce(data, epsilon=1e-3, max_components=20)
-        assert model.n_components == 1
-        assert model.retained_fraction == pytest.approx(1.0, abs=1e-12)
-        assert not model.capped
+        _, (k, _, retained, capped), _ = pca(data, epsilon=1e-3, max_components=20)
+        assert k == 1
+        assert retained == pytest.approx(1.0, abs=1e-12)
+        assert not capped
 
     def test_identical_samples_zero_variance(self):
         data = np.tile(np.arange(5.0)[:, None], (1, 3))
         with pytest.raises(ZeroVarianceError):
-            pca_reduce(data)
+            pca(data)
 
     def test_reconstruction_against_eigendecomposition(self):
         rng = np.random.default_rng(42)
         data = rng.standard_normal((30, 10))
-        model, scores = pca_reduce(data, epsilon=1e-3, max_components=20)
+        _, (k, variances, _, _), scores = pca(data, epsilon=1e-3, max_components=20)
 
         centered = data - data.mean(axis=1, keepdims=True)
-        residual = centered - model.basis @ scores
+        residual = centered - signed_basis(centered, scores) @ scores
         total_var = centered.var(axis=1, ddof=1).sum()
         assert np.sum(residual**2) / (10 - 1) <= 1e-3 * total_var
 
         eigvals, _ = covariance_eigendecomposition(data)
-        np.testing.assert_allclose(
-            model.variances, eigvals[: model.n_components], rtol=1e-10
-        )
+        np.testing.assert_allclose(variances, eigvals[:k], rtol=1e-10)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(1)
-        model, _ = pca_reduce(rng.standard_normal((40, 8)))
-        gram = model.basis.T @ model.basis
-        np.testing.assert_allclose(gram, np.eye(model.n_components), atol=1e-8)
+        factors, (k, _, _, _), _ = pca(rng.standard_normal((40, 8)))
+        basis = factors.basis[:, :k]
+        gram = basis.T @ basis
+        np.testing.assert_allclose(gram, np.eye(k), atol=1e-8)
 
     def test_scores_uncorrelated(self):
         rng = np.random.default_rng(2)
-        model, scores = pca_reduce(rng.standard_normal((25, 12)), epsilon=1e-9)
+        _, _, scores = pca(rng.standard_normal((25, 12)), epsilon=1e-9)
         cov = scores @ scores.T / (scores.shape[1] - 1)
         np.testing.assert_allclose(cov, np.diag(np.diag(cov)), atol=1e-8)
 
     def test_full_depth_reconstruction_exact(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((15, 6))
-        model, scores = pca_reduce(data, epsilon=0.0, max_components=20)
-        assert model.n_components == 5  # n_samples - 1
-        assert model.retained_fraction == pytest.approx(1.0, abs=1e-12)
-        centered = data - model.mean[:, None]
-        np.testing.assert_allclose(model.basis @ scores, centered, atol=1e-10)
+        factors, (k, _, retained, _), scores = pca(data, epsilon=0.0, max_components=20)
+        assert k == 5  # n_samples - 1
+        assert retained == pytest.approx(1.0, abs=1e-12)
+        centered = data - factors.mean[:, None]
+        np.testing.assert_allclose(signed_basis(centered, scores) @ scores, centered, atol=1e-10)
 
     def test_component_cap_binds_and_is_flagged(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((100, 30))
-        model, _ = pca_reduce(data, epsilon=1e-9, max_components=20)
-        assert model.n_components == 20
-        assert model.capped
-        assert model.retained_fraction < 1.0 - 1e-9
+        _, (k, _, retained, capped), _ = pca(data, epsilon=1e-9, max_components=20)
+        assert k == 20
+        assert capped
+        assert retained < 1.0 - 1e-9
 
     def test_variances_nonincreasing(self):
         rng = np.random.default_rng(5)
-        model, _ = pca_reduce(rng.standard_normal((20, 9)))
-        assert np.all(np.diff(model.variances) <= 0)
+        _, (_, variances, _, _), _ = pca(rng.standard_normal((20, 9)))
+        assert np.all(np.diff(variances) <= 0)
 
     def test_deterministic_sign_convention(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((12, 5))
-        model, _ = pca_reduce(data)
-        for col in model.basis.T:
+        factors, _, scores = pca(data)
+        for col in signed_basis(data - factors.mean[:, None], scores).T:
             assert col[np.argmax(np.abs(col))] > 0
 
 

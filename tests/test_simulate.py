@@ -5,8 +5,6 @@ import pytest
 
 from chardir.simulate import (
     SyntheticSpec,
-    benchmark_roc,
-    benchmark_sweep,
     benchmark_sweep_roc,
     generate,
     method_scores,
@@ -166,7 +164,7 @@ class TestMethodScores:
 class TestBenchmark:
     def test_single_run_matches_direct_call(self):
         template = spec(p=50, n=5, seed=42)
-        cells = benchmark_sweep(template, [5], 1, methods=("LR1",))
+        cells, _ = benchmark_sweep_roc(template, [5], None, 1, methods=("LR1",))
         assert len(cells) == 1
         cell = cells[0]
 
@@ -181,31 +179,32 @@ class TestBenchmark:
 
     def test_null_welch_gini_within_three_stderr(self):
         template = spec(p=50, n=5, seed=7, de_magnitude=0.0)
-        (cell,) = benchmark_sweep(template, [5], 60, methods=("WELCH",))
+        (cell,), _ = benchmark_sweep_roc(template, [5], None, 60, methods=("WELCH",))
         assert abs(cell.mean_gini) <= 3.0 * cell.stderr
 
     def test_deterministic_across_worker_counts(self):
         template = spec(p=30, n=4, seed=13)
-        sequential = benchmark_sweep(template, [3, 4], 6, methods=("LR1", "WELCH"))
-        parallel = benchmark_sweep(
-            template, [3, 4], 6, methods=("LR1", "WELCH"), n_jobs=2
+        sequential = benchmark_sweep_roc(template, [3, 4], None, 6, methods=("LR1", "WELCH"))
+        parallel = benchmark_sweep_roc(
+            template, [3, 4], None, 6, methods=("LR1", "WELCH"), n_jobs=2
         )
         assert sequential == parallel
 
     def test_roc_grid_and_determinism(self):
         template = spec(p=30, n=4, seed=14)
-        curves_a = benchmark_roc(template, 4, 5, methods=("LR1",))
-        curves_b = benchmark_roc(template, 4, 5, methods=("LR1",), n_jobs=2)
+        _, curves_a = benchmark_sweep_roc(template, [], 4, 5, methods=("LR1",))
+        _, curves_b = benchmark_sweep_roc(template, [], 4, 5, methods=("LR1",), n_jobs=2)
         assert np.array_equal(curves_a[0].tpr, curves_b[0].tpr)
         assert curves_a[0].fpr[0] == 0.0 and curves_a[0].fpr[-1] == 1.0
+        assert len(curves_a[0].fpr) == 101
         assert np.all(np.diff(curves_a[0].tpr) >= -1e-12)
 
     def test_shared_runs_match_separate_benchmarks(self):
         template = spec(p=30, n=4, seed=15)
         methods = ("LR1", "WELCH")
         cells, curves = benchmark_sweep_roc(template, [3, 4, 3], 4, 3, methods)
-        assert cells == benchmark_sweep(template, [3, 4, 3], 3, methods)
-        separate = benchmark_roc(template, 4, 3, methods)
+        assert cells == benchmark_sweep_roc(template, [3, 4, 3], None, 3, methods)[0]
+        _, separate = benchmark_sweep_roc(template, [], 4, 3, methods)
         assert [c.method for c in curves] == [c.method for c in separate]
         for shared, alone in zip(curves, separate):
             assert shared.tpr.tobytes() == alone.tpr.tobytes()
@@ -213,6 +212,6 @@ class TestBenchmark:
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
-            benchmark_sweep(spec(), [3], 1, methods=("BOGUS",))
+            benchmark_sweep_roc(spec(), [3], None, 1, methods=("BOGUS",))
         with pytest.raises(ValueError):
-            benchmark_sweep(spec(), [3], 0)
+            benchmark_sweep_roc(spec(), [3], None, 0)

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from chardir.welch import (
-    UndefinedStatisticError,
     _betainc,
     bh_fdr,
     student_t_two_sided,
     ttest_screen,
     welch_arrays,
-    welch_test,
 )
 
 from oracles import betainc_mpmath, student_t_two_sided_quad
@@ -22,6 +20,13 @@ from oracles import betainc_mpmath, student_t_two_sided_quad
 # Below the smallest normal double a relative error is not defined; there
 # the value must be negligible instead.
 NORMAL_FLOOR = 1e-300
+
+
+def welch_row(x1, x2):
+    """``(t, df, p, undefined)`` of two samples, the one row of
+    :func:`welch_arrays`."""
+    t, df, p, undefined = welch_arrays(np.reshape(x1, (1, -1)), np.reshape(x2, (1, -1)))
+    return float(t[0]), float(df[0]), float(p[0]), bool(undefined[0])
 
 
 def assert_relative(got: float, want: float, rel: float = 2e-12) -> None:
@@ -33,37 +38,38 @@ def assert_relative(got: float, want: float, rel: float = 2e-12) -> None:
 
 class TestWelchTest:
     def test_identical_samples(self):
-        t, df, p = welch_test([1, 2, 3], [1, 2, 3])
+        t, df, p, _ = welch_row([1, 2, 3], [1, 2, 3])
         assert t == 0.0
         assert p == 1.0
 
     def test_hand_computed_example(self):
         # means 2 and 3, both variances 1: t = -1/sqrt(2/3), df = (2/3)^2 / (1/9) = 4
-        t, df, p = welch_test([1, 2, 3], [2, 3, 4])
+        t, df, p, _ = welch_row([1, 2, 3], [2, 3, 4])
         assert t == pytest.approx(-1.224744871391589, abs=1e-12)
         assert df == pytest.approx(4.0, abs=1e-12)
         assert p == pytest.approx(0.2878641347266907, abs=1e-15)
 
     def test_degenerate_equal_means(self):
-        with pytest.raises(UndefinedStatisticError):
-            welch_test([0, 0], [0, 0])
+        t, df, p, undefined = welch_row([0, 0], [0, 0])
+        assert undefined
+        assert t == 0.0 and math.isnan(df) and p == 1.0
 
     def test_degenerate_unequal_means_p_zero(self):
-        t, df, p = welch_test([1, 1], [2, 2])
+        t, df, p, _ = welch_row([1, 1], [2, 2])
         assert math.isinf(t) and t < 0
         assert p == 0.0
 
     def test_short_sample_rejected(self):
         with pytest.raises(ValueError):
-            welch_test([1], [1, 2])
+            welch_row([1], [1, 2])
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             x1 = rng.standard_normal(rng.integers(2, 9))
             x2 = rng.standard_normal(rng.integers(2, 9)) + rng.normal()
-            t_ab, df_ab, p_ab = welch_test(x1, x2)
-            t_ba, df_ba, p_ba = welch_test(x2, x1)
+            t_ab, df_ab, p_ab, _ = welch_row(x1, x2)
+            t_ba, df_ba, p_ba, _ = welch_row(x2, x1)
             assert t_ab == -t_ba
             assert df_ab == df_ba
             assert p_ab == p_ba
@@ -72,8 +78,8 @@ class TestWelchTest:
         rng = np.random.default_rng(1)
         x1 = rng.standard_normal(5)
         x2 = rng.standard_normal(7) + 0.4
-        t, df, p = welch_test(x1, x2)
-        t2, df2, p2 = welch_test(x1 + 13.5, x2 + 13.5)
+        t, df, p, _ = welch_row(x1, x2)
+        t2, df2, p2, _ = welch_row(x1 + 13.5, x2 + 13.5)
         assert t2 == pytest.approx(t, rel=1e-9)
         assert df2 == pytest.approx(df, rel=1e-9)
         assert p2 == pytest.approx(p, rel=1e-9)
@@ -102,7 +108,7 @@ class TestWelchArrays:
         assert undefined.tolist() == [False, True, False]
         assert t[0] == -math.inf and df[0] == 2.0 and p[0] == 0.0
         assert t[1] == 0.0 and math.isnan(df[1]) and p[1] == 1.0
-        assert (t[2], df[2], p[2]) == welch_test(x1[2], x2[2])
+        assert (t[2], df[2], p[2], False) == welch_row(x1[2], x2[2])
 
 
 class TestStudentTail:
@@ -257,7 +263,7 @@ class TestScreen:
         x2 = rng.standard_normal((10, 6))
         screen = ttest_screen([f"g{i}" for i in range(10)], x1, x2, 0.1)
         for i in range(10):
-            t, df, p = welch_test(x1[i], x2[i])
+            t, df, p, _ = welch_row(x1[i], x2[i])
             assert screen.t[i] == t and screen.df[i] == df and screen.p[i] == p
 
     def test_q_at_least_p(self):
