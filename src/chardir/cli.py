@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    _CHUNK_ROWS,
     ExpressionMatrix,
     TwoClassDesign,
     align_design,
@@ -95,7 +96,7 @@ def _write_manifest(out_dir: Path, args) -> None:
     params = {
         k: "" if v is None else v
         for k, v in vars(args).items()
-        if k not in ("command", "func", "config", "seed")
+        if k not in ("command", "func", "parser", "config", "seed")
     }
     manifest = {
         "command": args.command,
@@ -177,7 +178,7 @@ def _read_ranked_file(path: Path):
     with open(path) as handle:
         numbered = enumerate(handle, start=1)
         # A chunk of lines at a time, so only the cells read outlive their chunk.
-        while not faults and (chunk := list(islice(numbered, 1024))):
+        while not faults and (chunk := list(islice(numbered, _CHUNK_ROWS))):
             comments += [line for _, line in chunk if line.startswith("#")]
             chunk = [(i, line.rstrip("\n")) for i, line in chunk if line.strip() and line[0] != "#"]
             if header is None and chunk:
@@ -335,8 +336,8 @@ def _cmd_ttest(parser, args) -> int:
 
 
 def _cmd_enrich(parser, args) -> int:
-    if not (args.ranked or (args.genes and args.universe)):
-        parser.error("enrich needs --ranked, or --genes with --universe")
+    if args.genes and not args.universe:
+        parser.error("--genes needs --universe")
     with open(args.gmt) as handle:
         library = parse_gmt(handle)
 
@@ -602,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ttest)
 
     p = sub.add_parser("enrich", help="gene-set enrichment of a result file")
-    p.add_argument("--ranked", help="ranked TSV from the chdir or ttest command")
-    p.add_argument("--genes", help="plain significant-gene list (one id per line)")
+    lists = p.add_mutually_exclusive_group(required=True)
+    lists.add_argument("--ranked", help="ranked TSV from the chdir or ttest command")
+    lists.add_argument("--genes", help="plain significant-gene list (one id per line)")
     p.add_argument("--universe", help="universe gene list (one id per line)")
     p.add_argument("--gmt", required=True, help="gene-set library, GMT format")
     p.add_argument("--mode", choices=("hypergeom", "angle"), default="hypergeom")
@@ -647,6 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.set_defaults(func=_cmd_benchmark)
 
+    # Each command reports its usage errors with its own usage line.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -695,10 +700,10 @@ def main(argv=None) -> int:
 
     for attr, value in _input_files(args).items():
         if not Path(value).is_file():
-            parser.error(f"--{attr}: file not found: {Path(value)}")
+            args.parser.error(f"--{attr}: file not found: {Path(value)}")
 
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except _ANALYSIS_ERRORS as exc:
         print(f"chardir {args.command}: error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR

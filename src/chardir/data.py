@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import count, repeat
-from typing import Iterable, TextIO
+from itertools import count, islice, repeat
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -28,6 +28,10 @@ __all__ = [
     "matrix_to_tsv",
     "write_table",
 ]
+
+# Rows the table readers convert at a time, so only one chunk's cells are held
+# as strings at once.
+_CHUNK_ROWS = 1024
 
 
 class ExpressionDataError(ValueError):
@@ -188,16 +192,22 @@ def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:
     return text
 
 
-def _content_lines(text: str | TextIO | Iterable[str]) -> tuple[list[int], list[str]]:
-    """Physical line numbers and text of the lines that are neither blank
-    nor ``#`` comments, with the line ending stripped."""
-    linenos: list[int] = []
-    lines: list[str] = []
+def _numbered_lines(text: str | TextIO | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Physical line number and text of each line that is neither blank nor
+    a ``#`` comment, with the line ending stripped."""
     for lineno, line in enumerate(_as_lines(text), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if line.strip() and not line.lstrip().startswith("#"):
-            linenos.append(lineno)
-            lines.append(line)
+            yield lineno, line
+
+
+def _content_lines(text: str | TextIO | Iterable[str]) -> tuple[list[int], list[str]]:
+    """The line numbers and the lines of :func:`_numbered_lines`."""
+    linenos: list[int] = []
+    lines: list[str] = []
+    for lineno, line in _numbered_lines(text):
+        linenos.append(lineno)
+        lines.append(line)
     return linenos, lines
 
 
@@ -282,30 +292,37 @@ def parse_expression_tsv(
     if pseudocount < 0:
         raise ExpressionDataError("pseudocount must be nonnegative")
 
-    linenos, lines = _content_lines(text)
-    if not lines:
+    numbered = _numbered_lines(text)
+    first = next(numbered, None)
+    if first is None:
         raise ExpressionDataError("empty input: no header row")
-    header = [c.strip() for c in lines[0].split("\t")]
+    header_lineno, header_line = first
+    header = [c.strip() for c in header_line.split("\t")]
     sample_ids = header[1:]
     if not sample_ids:
-        raise ExpressionDataError(f"row {linenos[0]}: header has no sample ids")
+        raise ExpressionDataError(f"row {header_lineno}: header has no sample ids")
     seen: set[str] = set()
     for sid in sample_ids:
         if not sid:
-            raise ExpressionDataError(f"row {linenos[0]}: empty sample id")
+            raise ExpressionDataError(f"row {header_lineno}: empty sample id")
         if sid in seen:
-            raise ExpressionDataError(f"row {linenos[0]}: duplicate sample id {sid!r}")
+            raise ExpressionDataError(f"row {header_lineno}: duplicate sample id {sid!r}")
         seen.add(sid)
-    if len(lines) == 1:
-        raise ExpressionDataError("empty matrix: no gene rows")
 
-    block = _value_block(lines[1:], len(header), already_log, pseudocount)
-    if block is None:
-        # The same checks one row at a time: the earliest faulty row raises.
-        for lineno, line in zip(linenos[1:], lines[1:]):
-            _check_row(lineno, line, len(header), already_log, pseudocount)
-        raise ExpressionDataError("malformed expression table")
-    genes, values = block
+    genes: list[str] = []
+    blocks: list[np.ndarray] = []
+    while chunk := list(islice(numbered, _CHUNK_ROWS)):
+        block = _value_block([line for _, line in chunk], len(header), already_log, pseudocount)
+        if block is None:
+            # The same checks one row at a time: the earliest faulty row raises.
+            for lineno, line in chunk:
+                _check_row(lineno, line, len(header), already_log, pseudocount)
+            raise ExpressionDataError("malformed expression table")
+        genes += block[0]
+        blocks.append(block[1])
+    if not genes:
+        raise ExpressionDataError("empty matrix: no gene rows")
+    values = np.concatenate(blocks)
     unique = list(dict.fromkeys(genes))
     if len(unique) < len(genes):
         index = dict(zip(unique, range(len(unique))))
@@ -380,7 +397,7 @@ def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:
     """Parse a two-column design table: sample_id TAB class, class in {1,2}."""
     class1: list[str] = []
     class2: list[str] = []
-    for lineno, line in zip(*_content_lines(text)):
+    for lineno, line in _numbered_lines(text):
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != 2:
             raise ExpressionDataError(

@@ -116,7 +116,7 @@ def _two_class_samples(gene_ids, x1: np.ndarray, x2: np.ndarray) -> _TwoClassSam
     if len(gene_ids) != x1.shape[0]:
         raise ValueError("gene_ids and matrices disagree on gene count")
 
-    factors = _factor_samples(np.hstack([x1, x2]))
+    factors = _factor_samples(x1, x2)
     centroid_diff = x2.mean(axis=1) - x1.mean(axis=1)
     _require_signal(centroid_diff, factors.scale)
     return _TwoClassSamples(gene_ids, factors, centroid_diff, x1.shape[1])

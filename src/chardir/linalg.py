@@ -37,15 +37,18 @@ class _SampleFactors(NamedTuple):
     scale: float
 
 
-def _factor_samples(data: np.ndarray) -> _SampleFactors:
-    """Factor the row-centred ``data`` once; see :class:`_SampleFactors`.
-    The numerical rank counts singular values above LAPACK's tolerance,
-    max(shape) * eps * largest."""
+def _factor_samples(*blocks: np.ndarray) -> _SampleFactors:
+    """Factor the row-centred column blocks, side by side, once; see
+    :class:`_SampleFactors`. The blocks are copied into one array that is
+    centred in place, so they are left unchanged. The numerical rank counts
+    singular values above LAPACK's tolerance, max(shape) * eps * largest."""
+    data = np.hstack(blocks)
     mean = data.mean(axis=1)
-    u, s, vt = np.linalg.svd(data - mean[:, None], full_matrices=False)
+    scale = max(1.0, float(data.max()), -float(data.min()))
+    data -= mean[:, None]
+    u, s, vt = np.linalg.svd(data, full_matrices=False)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
-    scale = max(1.0, float(np.abs(data).max()))
     return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
 

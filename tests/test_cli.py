@@ -484,6 +484,41 @@ class TestEnrichCommand:
         assert not (tmp_path / "out").exists()
 
 
+    def test_ranked_with_genes_is_usage_error(self, toy, capsys):
+        _, _, tmp = toy
+        ranked = tmp / "ranked.tsv"
+        ranked.write_text("gene_id\tcoefficient\tsignificant\nGA\t1.0\ttrue\n")
+        genes = tmp / "genes.txt"
+        genes.write_text("GA\n")
+        gmt = tmp / "sets.gmt"
+        gmt.write_text("S\td\tGA\n")
+        code = run(["enrich", "--ranked", ranked, "--genes", genes, "--universe", genes,
+                    "--gmt", gmt, "--seed", "1", "--out", tmp / "out"])
+        assert code == 2
+        assert "argument --genes: not allowed with argument --ranked" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("chdir", ["--design", "{design}", "--class1", "c1,c2"]),
+    ("ttest", ["--class1", "c1,c2"]),
+    ("chdir", ["--design", "{tmp}/nope.tsv"]),
+    ("enrich", ["--genes", "{design}", "--gmt", "{design}"]),
+    ("benchmark", ["--roc-samples", "3", "--runs", "0"]),
+])
+def test_usage_error_prints_the_commands_usage(toy, capsys, command, flags):
+    # Raised by the command's handler, not by argparse, yet usage names the command.
+    expr, design, tmp = toy
+    if command in ("chdir", "ttest"):
+        flags = ["--expression", expr, *flags]
+    flags = [str(f).format(design=design, tmp=tmp) for f in flags]
+    assert run([command, *flags, "--seed", "1", "--out", tmp / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: chardir {command} "), err
+    assert f"chardir {command}: error: " in err
+    assert not (tmp / "out").exists()
+
+
 class TestProfileCommand:
     def test_profile_output(self, tmp_path):
         assoc = tmp_path / "assoc.tsv"

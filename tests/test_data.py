@@ -2,11 +2,13 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chardir.data import (
+    _CHUNK_ROWS,
     ExpressionDataError,
     ExpressionMatrix,
     GeneSet,
@@ -91,6 +93,28 @@ class TestParseExpression:
         assert again.sample_ids == m.sample_ids
         np.testing.assert_array_equal(again.values, m.values)
 
+    def test_parse_holds_one_chunk_of_cells(self, tmp_path):
+        # Four and a half chunks: the whole table's cells as strings would
+        # be about 15 times the matrix.
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((4 * _CHUNK_ROWS + _CHUNK_ROWS // 2, 20))
+        path = tmp_path / "expression.tsv"
+        with open(path, "w") as out:
+            matrix_to_tsv(ExpressionMatrix(
+                tuple(f"G{i}" for i in range(len(values))),
+                tuple(f"s{j}" for j in range(values.shape[1])),
+                values,
+            ), out)
+        tracemalloc.start()
+        try:
+            with open(path) as handle:
+                m = parse_expression_tsv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.values.tobytes() == values.tobytes()
+        assert peak < 6 * m.values.nbytes
+
     def test_reparse_is_deterministic(self):
         text = "id\ts1\ts2\nG1\t0.5\t0.5\nG1\t0.5\t-0.5\nG2\t1\t2\n"
         a = parse_expression_tsv(text)
@@ -149,6 +173,42 @@ PARSER_BATTERY = {
 }
 
 
+def _chunked_tables() -> dict[str, str]:
+    """Tables of two chunks and a bit, each with its case at a chunk
+    boundary; row k is gene row k, counted from 0."""
+    rng = np.random.default_rng(12)
+    n = _CHUNK_ROWS
+    lines = ["id\ts1\ts2\ts3"] + [
+        f"G{i}\t" + "\t".join(map(repr, row))
+        for i, row in enumerate(rng.uniform(0.5, 9.0, (2 * n + 5, 3)).tolist())
+    ]
+
+    def table(edits=(), eol="\n"):
+        rows = list(lines)
+        for k, line in edits:
+            rows[k + 1] = line
+        return eol.join(rows) + eol
+
+    straddle = [lines[: n - 1], ["", "# c", "  "], lines[n - 1 : n + 1], ["#", ""], lines[n + 1 :]]
+    straddle = [line for part in straddle for line in part]
+    return {
+        "chunk_second_first_row_fault": table([(n, f"G{n}\t1\tx\t2")]),
+        "chunk_last_row_fault": table([(2 * n + 4, "GZ\t1\t2\t-inf")]),
+        "chunk_two_faults": table([(n - 3, "GA\t1\t2\tq"), (n + 2, "GB\t1\t2")]),
+        "chunk_earlier_kinds_later": table([(5, "GA\t-3\t2\t1"), (2 * n, "GB\t1")]),
+        "chunk_comments_straddle": "\n".join(straddle) + "\n",
+        "chunk_comments_straddle_fault": "\n".join(straddle).replace(f"\nG{n}\t", f"\nG{n}\tv\t", 1),
+        "chunk_duplicates_across": table([(n + 7, "g3\t9\t9\t9"), (2 * n + 1, " G5 \t0.5\t0.5\t0.5"),
+                                          (n - 1, "G8\t" + lines[9].split("\t", 1)[1])]),
+        "chunk_crlf": table(eol="\r\n"),
+        "chunk_crlf_fault": table([(n + 1, "GC\t1\t\t2")], eol="\r\n"),
+    }
+
+
+# Tables longer than one parse chunk; the row walk reads them whole.
+CHUNKED_TABLES = _chunked_tables()
+
+
 def _sources(text, tmp_path):
     """Factories of the same table as a str, a string handle, a generator of
     lines without endings and a file opened in text mode."""
@@ -174,10 +234,10 @@ def _parse_outcome(parse, source, already_log, pseudocount):
 
 
 class TestParserMatchesRowWalk:
-    @pytest.mark.parametrize("name", sorted(PARSER_BATTERY))
+    @pytest.mark.parametrize("name", sorted(PARSER_BATTERY) + sorted(CHUNKED_TABLES))
     @pytest.mark.parametrize("already_log,pseudocount", [(True, 1.0), (False, 1.0), (False, 2.5)])
     def test_same_matrix_or_same_message(self, name, already_log, pseudocount, tmp_path):
-        text = PARSER_BATTERY[name]
+        text = {**PARSER_BATTERY, **CHUNKED_TABLES}[name]
         for form, source in _sources(text, tmp_path).items():
             expected = _parse_outcome(parse_expression_rows, source(), already_log, pseudocount)
             got = _parse_outcome(parse_expression_tsv, source(), already_log, pseudocount)

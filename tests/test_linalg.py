@@ -154,3 +154,22 @@ class TestSampleFactorisation:
             rows.clear()
             fit()
             assert rows.count(40) == 1
+
+    def test_blocks_are_left_unchanged_and_factored_as_centred_copy(self):
+        # The pooled copy is centred in place; the caller's arrays, such as
+        # the coordinates a projection level refactors, must not move.
+        rng = np.random.default_rng(19)
+        x1 = rng.standard_normal((30, 3)) + 4.0
+        x2 = rng.standard_normal((30, 4)) - 2.0
+        pooled = np.hstack([x1, x2])
+        before = [x1.tobytes(), x2.tobytes(), pooled.tobytes()]
+        blocks = _factor_samples(x1, x2)
+        whole = _factor_samples(pooled)
+        assert [x1.tobytes(), x2.tobytes(), pooled.tobytes()] == before
+        u, s, vt = np.linalg.svd(pooled - pooled.mean(axis=1)[:, None], full_matrices=False)
+        r = 6  # the centred samples' rank
+        for factors in (blocks, whole):
+            assert factors.basis.tobytes() == u[:, :r].tobytes()
+            assert factors.singular.tobytes() == s[:r].tobytes()
+            assert factors.coords.tobytes() == (s[:r, None] * vt[:r]).tobytes()
+            assert factors.scale == float(np.abs(pooled).max())
