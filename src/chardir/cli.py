@@ -1,11 +1,15 @@
 """Command-line front end: reproducible file-in/file-out pipelines.
 
-Every subcommand writes its tables plus a ``manifest.json`` recording the
-command, resolved parameters, input digests, seed and tool version;
-re-running with the same manifest reproduces the outputs byte for byte
-when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
-are left unset (``import chardir`` then pins BLAS to one thread) or set
-equal between the runs.
+Each subcommand's handler computes its tables and returns ``(summary,
+outputs)``: the summary line and, in file order, each output's name and the
+writer of its open file. Only once the handler has succeeded does ``main``
+make ``--out``, write the outputs and a ``manifest.json`` recording the
+command, resolved parameters, input digests, seed and tool version, and
+print the summary with the paths written; a failed run creates no output
+directory. Re-running with the same manifest reproduces the outputs byte
+for byte when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are left unset (``import chardir`` then pins BLAS to
+one thread) or set equal between the runs.
 Exit codes: 0 success, 1 analysis error, 2 usage error.
 """
 
@@ -16,7 +20,8 @@ import hashlib
 import json
 import math
 import sys
-from itertools import compress, islice, repeat
+from functools import partial
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -27,8 +32,8 @@ from .data import (
     _CHUNK_ROWS,
     ExpressionMatrix,
     TwoClassDesign,
+    _numbered_lines,
     align_design,
-    _content_lines,
     canonical_gene_id,
     matrix_to_tsv,
     parse_design_tsv,
@@ -77,19 +82,17 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-_INPUT_FILES = (
-    "expression", "design", "ranked", "genes", "universe", "gmt", "associations", "significant"
-)
+class _InputFile(str):
+    """The ``type`` of every input-file flag: ``main`` checks that each such
+    value names a file, and the manifest records its digest."""
 
 
 def _input_files(args) -> dict[str, str]:
-    """The input-file flags given (``--universe`` is an integer, not a file,
-    on ``profile``)."""
-    values = {k: getattr(args, k, None) for k in _INPUT_FILES}
-    return {k: v for k, v in values.items() if isinstance(v, str)}
+    """The input-file flags given, by destination."""
+    return {k: v for k, v in vars(args).items() if isinstance(v, _InputFile)}
 
 
-def _write_manifest(out_dir: Path, args) -> None:
+def _write_manifest(args, out) -> None:
     """``manifest.json``: every flag of the command (unset ones as ""), the
     SHA-256 of every input file given, the seed (null for an unseeded
     command that draws no random numbers) and the tool version."""
@@ -105,9 +108,8 @@ def _write_manifest(out_dir: Path, args) -> None:
         "seed": args.seed,
         "tool_version": __version__,
     }
-    with open(out_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    json.dump(manifest, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def _resolve_seed(args) -> None:
@@ -117,15 +119,6 @@ def _resolve_seed(args) -> None:
     if args.seed is None:
         args.seed = int(np.random.SeedSequence().entropy % (2**63))
         print(f"seed: {args.seed} (drawn; pass --seed to reproduce)")
-
-
-def _load_matrix(args) -> ExpressionMatrix:
-    with open(args.expression) as handle:
-        return parse_expression_tsv(
-            handle,
-            already_log=not args.log2_transform,
-            pseudocount=args.pseudocount,
-        )
 
 
 def _resolve_design(parser, args) -> TwoClassDesign:
@@ -138,6 +131,17 @@ def _resolve_design(parser, args) -> TwoClassDesign:
         parser.error("provide --design, or both --class1 and --class2")
     split = lambda v: tuple(s.strip() for s in v.split(",") if s.strip())
     return TwoClassDesign(split(args.class1), split(args.class2))
+
+
+def _two_class_input(parser, args):
+    """``(matrix, design, x1, x2)``: the design is resolved first, so a usage
+    error is reported before the expression table is parsed."""
+    design = _resolve_design(parser, args)
+    with open(args.expression) as handle:
+        matrix = parse_expression_tsv(
+            handle, already_log=not args.log2_transform, pseudocount=args.pseudocount
+        )
+    return (matrix, design, *align_design(matrix, design))
 
 
 def _read_gene_lines(path: Path) -> list[str]:
@@ -235,46 +239,45 @@ def _read_associations(path: Path) -> tuple[list[str], np.ndarray]:
             not a number or is negative or non-finite, naming the physical
             line; of several faults the earliest line's first.
     """
+    genes, distances = [], [np.zeros(0)]
     with open(path) as handle:
-        linenos, lines = _content_lines(handle)
-    if lines and lines[0].split("\t")[0] == "gene_id":
-        linenos, lines = linenos[1:], lines[1:]
-    ragged = np.flatnonzero(np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) != 1)
-    end = int(ragged[0]) if ragged.size else len(lines)
-    faults = []  # (line index, message); the first is raised
-    if ragged.size:
-        faults.append((end, f"line {linenos[end]}: expected gene_id and distance"))
-    cells = "\t".join(lines[:end]).split("\t") if end else []
-    distances, bad = _floats(cells[1::2])
-    if bad is not None:
-        faults.append((bad, f"line {linenos[bad]}, column 2: non-numeric distance {cells[2 * bad + 1]!r}"))
-    invalid = np.flatnonzero(~((distances >= 0) & (distances < math.inf)))
-    if invalid.size:
-        i = int(invalid[0])
-        faults.append((i, f"line {linenos[i]}, column 2: invalid distance {cells[2 * i + 1]!r}"))
-    if faults:
-        raise ValueError(f"{path}: {min(faults)[1]}")
-    return list(map(str.upper, map(str.strip, cells[::2]))), distances  # canonical_gene_id
+        numbered = _numbered_lines(handle)
+        first = next(numbered, None)
+        if first is not None and first[1].split("\t")[0] != "gene_id":
+            numbered = chain([first], numbered)
+        # A chunk of lines at a time, so only the ids and distances outlive their chunk.
+        while chunk := list(islice(numbered, _CHUNK_ROWS)):
+            linenos, lines = zip(*chunk)
+            tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+            ragged = np.flatnonzero(tabs != 1)
+            end = int(ragged[0]) if ragged.size else len(lines)
+            faults = []  # (line index in the chunk, message); the first is raised
+            if ragged.size:
+                faults.append((end, f"line {linenos[end]}: expected gene_id and distance"))
+            cells = "\t".join(lines[:end]).split("\t") if end else []
+            values, bad = _floats(cells[1::2])
+            if bad is not None:
+                faults.append((bad, f"line {linenos[bad]}, column 2: "
+                                    f"non-numeric distance {cells[2 * bad + 1]!r}"))
+            invalid = np.flatnonzero(~((values >= 0) & (values < math.inf)))
+            if invalid.size:
+                i = int(invalid[0])
+                faults.append((i, f"line {linenos[i]}, column 2: "
+                                  f"invalid distance {cells[2 * i + 1]!r}"))
+            if faults:
+                raise ValueError(f"{path}: {min(faults)[1]}")
+            genes += map(str.upper, map(str.strip, cells[::2]))  # canonical_gene_id
+            distances.append(values)
+    return genes, np.concatenate(distances)
 
 
 # ---------------------------------------------------------------------------
-# Table writers
+# Subcommands: each returns its summary line and its outputs, an ordered
+# {file name: writer of the open file}; main writes them.
 
 
-def _write_tsv(out_path: Path, header, columns, comment: str = "") -> None:
-    with open(out_path, "w") as out:
-        write_table(out, header, columns, comment)
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-
-
-def _cmd_chdir(parser, args) -> int:
-    matrix = _load_matrix(args)
-    design = _resolve_design(parser, args)
-    x1, x2 = align_design(matrix, design)
-
+def _cmd_chdir(parser, args):
+    matrix, _, x1, x2 = _two_class_input(parser, args)
     if args.method == "lr1":
         direction = lr1_direction(
             matrix.gene_ids, x1, x2, args.epsilon, args.max_components
@@ -283,31 +286,17 @@ def _cmd_chdir(parser, args) -> int:
         direction = np1_direction(matrix.gene_ids, x1, x2)
     call = call_significant(direction, args.alpha)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "tsv":
-        out_path = out_dir / "ranked_genes.tsv"
-        with open(out_path, "w") as handle:
-            write_ranked_tsv(call, handle, method=direction.method)
-    else:
-        out_path = out_dir / "ranked_genes.json"
-        with open(out_path, "w") as handle:
-            write_ranked_json(call, handle, method=direction.method)
-
-    _write_manifest(out_dir, args)
-    print(
+    write = write_ranked_tsv if args.format == "tsv" else write_ranked_json
+    summary = (
         f"{direction.method}: {len(call.gene_ids)} genes ranked, "
         f"{call.selected_count} significant at alpha={args.alpha} "
-        f"(magnitude {direction.magnitude:.4g}); wrote {out_path}"
+        f"(magnitude {direction.magnitude:.4g})"
     )
-    return 0
+    return summary, {f"ranked_genes.{args.format}": partial(write, call, method=direction.method)}
 
 
-def _cmd_ttest(parser, args) -> int:
-    matrix = _load_matrix(args)
-    design = _resolve_design(parser, args)
-    x1, x2 = align_design(matrix, design)
-
+def _cmd_ttest(parser, args):
+    matrix, _, x1, x2 = _two_class_input(parser, args)
     screen = ttest_screen(matrix.gene_ids, x1, x2, args.fdr)
     order = np.lexsort((screen.gene_ids, screen.p))
     columns = [
@@ -315,27 +304,19 @@ def _cmd_ttest(parser, args) -> int:
         for c in (screen.gene_ids, screen.t, screen.df, screen.p, screen.q,
                   screen.significant, screen.diagnostic)
     ]
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "welch_results.tsv"
-    _write_tsv(
-        out_path,
-        ["gene_id", "t", "df", "p", "q", "significant", "diagnostic"],
-        columns,
-        "two-sided p-values",
+    summary = (
+        f"welch: {len(screen.gene_ids)} genes tested, "
+        f"{int(screen.significant.sum())} significant at FDR {args.fdr}"
     )
-
-    _write_manifest(out_dir, args)
-    n_sig = int(screen.significant.sum())
-    print(
-        f"welch: {len(screen.gene_ids)} genes tested, {n_sig} significant at FDR {args.fdr}; "
-        f"wrote {out_path}"
-    )
-    return 0
+    return summary, {"welch_results.tsv": partial(
+        write_table,
+        header=["gene_id", "t", "df", "p", "q", "significant", "diagnostic"],
+        columns=columns,
+        comment="two-sided p-values",
+    )}
 
 
-def _cmd_enrich(parser, args) -> int:
+def _cmd_enrich(parser, args):
     if args.genes and not args.universe:
         parser.error("--genes needs --universe")
     with open(args.gmt) as handle:
@@ -348,10 +329,6 @@ def _cmd_enrich(parser, args) -> int:
         significant = _read_gene_lines(Path(args.genes))
         universe = _read_gene_lines(Path(args.universe))
         ranking, coefficients, method = None, None, None
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "enrichment.tsv"
 
     if args.mode == "hypergeom":
         result = hypergeom_enrich(significant, library, universe, ranking)
@@ -369,54 +346,35 @@ def _cmd_enrich(parser, args) -> int:
         )
         result = angle_enrich(direction, library)
     columns = vars(result)
-    _write_tsv(out_path, list(columns), list(columns.values()))
-
-    _write_manifest(out_dir, args)
     n_hits = int(np.count_nonzero((result.q <= args.fdr) & (result.diagnostic == "")))
     top = result.set_name[0] if len(result.set_name) else "none"
-    print(
+    summary = (
         f"enrich ({args.mode}): {len(result.set_name)} sets tested, {n_hits} at FDR {args.fdr}, "
-        f"top hit {top}; wrote {out_path}"
+        f"top hit {top}"
     )
-    return 0
+    return summary, {"enrichment.tsv": partial(
+        write_table, header=list(columns), columns=list(columns.values())
+    )}
 
 
-def _cmd_profile(parser, args) -> int:
+def _cmd_profile(parser, args):
     genes, distances = dedupe_tss_associations(*_read_associations(Path(args.associations)))
     significant = _read_gene_lines(Path(args.significant))
     mean_distance, log_p = sliding_window_profile(
         genes, distances, significant, args.window, args.universe
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "profile.tsv"
-    _write_tsv(out_path, ["mean_distance", "minus_log10_p"], [mean_distance, -log_p / math.log(10)])
-
-    _write_manifest(out_dir, args)
-    print(f"profile: {len(log_p)} windows over {len(genes)} genes; wrote {out_path}")
-    return 0
+    return f"profile: {len(log_p)} windows over {len(genes)} genes", {"profile.tsv": partial(
+        write_table,
+        header=["mean_distance", "minus_log10_p"],
+        columns=[mean_distance, -log_p / math.log(10)],
+    )}
 
 
-def _cmd_project(parser, args) -> int:
-    matrix = _load_matrix(args)
-    design = _resolve_design(parser, args)
-    x1, x2 = align_design(matrix, design)
-
+def _cmd_project(parser, args):
+    matrix, design, x1, x2 = _two_class_input(parser, args)
     samples = _two_class_samples(matrix.gene_ids, x1, x2)
     hierarchy = _project_samples(samples, args.depth, args.epsilon, args.max_components)
     sample_ids = list(design.class1_samples) + list(design.class2_samples)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    proj_path = out_dir / "projection.tsv"
-    _write_tsv(
-        proj_path,
-        ["sample_id", "class", *(f"cd{i + 1}" for i in range(hierarchy.depth))],
-        [sample_ids, hierarchy.class_of_sample, *hierarchy.coords],
-        f"truncated: {hierarchy.truncated_reason}" if hierarchy.truncated_reason else "",
-    )
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
     n1 = len(design.class1_samples)
@@ -429,31 +387,30 @@ def _cmd_project(parser, args) -> int:
     grid = np.linspace(lo, hi, len(curve1.grid))
     dens1 = np.interp(grid, curve1.grid, curve1.density, left=0.0, right=0.0)
     dens2 = np.interp(grid, curve2.grid, curve2.density, left=0.0, right=0.0)
-    density_path = out_dir / "density.tsv"
-    _write_tsv(
-        density_path,
-        ["grid_x", "density_class1", "density_class2"],
-        [grid, dens1, dens2],
-    )
 
     scores = _principal_components(
         samples.factors, args.epsilon, max(2, args.max_components)
     )
-    pca_path = out_dir / "pca.tsv"
     pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))
-    _write_tsv(
-        pca_path,
-        ["sample_id", "class", "pc1", "pc2"],
-        [sample_ids, hierarchy.class_of_sample, scores[0], pc2],
-    )
-
-    _write_manifest(out_dir, args)
     note = f" ({hierarchy.truncated_reason})" if hierarchy.truncated_reason else ""
-    print(
-        f"project: depth {hierarchy.depth}{note}; wrote {proj_path}, "
-        f"{density_path}, {pca_path}"
-    )
-    return 0
+    return f"project: depth {hierarchy.depth}{note}", {
+        "projection.tsv": partial(
+            write_table,
+            header=["sample_id", "class", *(f"cd{i + 1}" for i in range(hierarchy.depth))],
+            columns=[sample_ids, hierarchy.class_of_sample, *hierarchy.coords],
+            comment=f"truncated: {hierarchy.truncated_reason}" if hierarchy.truncated_reason else "",
+        ),
+        "density.tsv": partial(
+            write_table,
+            header=["grid_x", "density_class1", "density_class2"],
+            columns=[grid, dens1, dens2],
+        ),
+        "pca.tsv": partial(
+            write_table,
+            header=["sample_id", "class", "pc1", "pc2"],
+            columns=[sample_ids, hierarchy.class_of_sample, scores[0], pc2],
+        ),
+    }
 
 
 def _spec_from_args(args, samples_per_class: int) -> SyntheticSpec:
@@ -469,7 +426,7 @@ def _spec_from_args(args, samples_per_class: int) -> SyntheticSpec:
     )
 
 
-def _cmd_simulate(parser, args) -> int:
+def _cmd_simulate(parser, args):
     _resolve_seed(args)
     spec = _spec_from_args(args, args.samples_per_class)
     outcome = generate(spec)
@@ -482,33 +439,21 @@ def _cmd_simulate(parser, args) -> int:
     matrix = ExpressionMatrix(
         gene_ids, sample_ids, np.hstack([outcome.x_control, outcome.x_perturbed])
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    expr_path = out_dir / "expression.tsv"
-    with open(expr_path, "w") as handle:
-        matrix_to_tsv(matrix, handle)
-    design_path = out_dir / "design.tsv"
-    with open(design_path, "w") as handle:
-        for sid in sample_ids[:n]:
-            handle.write(f"{sid}\t1\n")
-        for sid in sample_ids[n:]:
-            handle.write(f"{sid}\t2\n")
-    truth_path = out_dir / "truth.gmt"
     planted = [g for g, m in zip(gene_ids, outcome.de_mask) if m]
-    with open(truth_path, "w") as handle:
-        handle.write("TRUE_DE\tplanted differentially expressed genes\t")
-        handle.write("\t".join(planted) + "\n")
-
-    _write_manifest(out_dir, args)
-    print(
-        f"simulate: {spec.n_genes} genes x {2 * n} samples, "
-        f"{len(planted)} planted DE genes; wrote {expr_path}, {design_path}, {truth_path}"
+    summary = (
+        f"simulate: {spec.n_genes} genes x {2 * n} samples, {len(planted)} planted DE genes"
     )
-    return 0
+    return summary, {
+        "expression.tsv": partial(matrix_to_tsv, matrix),
+        "design.tsv": lambda out: out.writelines(f"{sid}\t{1 if i < n else 2}\n"
+                                                 for i, sid in enumerate(sample_ids)),
+        "truth.gmt": lambda out: out.write(
+            "TRUE_DE\tplanted differentially expressed genes\t" + "\t".join(planted) + "\n"
+        ),
+    }
 
 
-def _cmd_benchmark(parser, args) -> int:
+def _cmd_benchmark(parser, args):
     for flag in ("runs", "jobs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1")
@@ -522,23 +467,18 @@ def _cmd_benchmark(parser, args) -> int:
     cells, curves = benchmark_sweep_roc(
         template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_path = out_dir / "sweep.tsv"
     fields = ("method", "samples_per_class", "mean_gini", "stderr", "n_runs", "n_excluded")
-    _write_tsv(sweep_path, fields, [[getattr(c, f) for c in cells] for f in fields])
-    roc_path = out_dir / "roc.tsv"
-    _write_tsv(
-        roc_path,
-        ["method", "fpr", "tpr"],
-        [[c.method for c in curves for _ in c.fpr],
-         *(np.concatenate([getattr(c, f) for c in curves]) for f in ("fpr", "tpr"))],
-    )
-
-    _write_manifest(out_dir, args)
-    print(f"benchmark: {len(sizes)} sizes x {args.runs} runs; wrote {sweep_path}, {roc_path}")
-    return 0
+    return f"benchmark: {len(sizes)} sizes x {args.runs} runs", {
+        "sweep.tsv": partial(
+            write_table, header=fields, columns=[[getattr(c, f) for c in cells] for f in fields]
+        ),
+        "roc.tsv": partial(
+            write_table,
+            header=["method", "fpr", "tpr"],
+            columns=[[c.method for c in curves for _ in c.fpr],
+                     *(np.concatenate([getattr(c, f) for c in curves]) for f in ("fpr", "tpr"))],
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +486,9 @@ def _cmd_benchmark(parser, args) -> int:
 
 
 def _add_expression_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expression", required=True, help="expression TSV (genes x samples)")
+    p.add_argument(
+        "--expression", type=_InputFile, required=True, help="expression TSV (genes x samples)"
+    )
     p.add_argument(
         "--log2-transform",
         action="store_true",
@@ -556,7 +498,7 @@ def _add_expression_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_design_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--design", help="two-column TSV: sample_id, class in {1,2}")
+    p.add_argument("--design", type=_InputFile, help="two-column TSV: sample_id, class in {1,2}")
     p.add_argument("--class1", help="comma-separated class-1 (control) sample ids")
     p.add_argument("--class2", help="comma-separated class-2 (treatment) sample ids")
 
@@ -604,18 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enrich", help="gene-set enrichment of a result file")
     lists = p.add_mutually_exclusive_group(required=True)
-    lists.add_argument("--ranked", help="ranked TSV from the chdir or ttest command")
-    lists.add_argument("--genes", help="plain significant-gene list (one id per line)")
-    p.add_argument("--universe", help="universe gene list (one id per line)")
-    p.add_argument("--gmt", required=True, help="gene-set library, GMT format")
+    lists.add_argument(
+        "--ranked", type=_InputFile, help="ranked TSV from the chdir or ttest command"
+    )
+    lists.add_argument(
+        "--genes", type=_InputFile, help="plain significant-gene list (one id per line)"
+    )
+    p.add_argument("--universe", type=_InputFile, help="universe gene list (one id per line)")
+    p.add_argument("--gmt", type=_InputFile, required=True, help="gene-set library, GMT format")
     p.add_argument("--mode", choices=("hypergeom", "angle"), default="hypergeom")
     p.add_argument("--fdr", type=float, default=0.05)
     _add_common_args(p)
     p.set_defaults(func=_cmd_enrich)
 
     p = sub.add_parser("profile", help="sliding-window enrichment along TSS distances")
-    p.add_argument("--associations", required=True, help="TSV: gene_id, distance")
-    p.add_argument("--significant", required=True, help="significant-gene list")
+    p.add_argument("--associations", type=_InputFile, required=True, help="TSV: gene_id, distance")
+    p.add_argument("--significant", type=_InputFile, required=True, help="significant-gene list")
     p.add_argument("--window", type=int, required=True, help="window size in genes")
     p.add_argument("--universe", type=int, required=True, help="total genes measured")
     _add_common_args(p)
@@ -703,10 +649,17 @@ def main(argv=None) -> int:
             args.parser.error(f"--{attr}: file not found: {Path(value)}")
 
     try:
-        return args.func(args.parser, args)
+        summary, outputs = args.func(args.parser, args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in {**outputs, "manifest.json": partial(_write_manifest, args)}.items():
+            with open(out_dir / name, "w") as handle:
+                write(handle)
     except _ANALYSIS_ERRORS as exc:
         print(f"chardir {args.command}: error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
+    print(f"{summary}; wrote {', '.join(str(out_dir / name) for name in outputs)}")
+    return 0
 
 
 if __name__ == "__main__":

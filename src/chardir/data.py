@@ -201,16 +201,6 @@ def _numbered_lines(text: str | TextIO | Iterable[str]) -> Iterator[tuple[int, s
             yield lineno, line
 
 
-def _content_lines(text: str | TextIO | Iterable[str]) -> tuple[list[int], list[str]]:
-    """The line numbers and the lines of :func:`_numbered_lines`."""
-    linenos: list[int] = []
-    lines: list[str] = []
-    for lineno, line in _numbered_lines(text):
-        linenos.append(lineno)
-        lines.append(line)
-    return linenos, lines
-
-
 def _check_row(
     lineno: int, line: str, n_columns: int, already_log: bool, pseudocount: float
 ) -> None:

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chardir.cli import _read_ranked_file, main
+from chardir.cli import _read_associations, _read_ranked_file, main
+from chardir.data import _CHUNK_ROWS
 
 from oracles import covariance_eigendecomposition, exact_hypergeom_tail, read_ranked_lines
 
@@ -460,6 +462,18 @@ class TestEnrichCommand:
             f"chardir enrich: error: {ranked}: rows 3 and 6: duplicate gene id 'GA'\n"
         )
 
+    def test_analysis_error_leaves_no_output_directory(self, toy, capsys):
+        expr, design, tmp = toy
+        assert run(["ttest", "--expression", expr, "--design", design,
+                    "--seed", "1", "--out", tmp / "welch"]) == 0
+        gmt = tmp / "sets.gmt"
+        gmt.write_text("HIT\tdesc\tGA\n")
+        out = tmp / "angle"
+        assert run(["enrich", "--ranked", tmp / "welch" / "welch_results.tsv", "--gmt", gmt,
+                    "--mode", "angle", "--seed", "1", "--out", out]) == 1
+        assert "--mode angle needs a ranked file with a coefficient column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_genes_without_universe_is_usage_error(self, tmp_path, capsys):
         genes = tmp_path / "genes.txt"
         genes.write_text("G1\n")
@@ -505,18 +519,52 @@ class TestEnrichCommand:
     ("chdir", ["--design", "{tmp}/nope.tsv"]),
     ("enrich", ["--genes", "{design}", "--gmt", "{design}"]),
     ("benchmark", ["--roc-samples", "3", "--runs", "0"]),
+    ("ttest", ["--design", "{design}", "--class1", "c1,c2"]),
+    ("project", ["--design", "{design}", "--class1", "c1,c2"]),
 ])
 def test_usage_error_prints_the_commands_usage(toy, capsys, command, flags):
-    # Raised by the command's handler, not by argparse, yet usage names the command.
-    expr, design, tmp = toy
-    if command in ("chdir", "ttest"):
-        flags = ["--expression", expr, *flags]
+    # Raised by the command's handler, not by argparse, yet usage names the
+    # command; it comes before the expression table, here malformed, is parsed.
+    _, design, tmp = toy
+    malformed = tmp / "malformed.tsv"
+    malformed.write_text("gene_id\tc1\tt1\nGA\t0\n")
+    if command in ("chdir", "ttest", "project"):
+        flags = ["--expression", malformed, *flags]
     flags = [str(f).format(design=design, tmp=tmp) for f in flags]
     assert run([command, *flags, "--seed", "1", "--out", tmp / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: chardir {command} "), err
     assert f"chardir {command}: error: " in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags,names", [
+    ("chdir", ["--expression", "{expr}", "--design", "{design}"], ["ranked_genes.tsv"]),
+    ("ttest", ["--expression", "{expr}", "--design", "{design}"], ["welch_results.tsv"]),
+    ("enrich", ["--genes", "{tmp}/genes.txt", "--universe", "{tmp}/universe.txt",
+                "--gmt", "{tmp}/sets.gmt"], ["enrichment.tsv"]),
+    ("profile", ["--associations", "{tmp}/assoc.tsv", "--significant", "{tmp}/genes.txt",
+                 "--window", "1", "--universe", "10"], ["profile.tsv"]),
+    ("project", ["--expression", "{expr}", "--design", "{design}"],
+     ["projection.tsv", "density.tsv", "pca.tsv"]),
+    ("simulate", ["--n-genes", "20", "--samples-per-class", "3"],
+     ["expression.tsv", "design.tsv", "truth.gmt"]),
+    ("benchmark", ["--n-genes", "20", "--sizes", "3", "--runs", "1", "--roc-samples", "3"],
+     ["sweep.tsv", "roc.tsv"]),
+])
+def test_summary_line_names_every_output(toy, capsys, command, flags, names):
+    expr, design, tmp = toy
+    (tmp / "genes.txt").write_text("GA\n")
+    (tmp / "universe.txt").write_text("GA\nGB\n")
+    (tmp / "sets.gmt").write_text("HIT\tdesc\tGA\n")
+    (tmp / "assoc.tsv").write_text("GA\t1\nGB\t2\n")
+    flags = [f.format(expr=expr, design=design, tmp=tmp) for f in flags]
+    out = tmp / "out"
+    assert run([command, *flags, "--seed", "1", "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith("; wrote " + ", ".join(str(out / name) for name in names)), lines
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
 
 
 class TestProfileCommand:
@@ -600,6 +648,40 @@ class TestProfileCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "assoc.tsv: line 4, column 2: invalid distance '-3'" in err
+
+    def test_associations_read_holds_one_chunk_of_lines(self, tmp_path):
+        # Ten chunks: the whole file's lines and cells as strings would be
+        # about four times the ids and distances read.
+        path = tmp_path / "assoc.tsv"
+        n = 10 * _CHUNK_ROWS
+        path.write_text("gene_id\tdistance\n" + "".join(f"gene{i:05d}\t{i * 37}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            genes, distances = _read_associations(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert genes == [f"GENE{i:05d}" for i in range(n)]
+        assert distances.tolist() == [float(i * 37) for i in range(n)]
+        assert peak < 2 * held
+
+    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS])
+    @pytest.mark.parametrize("cell,message", [
+        ("x7", ", column 2: non-numeric distance 'x7'"),
+        ("-3", ", column 2: invalid distance '-3'"),
+        ("1\t2", ": expected gene_id and distance"),
+    ])
+    def test_fault_at_a_chunk_boundary_names_its_line(self, tmp_path, row, cell, message):
+        # Data row ``row`` (from 0) is the last of the first chunk or the
+        # first of the second; a later row's fault is not the one raised.
+        cells = [str(i) for i in range(2 * _CHUNK_ROWS)]
+        cells[row], cells[row + 5] = cell, "y"
+        path = tmp_path / "assoc.tsv"
+        path.write_text("# tss\ngene_id\tdistance\n"
+                        + "".join(f"G{i}\t{c}\n" for i, c in enumerate(cells)))
+        with pytest.raises(ValueError) as raised:
+            _read_associations(path)
+        assert str(raised.value) == f"{path}: line {row + 3}{message}"
 
     def test_more_significant_genes_than_universe_is_analysis_error(self, tmp_path, capsys):
         assoc = tmp_path / "assoc.tsv"
