@@ -43,10 +43,9 @@ from .data import (
 )
 from .direction import (
     CharacteristicDirection,
+    _fit,
     _two_class_samples,
     call_significant,
-    lr1_direction,
-    np1_direction,
     write_ranked_json,
     write_ranked_tsv,
 )
@@ -61,6 +60,7 @@ from .projection import _project_samples, density_estimate
 from .simulate import (
     METHODS,
     SyntheticSpec,
+    _validated_methods,
     benchmark_sweep_roc,
     generate,
     synthetic_gene_ids,
@@ -145,13 +145,8 @@ def _two_class_input(parser, args):
 
 
 def _read_gene_lines(path: Path) -> list[str]:
-    genes = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                genes.append(canonical_gene_id(line))
-    return genes
+        return [canonical_gene_id(line) for _, line in _numbered_lines(handle)]
 
 
 def _floats(cells: list[str]) -> tuple[np.ndarray, int | None]:
@@ -278,12 +273,8 @@ def _read_associations(path: Path) -> tuple[list[str], np.ndarray]:
 
 def _cmd_chdir(parser, args):
     matrix, _, x1, x2 = _two_class_input(parser, args)
-    if args.method == "lr1":
-        direction = lr1_direction(
-            matrix.gene_ids, x1, x2, args.epsilon, args.max_components
-        )
-    else:
-        direction = np1_direction(matrix.gene_ids, x1, x2)
+    samples = _two_class_samples(matrix.gene_ids, x1, x2)
+    direction = _fit(samples, args.method.upper(), args.epsilon, args.max_components)
     call = call_significant(direction, args.alpha)
 
     write = write_ranked_tsv if args.format == "tsv" else write_ranked_json
@@ -457,12 +448,16 @@ def _cmd_benchmark(parser, args):
     for flag in ("runs", "jobs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1")
-    _resolve_seed(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        methods = _validated_methods(m.strip() for m in args.methods.split(",") if m.strip())
+        for size in [*sizes, args.roc_samples]:
+            _spec_from_args(args, size)  # checks every flag of the spec
+    except ValueError as exc:
+        parser.error(str(exc))
     if not sizes:
         parser.error("--sizes must list at least one sample size")
-    methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
-
+    _resolve_seed(args)
     template = _spec_from_args(args, max(sizes))
     cells, curves = benchmark_sweep_roc(
         template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs

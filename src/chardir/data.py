@@ -51,13 +51,11 @@ class ExpressionMatrix:
         gene_ids: Unique canonical gene identifiers, one per row.
         sample_ids: Unique sample identifiers, one per column.
         values: Dense float array of shape (n_genes, n_samples), log space.
-        log_base: Base of the logarithm the values live in (metadata).
     """
 
     gene_ids: tuple[str, ...]
     sample_ids: tuple[str, ...]
     values: np.ndarray
-    log_base: float = 2.0
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -83,8 +81,6 @@ class ExpressionMatrix:
                 f"non-finite value at gene {self.gene_ids[bad[0]]!r}, "
                 f"sample {self.sample_ids[bad[1]]!r}"
             )
-        if self.log_base <= 0:
-            raise ExpressionDataError("log_base must be positive")
 
     @property
     def n_genes(self) -> int:

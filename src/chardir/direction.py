@@ -167,6 +167,23 @@ def _lr1_normal(
     return _scaled_contrast(factors, n1, 2, k)
 
 
+def _fit(
+    samples: _TwoClassSamples,
+    method: str,
+    epsilon: float = DEFAULT_EPSILON,
+    max_components: int = DEFAULT_MAX_COMPONENTS,
+) -> CharacteristicDirection:
+    """The "LR1" or "NP1" direction of factored samples, so one factorisation
+    serves both estimators; ``epsilon`` and ``max_components`` apply to LR1."""
+    if method == "LR1":
+        raw = _lr1_normal(samples.factors, samples.n1, epsilon, max_components)
+    elif method == "NP1":
+        raw = _scaled_contrast(samples.factors, samples.n1, 1)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
+    return _finalize(samples.gene_ids, raw, samples.centroid_diff, method)
+
+
 def lr1_direction(
     gene_ids,
     x1: np.ndarray,
@@ -189,9 +206,7 @@ def lr1_direction(
         NoDifferentialSignalError: the classes coincide.
         ZeroVarianceError: all pooled samples are identical.
     """
-    samples = _two_class_samples(gene_ids, x1, x2)
-    raw = _lr1_normal(samples.factors, samples.n1, epsilon, max_components)
-    return _finalize(samples.gene_ids, raw, samples.centroid_diff, "LR1")
+    return _fit(_two_class_samples(gene_ids, x1, x2), "LR1", epsilon, max_components)
 
 
 def np1_direction(gene_ids, x1: np.ndarray, x2: np.ndarray) -> CharacteristicDirection:
@@ -208,9 +223,7 @@ def np1_direction(gene_ids, x1: np.ndarray, x2: np.ndarray) -> CharacteristicDir
     difference in those axes divided by each singular value, over every
     axis of the numerical rank; it is deterministic.
     """
-    samples = _two_class_samples(gene_ids, x1, x2)
-    raw = _scaled_contrast(samples.factors, samples.n1, 1)
-    return _finalize(samples.gene_ids, raw, samples.centroid_diff, "NP1")
+    return _fit(_two_class_samples(gene_ids, x1, x2), "NP1")
 
 
 def call_significant(

@@ -10,13 +10,14 @@ planted in a sub-block of known genes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .direction import NoDifferentialSignalError, lr1_direction, np1_direction
+from .direction import NoDifferentialSignalError, _fit, _two_class_samples
 from .linalg import ZeroVarianceError, random_rotation
 from .welch import welch_arrays
 
@@ -35,8 +36,11 @@ __all__ = [
 ]
 
 METHODS = ("LR1", "NP1", "WELCH")
-# Points of the common false-positive-rate grid the mean ROC is sampled on.
-ROC_GRID_POINTS = 101
+# The common false-positive-rate grid every run's ROC is sampled on.
+ROC_GRID = np.linspace(0.0, 1.0, 101)
+ROC_GRID.flags.writeable = False
+# The errors of an estimator that degenerates on a run's data.
+_DEGENERATE = (NoDifferentialSignalError, ZeroVarianceError)
 
 
 def _round_count(x: float) -> int:
@@ -206,24 +210,30 @@ def score_recovery(per_gene_scores, de_mask) -> RecoveryScore:
     return RecoveryScore(auc=auc, gini=2.0 * auc - 1.0, fpr=fpr, tpr=tpr)
 
 
-def method_scores(outcome: SimulationOutcome, method: str) -> np.ndarray:
-    """Per-gene ranking scores of one method on a simulated dataset.
+def method_scores(outcome: SimulationOutcome, methods=METHODS) -> dict[str, np.ndarray | None]:
+    """Per-gene ranking scores of each method on a simulated dataset, None
+    for an estimator that degenerates on it.
 
-    Characteristic-direction methods score genes by squared coefficient;
-    the Welch baseline scores by -log p (genes with an undefined statistic
-    score 0).
+    Characteristic-direction methods score genes by squared coefficient,
+    all from one factorisation of the pooled samples; the Welch baseline
+    scores by -log p (genes with an undefined statistic score 0).
     """
-    gene_ids = synthetic_gene_ids(outcome.spec.n_genes)
+    methods = _validated_methods(methods)
     x1, x2 = outcome.x_control, outcome.x_perturbed
-    if method == "LR1":
-        return lr1_direction(gene_ids, x1, x2).coefficients ** 2
-    if method == "NP1":
-        return np1_direction(gene_ids, x1, x2).coefficients ** 2
-    if method == "WELCH":
-        _, _, p, _ = welch_arrays(x1, x2)
-        with np.errstate(divide="ignore"):
-            return -np.log(p)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    samples = None
+    if set(methods) - {"WELCH"}:
+        with contextlib.suppress(*_DEGENERATE):
+            samples = _two_class_samples(synthetic_gene_ids(outcome.spec.n_genes), x1, x2)
+    scores: dict[str, np.ndarray | None] = dict.fromkeys(methods)
+    for method in methods:
+        if method == "WELCH":
+            _, _, p, _ = welch_arrays(x1, x2)
+            with np.errstate(divide="ignore"):
+                scores[method] = -np.log(p)
+        elif samples is not None:
+            with contextlib.suppress(*_DEGENERATE):
+                scores[method] = _fit(samples, method).coefficients ** 2
+    return scores
 
 
 @dataclass(frozen=True)
@@ -257,8 +267,10 @@ def _run_single(
     size: int,
     run_index: int,
     methods: tuple[str, ...],
-) -> dict[str, np.ndarray | str]:
-    """One simulation run: generate data, score every method.
+) -> dict[str, tuple[float, np.ndarray] | None]:
+    """One simulation run: generate data and score every method, as its
+    Gini and its ROC's true-positive rates on ``ROC_GRID`` (None where the
+    estimator degenerates).
 
     The data seed is derived from (master seed, sample size, run index),
     so a sweep's runs reproduce identically whether executed sequentially
@@ -270,14 +282,12 @@ def _run_single(
         seed=_derived_seed(spec_template.seed, size, run_index, 0),
     )
     outcome = generate(spec)
-    scores: dict[str, np.ndarray | str] = {}
-    for method in methods:
-        try:
-            scores[method] = method_scores(outcome, method)
-        except (NoDifferentialSignalError, ZeroVarianceError) as exc:
-            scores[method] = f"excluded: {exc}"
-    scores["__mask__"] = outcome.de_mask
-    return scores
+    records = dict.fromkeys(methods)
+    for method, scores in method_scores(outcome, methods).items():
+        if scores is not None:
+            score = score_recovery(scores, outcome.de_mask)
+            records[method] = (score.gini, np.interp(ROC_GRID, score.fpr, score.tpr))
+    return records
 
 
 def _validated_methods(methods) -> tuple[str, ...]:
@@ -295,7 +305,7 @@ def _run_all(
     tasks: list[tuple[int, int]],
     methods: tuple[str, ...],
     n_jobs: int,
-) -> dict[tuple[int, int], dict[str, np.ndarray | str]]:
+) -> dict[tuple[int, int], dict[str, tuple[float, np.ndarray] | None]]:
     """Each distinct (size, run) task simulated once, keyed by the task."""
     tasks = list(dict.fromkeys(tasks))
     if n_jobs == 1:
@@ -323,12 +333,13 @@ def benchmark_sweep_roc(
 
     ``spec_template.seed`` is the master seed: each run draws its data from
     a seed derived from (master seed, size, run index), every method scores
-    the same data, and a (size, run) pair both tables need runs once. Runs
-    where an estimator degenerates are counted and excluded. Ginis are
-    averaged by compensated summation in run order and each ROC is
-    interpolated onto a common false-positive-rate grid before averaging,
-    so results do not depend on ``n_jobs``. A size or method listed twice
-    counts once, at its first position.
+    the same data, and a (size, run) pair both tables need runs once. Each
+    run, in this process or a worker, returns per method only its Gini and
+    its ROC interpolated onto a common false-positive-rate grid, and this
+    function averages them: runs where an estimator degenerates are counted
+    and excluded, and Ginis are averaged by compensated summation in run
+    order, so results do not depend on ``n_jobs``. A size or method listed
+    twice counts once, at its first position.
     """
     methods = _validated_methods(methods)
     sample_sizes = list(dict.fromkeys(sample_sizes))
@@ -342,37 +353,21 @@ def benchmark_sweep_roc(
     for size in sample_sizes:
         per_run = [runs[task] for task in tasks if task[0] == size]
         for method in methods:
-            ginis = []
-            excluded = 0
-            for run in per_run:
-                scored = run[method]
-                if isinstance(scored, str):
-                    excluded += 1
-                    continue
-                ginis.append(score_recovery(scored, run["__mask__"]).gini)
+            ginis = [run[method][0] for run in per_run if run[method] is not None]
             mean = math.fsum(ginis) / len(ginis) if ginis else float("nan")
             if len(ginis) >= 2:
                 var = math.fsum((g - mean) ** 2 for g in ginis) / (len(ginis) - 1)
                 stderr = math.sqrt(var / len(ginis))
             else:
                 stderr = float("nan")
-            cells.append(
-                SweepCell(method, size, mean, stderr, len(ginis), excluded)
-            )
+            cells.append(SweepCell(method, size, mean, stderr, len(ginis), len(per_run) - len(ginis)))
 
     if roc_samples is None:
         return cells, []
-    grid = np.linspace(0.0, 1.0, ROC_GRID_POINTS)
     curves = []
     for method in methods:
-        rows = []
-        for run in (runs[task] for task in roc_tasks):
-            scored = run[method]
-            if isinstance(scored, str):
-                continue
-            score = score_recovery(scored, run["__mask__"])
-            rows.append(np.interp(grid, score.fpr, score.tpr))
+        rows = [runs[task][method][1] for task in roc_tasks if runs[task][method] is not None]
         if not rows:
             raise RuntimeError(f"all runs failed for method {method}")
-        curves.append(MeanRocCurve(method, grid, np.vstack(rows).mean(axis=0)))
+        curves.append(MeanRocCurve(method, ROC_GRID, np.vstack(rows).mean(axis=0)))
     return cells, curves

@@ -327,14 +327,9 @@ class TestCriterion7OverlapRatio:
             )
             outcome = generate(spec)
             gene_ids = synthetic_gene_ids(spec.n_genes)
-            rank_lr1 = [
-                gene_ids[i]
-                for i in np.argsort(-method_scores(outcome, "LR1"), kind="stable")
-            ]
-            rank_welch = [
-                gene_ids[i]
-                for i in np.argsort(-method_scores(outcome, "WELCH"), kind="stable")
-            ]
+            scores = method_scores(outcome, ("LR1", "WELCH"))
+            rank_lr1 = [gene_ids[i] for i in np.argsort(-scores["LR1"], kind="stable")]
+            rank_welch = [gene_ids[i] for i in np.argsort(-scores["WELCH"], kind="stable")]
             planted = GeneSet(
                 "DE", "", frozenset(g for g, m in zip(gene_ids, outcome.de_mask) if m)
             )

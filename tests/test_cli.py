@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -870,6 +871,26 @@ class TestPipeline:
              "--runs", "2", flag, value, "--seed", "5", "--out", out]
         ) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sizes", "3,x"), ("--sizes", "1"), ("--roc-samples", "1"), ("--methods", "lr1,foo"),
+    ])
+    def test_benchmark_flag_error_is_usage_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        import chardir.simulate
+
+        monkeypatch.setattr(chardir.simulate, "generate", lambda spec: pytest.fail("a run started"))
+        args = {"--sizes": "3,4", "--roc-samples": "3", "--methods": "lr1,welch", flag: value}
+        out = tmp_path / "bench"
+        assert run(
+            ["benchmark", "--n-genes", "30", "--runs", "2", *chain(*args.items()),
+             "--seed", "5", "--out", out]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chardir benchmark "), err
+        assert "chardir benchmark: error: " in err
         assert not out.exists()
 
     def test_benchmark_simulates_each_size_and_run_once(self, tmp_path, monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 
 from chardir.direction import (
     NoDifferentialSignalError,
+    _fit,
+    _two_class_samples,
     call_significant,
     lr1_direction,
     np1_direction,
@@ -202,6 +204,21 @@ class TestNp1:
         span = centred @ (v[:, keep] / np.sqrt(w[keep]))
         b = d.coefficients
         assert np.linalg.norm(b - span @ (span.T @ b)) <= 1e-12
+
+
+class TestFit:
+    def test_one_factorisation_serves_both_estimators(self):
+        gene_ids, x1, x2 = random_two_class(np.random.default_rng(8), n_genes=40, n1=4, n2=5)
+        samples = _two_class_samples(gene_ids, x1, x2)
+        for method, public in (("LR1", lr1_direction), ("NP1", np1_direction)):
+            fitted, direct = _fit(samples, method), public(gene_ids, x1, x2)
+            assert fitted.method == direct.method == method
+            assert np.array_equal(fitted.coefficients, direct.coefficients)
+
+    def test_unknown_method_rejected(self):
+        samples = _two_class_samples(["A", "B"], TOY_X1, TOY_X2)
+        with pytest.raises(ValueError, match="unknown method 'WELCH'"):
+            _fit(samples, "WELCH")
 
 
 class TestCallSignificant:

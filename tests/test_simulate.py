@@ -1,15 +1,23 @@
 """Tests for the synthetic-data generator, scoring, and benchmark sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chardir.direction import lr1_direction, np1_direction
 from chardir.simulate import (
+    METHODS,
     SyntheticSpec,
+    _derived_seed,
+    _run_single,
     benchmark_sweep_roc,
     generate,
     method_scores,
     score_recovery,
+    synthetic_gene_ids,
 )
+from chardir.welch import welch_arrays
 
 from oracles import mann_whitney_auc
 
@@ -146,36 +154,80 @@ class TestMethodScores:
         ginis = []
         for seed in range(10):
             outcome = generate(spec(p=50, n=6, seed=seed))
-            scores = method_scores(outcome, "LR1")
+            scores = method_scores(outcome, ("LR1",))["LR1"]
             ginis.append(score_recovery(scores, outcome.de_mask).gini)
         assert float(np.mean(ginis)) > 0.4
 
     def test_welch_scores_finite_or_inf(self):
         outcome = generate(spec(p=30, n=4, seed=10))
-        scores = method_scores(outcome, "WELCH")
+        scores = method_scores(outcome, ("WELCH",))["WELCH"]
         assert np.all(scores >= 0.0)
+
+    def test_degenerate_estimators_score_none(self):
+        outcome = generate(spec(p=30, n=4, seed=2))
+        scores = method_scores(replace(outcome, x_perturbed=outcome.x_control.copy()))
+        assert list(scores) == list(METHODS)
+        assert scores["LR1"] is None and scores["NP1"] is None
+        assert scores["WELCH"].shape == (30,)
 
     def test_unknown_method_rejected(self):
         outcome = generate(spec())
         with pytest.raises(ValueError):
-            method_scores(outcome, "LDA")
+            method_scores(outcome, ("LDA",))
 
 
 class TestBenchmark:
     def test_single_run_matches_direct_call(self):
         template = spec(p=50, n=5, seed=42)
-        cells, _ = benchmark_sweep_roc(template, [5], None, 1, methods=("LR1",))
-        assert len(cells) == 1
-        cell = cells[0]
-
-        from chardir.simulate import _derived_seed
-        from dataclasses import replace
+        cells, curves = benchmark_sweep_roc(template, [5], 5, 1, methods=METHODS)
+        assert [c.method for c in cells] == [c.method for c in curves] == list(METHODS)
 
         run_spec = replace(template, samples_per_class=5, seed=_derived_seed(42, 5, 0, 0))
         outcome = generate(run_spec)
-        direct = score_recovery(method_scores(outcome, "LR1"), outcome.de_mask)
-        assert cell.mean_gini == direct.gini
-        assert cell.n_runs == 1 and cell.n_excluded == 0
+        gene_ids = synthetic_gene_ids(50)
+        x1, x2 = outcome.x_control, outcome.x_perturbed
+        direct_scores = {
+            "LR1": lr1_direction(gene_ids, x1, x2).coefficients ** 2,
+            "NP1": np1_direction(gene_ids, x1, x2).coefficients ** 2,
+            "WELCH": -np.log(welch_arrays(x1, x2)[2]),
+        }
+        for cell, curve in zip(cells, curves):
+            direct = score_recovery(direct_scores[cell.method], outcome.de_mask)
+            assert cell.mean_gini == direct.gini
+            assert cell.n_runs == 1 and cell.n_excluded == 0
+            assert np.array_equal(curve.tpr, np.interp(curve.fpr, direct.fpr, direct.tpr))
+
+    def test_one_factorisation_per_run(self, monkeypatch):
+        import chardir.direction
+
+        calls = []
+        original = chardir.direction._factor_samples
+        monkeypatch.setattr(
+            chardir.direction, "_factor_samples", lambda *b: calls.append(1) or original(*b)
+        )
+        record = _run_single(spec(p=50, n=5, seed=3), 5, 0, METHODS)
+        assert len(calls) == 1
+        assert list(record) == list(METHODS)
+
+    def test_degenerate_runs_are_counted_and_excluded(self, monkeypatch):
+        import chardir.simulate
+
+        calls = []
+        original = chardir.simulate.generate
+
+        def first_run_without_signal(run_spec):
+            calls.append(run_spec)
+            outcome = original(run_spec)
+            if len(calls) > 1:
+                return outcome
+            return replace(outcome, x_perturbed=outcome.x_control.copy())
+
+        monkeypatch.setattr(chardir.simulate, "generate", first_run_without_signal)
+        cells, curves = benchmark_sweep_roc(spec(p=30, n=4, seed=5), [4], 4, 3, methods=METHODS)
+        assert len(calls) == 3
+        counts = {c.method: (c.n_runs, c.n_excluded) for c in cells}
+        assert counts == {"LR1": (2, 1), "NP1": (2, 1), "WELCH": (3, 0)}
+        assert [c.method for c in curves] == list(METHODS)
 
     def test_null_welch_gini_within_three_stderr(self):
         template = spec(p=50, n=5, seed=7, de_magnitude=0.0)
