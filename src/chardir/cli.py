@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 analysis error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -33,7 +34,6 @@ from .data import (
     ExpressionMatrix,
     TwoClassDesign,
     _numbered_lines,
-    align_design,
     canonical_gene_id,
     matrix_to_tsv,
     parse_design_tsv,
@@ -87,6 +87,15 @@ class _InputFile(str):
     value names a file, and the manifest records its digest."""
 
 
+def _bandwidth(value: str) -> str:
+    """The ``type`` of ``--bandwidth``: 'auto' or a positive finite number,
+    kept as given so the manifest records it as typed."""
+    with contextlib.suppress(ValueError):
+        if value == "auto" or 0 < float(value) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"expected 'auto' or a positive finite number, got {value!r}")
+
+
 def _input_files(args) -> dict[str, str]:
     """The input-file flags given, by destination."""
     return {k: v for k, v in vars(args).items() if isinstance(v, _InputFile)}
@@ -134,14 +143,17 @@ def _resolve_design(parser, args) -> TwoClassDesign:
 
 
 def _two_class_input(parser, args):
-    """``(matrix, design, x1, x2)``: the design is resolved first, so a usage
-    error is reported before the expression table is parsed."""
+    """``(gene_ids, design, pooled, n1)``: ``pooled`` holds the class columns,
+    the ``n1`` of class 1 first, in one new array the caller owns. The parsed
+    table is not kept, so its values are freed before the fit. The design is
+    resolved first, so a usage error is reported before the table is parsed."""
     design = _resolve_design(parser, args)
     with open(args.expression) as handle:
         matrix = parse_expression_tsv(
             handle, already_log=not args.log2_transform, pseudocount=args.pseudocount
         )
-    return (matrix, design, *align_design(matrix, design))
+    columns = [matrix.column_index(s) for s in design.class1_samples + design.class2_samples]
+    return matrix.gene_ids, design, matrix.values[:, columns], len(design.class1_samples)
 
 
 def _read_gene_lines(path: Path) -> list[str]:
@@ -272,8 +284,8 @@ def _read_associations(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def _cmd_chdir(parser, args):
-    matrix, _, x1, x2 = _two_class_input(parser, args)
-    samples = _two_class_samples(matrix.gene_ids, x1, x2)
+    gene_ids, _, pooled, n1 = _two_class_input(parser, args)
+    samples = _two_class_samples(gene_ids, pooled, n1)
     direction = _fit(samples, args.method.upper(), args.epsilon, args.max_components)
     call = call_significant(direction, args.alpha)
 
@@ -287,8 +299,8 @@ def _cmd_chdir(parser, args):
 
 
 def _cmd_ttest(parser, args):
-    matrix, _, x1, x2 = _two_class_input(parser, args)
-    screen = ttest_screen(matrix.gene_ids, x1, x2, args.fdr)
+    gene_ids, _, pooled, n1 = _two_class_input(parser, args)
+    screen = ttest_screen(gene_ids, pooled[:, :n1], pooled[:, n1:], args.fdr)
     order = np.lexsort((screen.gene_ids, screen.p))
     columns = [
         c[order]
@@ -362,13 +374,12 @@ def _cmd_profile(parser, args):
 
 
 def _cmd_project(parser, args):
-    matrix, design, x1, x2 = _two_class_input(parser, args)
-    samples = _two_class_samples(matrix.gene_ids, x1, x2)
+    gene_ids, design, pooled, n1 = _two_class_input(parser, args)
+    samples = _two_class_samples(gene_ids, pooled, n1)
     hierarchy = _project_samples(samples, args.depth, args.epsilon, args.max_components)
     sample_ids = list(design.class1_samples) + list(design.class2_samples)
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
-    n1 = len(design.class1_samples)
     level1 = hierarchy.coords[0]
     curve1 = density_estimate(level1[:n1], bandwidth)
     curve2 = density_estimate(level1[n1:], bandwidth)
@@ -448,13 +459,17 @@ def _cmd_benchmark(parser, args):
     for flag in ("runs", "jobs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1")
+    flag = ""  # the flag whose value is being checked, as an error names it
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         methods = _validated_methods(m.strip() for m in args.methods.split(",") if m.strip())
-        for size in [*sizes, args.roc_samples]:
-            _spec_from_args(args, size)  # checks every flag of the spec
+        _spec_from_args(args, 2)  # checks every flag of the spec but the sample size
+        flag = "--sizes: "
+        sizes = [_spec_from_args(args, int(s)).samples_per_class
+                 for s in args.sizes.split(",") if s.strip()]
+        flag = "--roc-samples: "
+        _spec_from_args(args, args.roc_samples)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"{flag}{exc}")
     if not sizes:
         parser.error("--sizes must list at least one sample size")
     _resolve_seed(args)
@@ -568,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--max-components", type=int, default=20)
-    p.add_argument("--bandwidth", default="auto", help="KDE bandwidth or 'auto'")
+    p.add_argument("--bandwidth", type=_bandwidth, default="auto", help="KDE bandwidth or 'auto'")
     _add_common_args(p)
     p.set_defaults(func=_cmd_project)
 

@@ -8,6 +8,7 @@ report errors with row/column locations.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from itertools import count, islice, repeat
 from typing import Iterable, Iterator, TextIO
@@ -275,8 +276,10 @@ def parse_expression_tsv(
             comment lines counted) and column. Of several faults, the
             earliest row's first is reported.
     """
-    if pseudocount < 0:
-        raise ExpressionDataError("pseudocount must be nonnegative")
+    if not 0 <= pseudocount < math.inf:
+        raise ExpressionDataError(
+            f"pseudocount must be a nonnegative finite number, got {pseudocount!r}"
+        )
 
     numbered = _numbered_lines(text)
     first = next(numbered, None)

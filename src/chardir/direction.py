@@ -99,27 +99,36 @@ class _TwoClassSamples(NamedTuple):
     n1: int
 
 
-def _two_class_samples(gene_ids, x1: np.ndarray, x2: np.ndarray) -> _TwoClassSamples:
-    """Validate the classes, factor the pooled samples, and check for a
-    centroid difference."""
+def _pooled(x1, x2) -> tuple[np.ndarray, int]:
+    """The classes side by side in one new array, class 1 first, and the
+    class-1 sample count: the input of :func:`_two_class_samples` for a
+    caller whose arrays must stay unchanged."""
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.ndim != 2 or x2.ndim != 2:
         raise ValueError("class matrices must be 2-D (genes x samples)")
     if x1.shape[0] != x2.shape[0]:
         raise ValueError("class matrices disagree on gene count")
-    if x1.shape[1] < 2 or x2.shape[1] < 2:
+    return np.hstack([x1, x2]), x1.shape[1]
+
+
+def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSamples:
+    """Validate the classes (the first ``n1`` columns of the genes x samples
+    ``pooled``, then the rest), take their centroid difference, factor the
+    samples and check for a difference. ``pooled`` is centred in place, so
+    callers pass a float64 array they own."""
+    if n1 < 2 or pooled.shape[1] - n1 < 2:
         raise ValueError("each class needs at least 2 samples")
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+    if not np.all(np.isfinite(pooled)):
         raise ValueError("class matrices contain non-finite values")
     gene_ids = tuple(gene_ids)
-    if len(gene_ids) != x1.shape[0]:
+    if len(gene_ids) != pooled.shape[0]:
         raise ValueError("gene_ids and matrices disagree on gene count")
 
-    factors = _factor_samples(x1, x2)
-    centroid_diff = x2.mean(axis=1) - x1.mean(axis=1)
+    centroid_diff = pooled[:, n1:].mean(axis=1) - pooled[:, :n1].mean(axis=1)
+    factors = _factor_samples(pooled)
     _require_signal(centroid_diff, factors.scale)
-    return _TwoClassSamples(gene_ids, factors, centroid_diff, x1.shape[1])
+    return _TwoClassSamples(gene_ids, factors, centroid_diff, n1)
 
 
 def _finalize(
@@ -206,7 +215,7 @@ def lr1_direction(
         NoDifferentialSignalError: the classes coincide.
         ZeroVarianceError: all pooled samples are identical.
     """
-    return _fit(_two_class_samples(gene_ids, x1, x2), "LR1", epsilon, max_components)
+    return _fit(_two_class_samples(gene_ids, *_pooled(x1, x2)), "LR1", epsilon, max_components)
 
 
 def np1_direction(gene_ids, x1: np.ndarray, x2: np.ndarray) -> CharacteristicDirection:
@@ -223,7 +232,7 @@ def np1_direction(gene_ids, x1: np.ndarray, x2: np.ndarray) -> CharacteristicDir
     difference in those axes divided by each singular value, over every
     axis of the numerical rank; it is deterministic.
     """
-    return _fit(_two_class_samples(gene_ids, x1, x2), "NP1")
+    return _fit(_two_class_samples(gene_ids, *_pooled(x1, x2)), "NP1")
 
 
 def call_significant(

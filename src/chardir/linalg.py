@@ -37,12 +37,11 @@ class _SampleFactors(NamedTuple):
     scale: float
 
 
-def _factor_samples(*blocks: np.ndarray) -> _SampleFactors:
-    """Factor the row-centred column blocks, side by side, once; see
-    :class:`_SampleFactors`. The blocks are copied into one array that is
-    centred in place, so they are left unchanged. The numerical rank counts
-    singular values above LAPACK's tolerance, max(shape) * eps * largest."""
-    data = np.hstack(blocks)
+def _factor_samples(data: np.ndarray) -> _SampleFactors:
+    """Factor the row-centred samples (genes x samples) once; see
+    :class:`_SampleFactors`. ``data`` is centred in place, so callers pass a
+    float64 array they own. The numerical rank counts singular values above
+    LAPACK's tolerance, max(shape) * eps * largest."""
     mean = data.mean(axis=1)
     scale = max(1.0, float(data.max()), -float(data.min()))
     data -= mean[:, None]

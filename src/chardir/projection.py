@@ -18,6 +18,7 @@ from .direction import (
     NoDifferentialSignalError,
     _finalize,
     _lr1_normal,
+    _pooled,
     _require_signal,
     _two_class_samples,
     _TwoClassSamples,
@@ -83,7 +84,8 @@ def project_hierarchy(
     diagnostic instead of failing. The centred data are factored once as
     ``basis @ coords``, and the levels fit and deflate the small ``coords``.
     """
-    return _project_samples(_two_class_samples(gene_ids, x1, x2), depth, epsilon, max_components)
+    samples = _two_class_samples(gene_ids, *_pooled(x1, x2))
+    return _project_samples(samples, depth, epsilon, max_components)
 
 
 def _project_samples(
@@ -101,7 +103,7 @@ def _project_samples(
     for _ in range(depth):
         try:
             _require_signal(centroid_diff, factors.scale)
-            normal = _lr1_normal(_factor_samples(coords), n1, epsilon, max_components)
+            normal = _lr1_normal(_factor_samples(coords.copy()), n1, epsilon, max_components)
             direction = _finalize(
                 samples.gene_ids, factors.basis @ normal, centroid_diff, "LR1"
             )
@@ -165,8 +167,8 @@ def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
             diagnostic = "zero spread: fell back to fixed bandwidth"
     else:
         h = float(bandwidth)
-        if h <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < h < math.inf:
+            raise ValueError(f"bandwidth must be a positive finite number, got {h!r}")
 
     grid = np.linspace(coords.min() - 3 * h, coords.max() + 3 * h, GRID_POINTS)
     z = (grid[:, None] - coords[None, :]) / h

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .direction import NoDifferentialSignalError, _fit, _two_class_samples
+from .direction import NoDifferentialSignalError, _fit, _pooled, _two_class_samples
 from .linalg import ZeroVarianceError, random_rotation
 from .welch import welch_arrays
 
@@ -222,8 +222,9 @@ def method_scores(outcome: SimulationOutcome, methods=METHODS) -> dict[str, np.n
     x1, x2 = outcome.x_control, outcome.x_perturbed
     samples = None
     if set(methods) - {"WELCH"}:
+        gene_ids = synthetic_gene_ids(outcome.spec.n_genes)
         with contextlib.suppress(*_DEGENERATE):
-            samples = _two_class_samples(synthetic_gene_ids(outcome.spec.n_genes), x1, x2)
+            samples = _two_class_samples(gene_ids, *_pooled(x1, x2))
     scores: dict[str, np.ndarray | None] = dict.fromkeys(methods)
     for method in methods:
         if method == "WELCH":

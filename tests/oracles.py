@@ -322,8 +322,10 @@ def parse_expression_rows(
             sample ids, values invalid for the log transform, or an empty
             matrix; each reported with its row/column location.
     """
-    if pseudocount < 0:
-        raise ExpressionDataError("pseudocount must be nonnegative")
+    if not 0 <= pseudocount < math.inf:
+        raise ExpressionDataError(
+            f"pseudocount must be a nonnegative finite number, got {pseudocount!r}"
+        )
 
     header: list[str] | None = None
     order: list[str] = []

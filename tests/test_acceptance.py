@@ -203,7 +203,7 @@ class TestCriterion4Invariants:
         for _ in range(25):
             data = rng.standard_normal((int(rng.integers(5, 40)), int(rng.integers(3, 12))))
             epsilon = float(rng.choice([1e-3, 1e-6, 0.05]))
-            factors = _factor_samples(data)
+            factors = _factor_samples(data.copy())
             k, _, _, capped = _component_rule(factors, epsilon, 20)
             scores = _principal_components(factors, epsilon, 20)
             basis = factors.basis[:, :k]

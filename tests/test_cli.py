@@ -156,6 +156,18 @@ class TestChdirCommand:
         rows = read_rows(out / "ranked_genes.tsv")
         assert all(r["significant"] == "true" for r in rows)
 
+    @pytest.mark.parametrize("pseudocount", ["nan", "inf"])
+    def test_non_finite_pseudocount_is_named(self, toy, capsys, pseudocount):
+        expr, design, tmp = toy
+        out = tmp / "out"
+        assert run(
+            ["chdir", "--expression", expr, "--design", design, "--log2-transform",
+             "--pseudocount", pseudocount, "--seed", "1", "--out", out]
+        ) == 1
+        message = f"pseudocount must be a nonnegative finite number, got {float(pseudocount)!r}"
+        assert f"chardir chdir: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_design_file_is_usage_error(self, toy, capsys):
         expr, _, tmp = toy
         code = run(
@@ -717,6 +729,38 @@ class TestProjectCommand:
         pca = read_rows(out / "pca.tsv")
         assert set(pca[0]) == {"sample_id", "class", "pc1", "pc2"}
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "abc", "0", "-1"])
+    def test_bad_bandwidth_is_usage_error_before_the_parse(
+        self, toy, capsys, monkeypatch, bandwidth
+    ):
+        import chardir.cli
+
+        monkeypatch.setattr(chardir.cli, "parse_expression_tsv",
+                            lambda *args, **kwargs: pytest.fail("the table was parsed"))
+        expr, design, tmp = toy
+        out = tmp / "out"
+        assert run(
+            ["project", "--expression", expr, "--design", design,
+             f"--bandwidth={bandwidth}", "--seed", "1", "--out", out]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chardir project "), err
+        assert ("chardir project: error: argument --bandwidth: expected 'auto' or a positive "
+                f"finite number, got {bandwidth!r}\n") in err
+        assert not out.exists()
+
+    def test_numeric_bandwidth_is_used_and_recorded_as_given(self, toy):
+        expr, design, tmp = toy
+        out = tmp / "out"
+        assert run(
+            ["project", "--expression", expr, "--design", design,
+             "--bandwidth", "0.25", "--seed", "1", "--out", out]
+        ) == 0
+        grid = np.loadtxt(out / "density.tsv", skiprows=1)[:, 0]
+        coords = [float(r["cd1"]) for r in read_rows(out / "projection.tsv")]
+        assert grid[0] == pytest.approx(min(coords) - 3 * 0.25)
+        assert json.loads((out / "manifest.json").read_text())["parameters"]["bandwidth"] == "0.25"
+
     def test_density_columns_integrate_to_one_with_more_genes_than_samples(self, tmp_path):
         # With p > n the level-1 coordinates are constant within each class
         # up to rounding, so the automatic bandwidth must take the fallback.
@@ -795,6 +839,39 @@ class TestProjectCommand:
             outputs.append([(out / t).read_bytes()
                             for t in ("projection.tsv", "pca.tsv", "density.tsv")])
         assert outputs[0] == outputs[1]
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("command,bound", [("chdir", 2.3), ("ttest", 3.0)])
+    def test_traced_peak_after_the_parse(self, tmp_path, monkeypatch, command, bound):
+        # The command keeps one class-ordered copy of the samples, frees the
+        # parsed table before the fit and screens in row blocks. The peak
+        # traced allocation after the parse, over the parsed values' bytes,
+        # reads 1.6 (chdir) and 1.8 (ttest) on this table; a run that keeps
+        # the parsed table beside a copy of each class reads 3.1 and 4.3.
+        import chardir.cli
+
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-genes", "8192", "--samples-per-class", "10",
+                    "--seed", "3", "--out", sim]) == 0
+        parse, after = chardir.cli.parse_expression_tsv, {}
+
+        def parse_then_reset_peak(*args, **kwargs):
+            matrix = parse(*args, **kwargs)
+            after.update(held=tracemalloc.get_traced_memory()[0], nbytes=matrix.values.nbytes)
+            tracemalloc.reset_peak()
+            return matrix
+
+        monkeypatch.setattr(chardir.cli, "parse_expression_tsv", parse_then_reset_peak)
+        tracemalloc.start()
+        try:
+            code = run([command, "--expression", sim / "expression.tsv",
+                        "--design", sim / "design.tsv", "--out", tmp_path / "out"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (peak - after["held"]) / after["nbytes"] < bound
 
 
 class TestThreadPin:
@@ -891,6 +968,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("usage: chardir benchmark "), err
         assert "chardir benchmark: error: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sizes", "3,1", "--sizes: samples_per_class must be >= 2"),
+        ("--sizes", "3,x", "--sizes: invalid literal for int() with base 10: 'x'"),
+        ("--roc-samples", "1", "--roc-samples: samples_per_class must be >= 2"),
+        ("--n-genes", "0", "n_genes must be >= 1"),
+    ])
+    def test_benchmark_size_error_names_its_flag(self, tmp_path, capsys, flag, value, message):
+        args = {"--n-genes": "30", "--sizes": "3,4", "--roc-samples": "3", flag: value}
+        out = tmp_path / "bench"
+        assert run(
+            ["benchmark", "--runs", "2", *chain(*args.items()), "--seed", "5", "--out", out]
+        ) == 2
+        assert capsys.readouterr().err.endswith(f"chardir benchmark: error: {message}\n")
         assert not out.exists()
 
     def test_benchmark_simulates_each_size_and_run_once(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for expression-matrix, design, and gene-set parsing."""
 
 import io
+import math
 import re
 import tracemalloc
 
@@ -78,6 +79,12 @@ class TestParseExpression:
         message = "row 2, column 2: value -2.0 not positive after pseudocount 1.0"
         with pytest.raises(ExpressionDataError, match=f"^{re.escape(message)}$"):
             parse_expression_tsv("id\ts1\nG1\t-2\n", already_log=False, pseudocount=1.0)
+
+    @pytest.mark.parametrize("pseudocount", [math.nan, math.inf, -1.0])
+    def test_bad_pseudocount_is_named(self, pseudocount):
+        message = f"pseudocount must be a nonnegative finite number, got {pseudocount!r}"
+        with pytest.raises(ExpressionDataError, match=f"^{re.escape(message)}$"):
+            parse_expression_tsv("id\ts1\nG1\t2\n", already_log=False, pseudocount=pseudocount)
 
     def test_roundtrip_is_exact(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ import pytest
 from chardir.direction import (
     NoDifferentialSignalError,
     _fit,
+    _pooled,
     _two_class_samples,
     call_significant,
     lr1_direction,
@@ -209,14 +210,14 @@ class TestNp1:
 class TestFit:
     def test_one_factorisation_serves_both_estimators(self):
         gene_ids, x1, x2 = random_two_class(np.random.default_rng(8), n_genes=40, n1=4, n2=5)
-        samples = _two_class_samples(gene_ids, x1, x2)
+        samples = _two_class_samples(gene_ids, *_pooled(x1, x2))
         for method, public in (("LR1", lr1_direction), ("NP1", np1_direction)):
             fitted, direct = _fit(samples, method), public(gene_ids, x1, x2)
             assert fitted.method == direct.method == method
             assert np.array_equal(fitted.coefficients, direct.coefficients)
 
     def test_unknown_method_rejected(self):
-        samples = _two_class_samples(["A", "B"], TOY_X1, TOY_X2)
+        samples = _two_class_samples(["A", "B"], *_pooled(TOY_X1, TOY_X2))
         with pytest.raises(ValueError, match="unknown method 'WELCH'"):
             _fit(samples, "WELCH")
 

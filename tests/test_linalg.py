@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chardir.direction import lr1_direction, np1_direction
+from chardir.direction import _pooled, _two_class_samples, lr1_direction, np1_direction
 from chardir.linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
@@ -13,14 +13,16 @@ from chardir.linalg import (
     _principal_components,
     random_rotation,
 )
-from chardir.projection import project_hierarchy
+from chardir.projection import _project_samples, project_hierarchy
+from chardir.simulate import SyntheticSpec, generate, method_scores, synthetic_gene_ids
+from chardir.welch import ttest_screen
 
 from oracles import covariance_eigendecomposition
 
 
 def pca(data, epsilon=DEFAULT_EPSILON, max_components=DEFAULT_MAX_COMPONENTS):
     """(factors, (k, variances, retained, capped), scores) of ``data``."""
-    factors = _factor_samples(data)
+    factors = _factor_samples(np.array(data, dtype=np.float64))
     rule = _component_rule(factors, epsilon, max_components)
     return factors, rule, _principal_components(factors, epsilon, max_components)
 
@@ -156,20 +158,43 @@ class TestSampleFactorisation:
             assert rows.count(40) == 1
 
     def test_blocks_are_left_unchanged_and_factored_as_centred_copy(self):
-        # The pooled copy is centred in place; the caller's arrays, such as
-        # the coordinates a projection level refactors, must not move.
+        # The samples are centred in place, so a caller whose arrays must
+        # not move, such as the coordinates a projection level refactors,
+        # factors a copy: here the pooled copy of two class blocks.
         rng = np.random.default_rng(19)
         x1 = rng.standard_normal((30, 3)) + 4.0
         x2 = rng.standard_normal((30, 4)) - 2.0
         pooled = np.hstack([x1, x2])
         before = [x1.tobytes(), x2.tobytes(), pooled.tobytes()]
-        blocks = _factor_samples(x1, x2)
-        whole = _factor_samples(pooled)
+        data, n1 = _pooled(x1, x2)
+        blocks = _factor_samples(data)
+        whole = _factor_samples(pooled.copy())
         assert [x1.tobytes(), x2.tobytes(), pooled.tobytes()] == before
-        u, s, vt = np.linalg.svd(pooled - pooled.mean(axis=1)[:, None], full_matrices=False)
+        centred = pooled - pooled.mean(axis=1)[:, None]
+        assert n1 == 3 and data.tobytes() == centred.tobytes()
+        u, s, vt = np.linalg.svd(centred, full_matrices=False)
         r = 6  # the centred samples' rank
         for factors in (blocks, whole):
             assert factors.basis.tobytes() == u[:, :r].tobytes()
             assert factors.singular.tobytes() == s[:r].tobytes()
             assert factors.coords.tobytes() == (s[:r, None] * vt[:r]).tobytes()
             assert factors.scale == float(np.abs(pooled).max())
+
+    def test_library_callers_leave_their_inputs_unchanged(self):
+        outcome = generate(SyntheticSpec(n_genes=60, samples_per_class=5, seed=4))
+        x1, x2 = outcome.x_control, outcome.x_perturbed
+        before = [x1.tobytes(), x2.tobytes()]
+        gene_ids = synthetic_gene_ids(60)
+        for call in (
+            lambda: lr1_direction(gene_ids, x1, x2),
+            lambda: np1_direction(gene_ids, x1, x2),
+            lambda: project_hierarchy(gene_ids, x1, x2, depth=3),
+            lambda: ttest_screen(gene_ids, x1, x2),
+            lambda: method_scores(outcome),
+        ):
+            call()
+            assert [x1.tobytes(), x2.tobytes()] == before
+        samples = _two_class_samples(gene_ids, *_pooled(x1, x2))
+        coords = samples.factors.coords.tobytes()
+        _project_samples(samples, 3, DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS)
+        assert samples.factors.coords.tobytes() == coords

@@ -163,3 +163,6 @@ class TestDensityEstimate:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             density_estimate([1.0, 2.0], bandwidth=0.0)
+        for bandwidth in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth must be a positive finite number"):
+                density_estimate([1.0, 2.0], bandwidth=bandwidth)

@@ -110,6 +110,34 @@ class TestWelchArrays:
         assert t[1] == 0.0 and math.isnan(df[1]) and p[1] == 1.0
         assert (t[2], df[2], p[2], False) == welch_row(x1[2], x2[2])
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 23])
+    def test_same_result_whatever_the_block_size(self, monkeypatch, n_rows):
+        import chardir.welch
+
+        rng = np.random.default_rng(n_rows)
+        # Column-major class views of one pooled array, as the ttest command
+        # passes them.
+        scale = rng.uniform(0.1, 5, (n_rows, 1))
+        pooled = np.asfortranarray(rng.standard_normal((n_rows, 9)) * scale)
+        pooled[:, 4:] += rng.normal(0, 2, (n_rows, 1))
+        # Degenerate rows on both sides of the boundaries of 7-row blocks:
+        # equal means at rows 6 and 14, unequal means at rows 7 and 13.
+        for row, (a, b) in {6: (1.5, 1.5), 7: (0.0, 2.0), 13: (-1.0, 3.0), 14: (0.0, 0.0)}.items():
+            if row < n_rows:
+                pooled[row, :4], pooled[row, 4:] = a, b
+        x1, x2 = pooled[:, :4], pooled[:, 4:]
+        whole = welch_arrays(x1, x2)
+        monkeypatch.setattr(chardir.welch, "_BLOCK_ROWS", 7)
+        blocked = welch_arrays(x1, x2)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+        assert [a.shape for a in blocked] == [(n_rows,)] * 4
+        if n_rows == 23:
+            assert np.flatnonzero(whole[3]).tolist() == [6, 14]
+            assert np.flatnonzero(np.isinf(whole[0])).tolist() == [7, 13]
+        for i in range(n_rows):
+            row = welch_arrays(x1[i : i + 1], x2[i : i + 1])
+            assert [a[i : i + 1].tobytes() for a in blocked] == [a.tobytes() for a in row]
+
 
 class TestStudentTail:
     def test_matches_quadrature_oracle_on_grid(self):
