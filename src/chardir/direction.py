@@ -115,8 +115,9 @@ def _pooled(x1, x2) -> tuple[np.ndarray, int]:
 def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSamples:
     """Validate the classes (the first ``n1`` columns of the genes x samples
     ``pooled``, then the rest), take their centroid difference, factor the
-    samples and check for a difference. ``pooled`` is centred in place, so
-    callers pass a float64 array they own."""
+    samples and check for a difference. ``pooled`` is overwritten by the
+    factorisation (see :func:`_factor_samples`), so callers pass a float64
+    array they own."""
     if n1 < 2 or pooled.shape[1] - n1 < 2:
         raise ValueError("each class needs at least 2 samples")
     if not np.all(np.isfinite(pooled)):

@@ -39,16 +39,48 @@ class _SampleFactors(NamedTuple):
 
 def _factor_samples(data: np.ndarray) -> _SampleFactors:
     """Factor the row-centred samples (genes x samples) once; see
-    :class:`_SampleFactors`. ``data`` is centred in place, so callers pass a
-    float64 array they own. The numerical rank counts singular values above
-    LAPACK's tolerance, max(shape) * eps * largest."""
+    :class:`_SampleFactors`. ``data`` is centred in place and, when it is
+    taller than one block of :data:`_FACTOR_ROWS` rows, overwritten by the
+    left singular vectors, so callers pass a float64 array they own. The
+    numerical rank counts singular values above LAPACK's tolerance,
+    max(shape) * eps * largest."""
     mean = data.mean(axis=1)
     scale = max(1.0, float(data.max()), -float(data.min()))
     data -= mean[:, None]
-    u, s, vt = np.linalg.svd(data, full_matrices=False)
+    u, s, vt = _thin_svd(data)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
     return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+
+
+# Row-block height of the factorisation: taller samples are QR-factored one
+# block at a time, so no buffer the size of the samples is made beside them.
+_FACTOR_ROWS = 4096
+
+
+def _thin_svd(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(data, full_matrices=False)`` for m x n ``data``.
+    Taller than one block, ``data`` is split into ceil(m / _FACTOR_ROWS)
+    near-equal row blocks and factored as a tall-skinny QR (Demmel, Grigori,
+    Hoemmen & Langou 2012): each block's Q overwrites the block, the stacked
+    n x n R factors are QR-factored again, and the SVD of that final R
+    turns the blocks into ``u``, which is ``data`` itself. A matrix of one
+    block, or with blocks shorter than n, takes numpy's SVD unchanged."""
+    m, n = data.shape
+    parts = -(-m // _FACTOR_ROWS)
+    if parts == 1 or m // parts < n:
+        return np.linalg.svd(data, full_matrices=False)
+    blocks = np.array_split(data, parts)
+    tops = []
+    for block in blocks:
+        q, top = np.linalg.qr(block)
+        block[...] = q
+        tops.append(top)
+    q, top = np.linalg.qr(np.vstack(tops))
+    u_top, s, vt = np.linalg.svd(top)
+    for block, q_block in zip(blocks, np.split(q, parts)):
+        block[...] = block @ (q_block @ u_top)
+    return data, s, vt
 
 
 def _component_rule(

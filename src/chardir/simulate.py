@@ -268,10 +268,11 @@ def _run_single(
     size: int,
     run_index: int,
     methods: tuple[str, ...],
-) -> dict[str, tuple[float, np.ndarray] | None]:
+    roc_samples: int | None = None,
+) -> dict[str, tuple[float, np.ndarray | None] | None]:
     """One simulation run: generate data and score every method, as its
-    Gini and its ROC's true-positive rates on ``ROC_GRID`` (None where the
-    estimator degenerates).
+    Gini and, when ``size`` is ``roc_samples``, its ROC's true-positive
+    rates on ``ROC_GRID`` (None where the estimator degenerates).
 
     The data seed is derived from (master seed, sample size, run index),
     so a sweep's runs reproduce identically whether executed sequentially
@@ -287,7 +288,8 @@ def _run_single(
     for method, scores in method_scores(outcome, methods).items():
         if scores is not None:
             score = score_recovery(scores, outcome.de_mask)
-            records[method] = (score.gini, np.interp(ROC_GRID, score.fpr, score.tpr))
+            roc = np.interp(ROC_GRID, score.fpr, score.tpr) if size == roc_samples else None
+            records[method] = (score.gini, roc)
     return records
 
 
@@ -305,18 +307,22 @@ def _run_all(
     spec_template: SyntheticSpec,
     tasks: list[tuple[int, int]],
     methods: tuple[str, ...],
+    roc_samples: int | None,
     n_jobs: int,
-) -> dict[tuple[int, int], dict[str, tuple[float, np.ndarray] | None]]:
+) -> dict[tuple[int, int], dict[str, tuple[float, np.ndarray | None] | None]]:
     """Each distinct (size, run) task simulated once, keyed by the task."""
     tasks = list(dict.fromkeys(tasks))
     if n_jobs == 1:
-        return {(s, r): _run_single(spec_template, s, r, methods) for s, r in tasks}
+        return {
+            (s, r): _run_single(spec_template, s, r, methods, roc_samples) for s, r in tasks
+        }
     # Imported here: it loads multiprocessing, which no other path needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [
-            pool.submit(_run_single, spec_template, s, r, methods) for s, r in tasks
+            pool.submit(_run_single, spec_template, s, r, methods, roc_samples)
+            for s, r in tasks
         ]
         return dict(zip(tasks, [f.result() for f in futures]))
 
@@ -335,12 +341,13 @@ def benchmark_sweep_roc(
     ``spec_template.seed`` is the master seed: each run draws its data from
     a seed derived from (master seed, size, run index), every method scores
     the same data, and a (size, run) pair both tables need runs once. Each
-    run, in this process or a worker, returns per method only its Gini and
-    its ROC interpolated onto a common false-positive-rate grid, and this
-    function averages them: runs where an estimator degenerates are counted
-    and excluded, and Ginis are averaged by compensated summation in run
-    order, so results do not depend on ``n_jobs``. A size or method listed
-    twice counts once, at its first position.
+    run, in this process or a worker, returns per method only its Gini and,
+    at ``roc_samples``, its ROC interpolated onto a common false-positive-rate
+    grid, and this function averages them: runs where an estimator
+    degenerates are counted and excluded, and Ginis are averaged by
+    compensated summation in run order, so results do not depend on
+    ``n_jobs``. A size or method listed twice counts once, at its first
+    position.
     """
     methods = _validated_methods(methods)
     sample_sizes = list(dict.fromkeys(sample_sizes))
@@ -348,7 +355,7 @@ def benchmark_sweep_roc(
         raise ValueError("n_runs must be >= 1")
     tasks = [(size, run) for size in sample_sizes for run in range(n_runs)]
     roc_tasks = [] if roc_samples is None else [(roc_samples, run) for run in range(n_runs)]
-    runs = _run_all(spec_template, tasks + roc_tasks, methods, n_jobs)
+    runs = _run_all(spec_template, tasks + roc_tasks, methods, roc_samples, n_jobs)
 
     cells = []
     for size in sample_sizes:

@@ -13,8 +13,9 @@ per-set Python set intersections instead of the membership index
 behind hypergeometric enrichment, a big-integer anchor (or exact
 big-integer sums with 40-digit logarithms) instead of the log-space
 hypergeometric kernel, line-by-line readers instead of the columnar GMT
-and ranked-file readers, and a loop over n instead of the column
-reduction behind overlap-curve aggregation.
+and ranked-file readers, a loop over n instead of the column
+reduction behind overlap-curve aggregation, and one SVD of the whole
+centred samples instead of their row-blocked tall-skinny QR.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
@@ -32,6 +33,7 @@ import numpy as np
 from scipy import integrate, special
 
 from chardir.data import ExpressionDataError, ExpressionMatrix, GeneSet, canonical_gene_id
+from chardir.linalg import _SampleFactors
 
 
 def exact_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
@@ -288,6 +290,18 @@ def covariance_eigendecomposition(data: np.ndarray):
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], eigvecs[:, order]
+
+
+def single_svd_factors(data: np.ndarray) -> _SampleFactors:
+    """The sample factorisation by one numpy SVD of the whole row-centred
+    ``data``, which is left unchanged: no row blocks and no QR."""
+    mean = data.mean(axis=1)
+    scale = max(1.0, float(data.max()), -float(data.min()))
+    centred = data - mean[:, None]
+    u, s, vt = np.linalg.svd(centred, full_matrices=False)
+    tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
+    r = int(np.count_nonzero(s > tol))
+    return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
 
 def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:

@@ -1,9 +1,20 @@
 """Tests for the PCA, sample-factorisation and random-rotation primitives."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from chardir.direction import _pooled, _two_class_samples, lr1_direction, np1_direction
+import chardir.linalg
+from chardir.direction import (
+    _fit,
+    _pooled,
+    _two_class_samples,
+    _TwoClassSamples,
+    lr1_direction,
+    np1_direction,
+)
 from chardir.linalg import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_COMPONENTS,
@@ -17,7 +28,7 @@ from chardir.projection import _project_samples, project_hierarchy
 from chardir.simulate import SyntheticSpec, generate, method_scores, synthetic_gene_ids
 from chardir.welch import ttest_screen
 
-from oracles import covariance_eigendecomposition
+from oracles import covariance_eigendecomposition, single_svd_factors
 
 
 def pca(data, epsilon=DEFAULT_EPSILON, max_components=DEFAULT_MAX_COMPONENTS):
@@ -198,3 +209,119 @@ class TestSampleFactorisation:
         coords = samples.factors.coords.tobytes()
         _project_samples(samples, 3, DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS)
         assert samples.factors.coords.tobytes() == coords
+
+
+# Block height the blocked-factorisation tests patch in for _FACTOR_ROWS.
+B = 32
+
+
+def two_class_data(m, n, seed, duplicate=False, flat_rows=0):
+    """m genes x n samples with rows of mixed spread and a class-2 shift;
+    ``duplicate`` copies sample 0 into sample 1, ``flat_rows`` rows are
+    constant."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, m)[:, None] + 2.0
+    data[:, n // 2 :] += rng.standard_normal(m)[:, None]
+    if duplicate:
+        data[:, 1] = data[:, 0]
+    data[rng.choice(m, flat_rows, replace=False)] = 5.0
+    return data
+
+
+class TestBlockedFactorisation:
+    @pytest.mark.parametrize(
+        "m, n, duplicate, flat_rows",
+        [
+            (B + 1, 5, False, 0),  # two blocks of 17 and 16 rows
+            (B + 1, B // 2, False, 0),  # the shortest block has exactly n rows
+            (2 * B, 8, False, 0),
+            (2 * B, 8, True, 0),
+            (3 * B - 1, 6, False, 0),
+            (3 * B - 1, B // 2 - 1, False, 0),
+            (3 * B - 1, 6, False, 9),
+            (3 * B - 1, 7, True, 9),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocked_route_within_tolerance_of_one_svd(
+        self, monkeypatch, m, n, duplicate, flat_rows, seed
+    ):
+        monkeypatch.setattr(chardir.linalg, "_FACTOR_ROWS", B)
+        data = two_class_data(m, n, seed, duplicate, flat_rows)
+        oracle = single_svd_factors(data)
+        owned = data.copy()
+        samples = _two_class_samples([f"g{i}" for i in range(m)], owned, n // 2)
+        factors = samples.factors
+        # The blocked route turns the samples themselves into the basis.
+        assert np.shares_memory(factors.basis, owned)
+        assert factors.mean.tobytes() == oracle.mean.tobytes()
+        assert factors.scale == oracle.scale
+
+        r = len(oracle.singular)
+        assert len(factors.singular) == r
+        largest = oracle.singular[0]
+        assert np.abs(factors.singular - oracle.singular).max() <= 1e-13 * largest
+        centred = data - oracle.mean[:, None]
+        assert np.abs(factors.basis @ factors.coords - centred).max() <= 1e-13 * factors.scale
+        assert np.abs(factors.basis.T @ factors.basis - np.eye(r)).max() <= 1e-13
+
+        reference = _TwoClassSamples(samples.gene_ids, oracle, samples.centroid_diff, n // 2)
+        for method in ("LR1", "NP1"):
+            blocked = _fit(samples, method).coefficients
+            single = _fit(reference, method).coefficients
+            assert np.abs(blocked - single).max() <= 1e-12
+        levels = [
+            _project_samples(fit, 2, DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS).coords
+            for fit in (samples, reference)
+        ]
+        assert np.abs(levels[0] - levels[1]).max() <= 1e-12 * np.abs(levels[1]).max()
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (B, 6),  # one block
+            (B + 1, B // 2 + 1),  # two blocks, each shorter than n
+            (3 * B - 1, B),  # three blocks, each shorter than n
+        ],
+    )
+    def test_one_block_or_short_blocks_match_one_svd_bit_for_bit(self, monkeypatch, m, n):
+        monkeypatch.setattr(chardir.linalg, "_FACTOR_ROWS", B)
+        data = two_class_data(m, n, 5, flat_rows=3)
+        oracle = single_svd_factors(data)
+        owned = data.copy()
+        factors = _factor_samples(owned)
+        assert not np.shares_memory(factors.basis, owned)
+        assert owned.tobytes() == (data - oracle.mean[:, None]).tobytes()
+        for got, want in zip(factors, oracle):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status"
+    )
+    def test_tall_factorisation_makes_no_copy_of_the_samples(self):
+        # The peak RSS of a fresh interpreter, after a warm-up fit has loaded
+        # LAPACK and its work buffers. VmHWM is the peak of this process
+        # image alone: ru_maxrss would also hold the test runner's peak,
+        # which a child started by fork and exec inherits. numpy's SVD of
+        # the whole matrix holds a copy of it, LAPACK's U and the returned
+        # u beside it, about 3 times its bytes.
+        code = """
+import chardir
+import numpy as np
+from chardir.linalg import _factor_samples
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+rng = np.random.default_rng(0)
+_factor_samples(rng.standard_normal((40, 4)))
+data = rng.standard_normal((40_000, 20))
+before = peak_kib()
+_factor_samples(data)
+print((peak_kib() - before) * 1024 / data.nbytes)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert float(proc.stdout) < 1.5

@@ -8,6 +8,7 @@ import pytest
 from chardir.direction import lr1_direction, np1_direction
 from chardir.simulate import (
     METHODS,
+    ROC_GRID,
     SyntheticSpec,
     _derived_seed,
     _run_single,
@@ -208,6 +209,15 @@ class TestBenchmark:
         record = _run_single(spec(p=50, n=5, seed=3), 5, 0, METHODS)
         assert len(calls) == 1
         assert list(record) == list(METHODS)
+
+    def test_only_runs_at_roc_samples_carry_a_roc_row(self):
+        template = spec(p=50, n=5, seed=3)
+        other = _run_single(template, 5, 0, METHODS, roc_samples=4)
+        at_roc = _run_single(template, 5, 0, METHODS, roc_samples=5)
+        for method in METHODS:
+            assert other[method][1] is None
+            assert other[method][0] == at_roc[method][0]
+            assert at_roc[method][1].shape == ROC_GRID.shape
 
     def test_degenerate_runs_are_counted_and_excluded(self, monkeypatch):
         import chardir.simulate
