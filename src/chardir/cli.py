@@ -87,13 +87,22 @@ class _InputFile(str):
     value names a file, and the manifest records its digest."""
 
 
-def _bandwidth(value: str) -> str:
-    """The ``type`` of ``--bandwidth``: 'auto' or a positive finite number,
-    kept as given so the manifest records it as typed."""
-    with contextlib.suppress(ValueError):
-        if value == "auto" or 0 < float(value) < math.inf:
-            return value
-    raise argparse.ArgumentTypeError(f"expected 'auto' or a positive finite number, got {value!r}")
+def _checked(convert, accept, expected: str):
+    """An argparse ``type``: ``convert(value)``, where ``accept`` holds for it."""
+    def parse(value: str):
+        with contextlib.suppress(ValueError):
+            if accept(converted := convert(value)):
+                return converted
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+    return parse
+
+
+_fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_epsilon = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+_components = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# Kept as given, so the manifest records the bandwidth as typed.
+_bandwidth = _checked(str, lambda v: v == "auto" or 0 < float(v) < math.inf,
+                      "'auto' or a positive finite number")
 
 
 def _input_files(args) -> dict[str, str]:
@@ -540,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_expression_args(p)
     _add_design_args(p)
     p.add_argument("--method", choices=("lr1", "np1"), default="lr1")
-    p.add_argument("--alpha", type=float, default=0.3, help="cumulative squared-coefficient cutoff")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="PCA unexplained-variance budget")
-    p.add_argument("--max-components", type=int, default=20)
+    p.add_argument("--alpha", type=_fraction, default=0.3, help="cumulative squared-coefficient cutoff")
+    p.add_argument("--epsilon", type=_epsilon, default=1e-3, help="PCA unexplained-variance budget")
+    p.add_argument("--max-components", type=_components, default=20)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     _add_common_args(p)
     p.set_defaults(func=_cmd_chdir)
@@ -550,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ttest", help="Welch t-test screen with BH correction")
     _add_expression_args(p)
     _add_design_args(p)
-    p.add_argument("--fdr", type=float, default=0.05)
+    p.add_argument("--fdr", type=_fraction, default=0.05)
     _add_common_args(p)
     p.set_defaults(func=_cmd_ttest)
 
@@ -565,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", type=_InputFile, help="universe gene list (one id per line)")
     p.add_argument("--gmt", type=_InputFile, required=True, help="gene-set library, GMT format")
     p.add_argument("--mode", choices=("hypergeom", "angle"), default="hypergeom")
-    p.add_argument("--fdr", type=float, default=0.05)
+    p.add_argument("--fdr", type=_fraction, default=0.05)
     _add_common_args(p)
     p.set_defaults(func=_cmd_enrich)
 
@@ -581,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_expression_args(p)
     _add_design_args(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--max-components", type=int, default=20)
+    p.add_argument("--epsilon", type=_epsilon, default=1e-3)
+    p.add_argument("--max-components", type=_components, default=20)
     p.add_argument("--bandwidth", type=_bandwidth, default="auto", help="KDE bandwidth or 'auto'")
     _add_common_args(p)
     p.set_defaults(func=_cmd_project)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import GeneSet, GeneSetLibrary
 from .direction import CharacteristicDirection
-from .welch import _betainc, _stirling_error, bh_fdr
+from .special import _betainc, _log_hypergeom_tail
+from .welch import bh_fdr
 
 __all__ = [
     "EnrichmentResult",
@@ -69,7 +70,9 @@ def _member_index(index: dict[str, int], library: GeneSetLibrary) -> tuple[np.nd
     of ``library`` found in ``index`` (gene id -> position), set by set
     with positions ascending inside a set, so the order does not follow the
     string-hash seed. Each distinct id is looked up once; members outside
-    the index are dropped."""
+    the index are dropped. Either mode rejects an empty library here."""
+    if len(library) == 0:
+        raise ValueError("gene set library is empty")
     where = np.fromiter(map(index.get, library.ids, repeat(-1)), np.int64, len(library.ids))
     where = where[library.code]
     key = library.which * len(index) + where
@@ -91,74 +94,6 @@ def _tabulate(result_type, library: GeneSetLibrary, present: np.ndarray, **colum
     columns.update(set_name=names, q=q, diagnostic=diagnostic)
     order = np.lexsort((names, columns["p"]))
     return result_type(**{k: v[order] for k, v in columns.items()})
-
-
-def _deviance(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Loader's ``bd0(x, m) = x log(x / m) + m - x`` for x >= 0 and m > 0.
-    Where ``v = (x - m) / (x + m)`` is below 1/3 in size it is summed as
-    ``(x - m) v + 2 x (v^3 / 3 + v^5 / 5 + ...)``, so no two large terms
-    cancel."""
-    d = x - m
-    v = d / (x + m)
-    series = np.polyval(1.0 / np.arange(37, 1, -2), v * v)  # 1/3 + v^2/5 + ... + v^34/37
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(x > 0, x * np.log(x / m), 0.0) - d
-    return np.where(np.abs(v) < 1 / 3, d * v + 2 * x * v**3 * series, direct)
-
-
-def _log_hypergeom_tail(k, marked, drawn, universe) -> np.ndarray:
-    """``log P(K >= k)`` elementwise over broadcast integer arrays, K the
-    overlap of ``drawn`` genes drawn from ``universe`` with ``marked``.
-
-    The sum is anchored at its largest term, ``max(k, mode)``, whose log pmf
-    is Loader's saddle-point form (Stirling errors and ``bd0`` deviances of
-    the binomials behind the hypergeometric, "Fast and accurate computation
-    of binomial probabilities", 2000), and extended by exact term ratios
-    away from it, one vector step per series index. Each element stops by
-    its own rule, so its value does not depend on the rest of the batch.
-    Within 1e-12 relative of the exact tail wherever it is a normal double,
-    and within 1e-12 absolute in log space beyond.
-    """
-    k, marked, drawn, universe = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.int64) for a in (k, marked, drawn, universe))
-    )
-    out = np.zeros(k.shape)
-    tail = np.flatnonzero(k > np.maximum(0, marked + drawn - universe))
-    k, m, n, big = (a.ravel()[tail] for a in (k, marked, drawn, universe))
-    free = big - m - n  # pmf(j + 1) / pmf(j) = (m - j)(n - j) / ((j + 1)(free + j + 1))
-    hi = np.minimum(m, n)
-    anchor = np.minimum(np.maximum(k, (m + 1) * (n + 1) // (big + 2)), hi)
-    # Terms at j >= k and at j < k, relative to pmf(anchor). Below a mode
-    # above k the series runs on to give P(K < k), so p near 1 is 1 - P(K < k).
-    sums = np.zeros((2, len(tail)))
-    sums[0] = 1.0
-    for step, stop in ((1, hi), (-1, np.where(anchor > k, np.maximum(0, m + n - big), k))):
-        j, term = anchor.copy(), np.ones(len(tail))
-        live = np.flatnonzero(j != stop)
-        while live.size:
-            i = j[live] + (step - 1) // 2  # the ratio pmf(i + 1) / pmf(i) of this step
-            ratio = (m[live] - i) * (n[live] - i) / ((i + 1) * (free[live] + i + 1))
-            term[live] *= ratio if step > 0 else 1.0 / ratio
-            j[live] += step
-            side = (j[live] < k[live]).astype(np.intp)
-            sums[side, live] += term[live]
-            live = live[(j[live] != stop[live]) & (term[live] > 1e-20 * sums[side, live])]
-    # log pmf(x) = S(x, m) + S(n - x, big - m) - S(n, big) less four deviances,
-    # S(x, size) = e(size) - e(x) - e(size - x) - log(2 pi x (size - x) / size) / 2
-    # for 0 < x < size and 0 otherwise, e the Stirling error.
-    x, p, q = anchor, n / big, (big - n) / big
-    xs, sizes = np.stack([x, n - x, n]), np.stack([m, big - m, big])
-    inner = (xs > 0) & (xs < sizes)
-    xs, ys = np.where(inner, xs, 1), np.where(inner, sizes - xs, 1)
-    err = _stirling_error(np.stack([sizes, xs, ys]).astype(np.float64))
-    part = np.where(inner, err[0] - err[1] - err[2] - 0.5 * np.log(2 * math.pi * xs * ys / sizes), 0.0)
-    dev = _deviance(np.stack([x, m - x, n - x, free + x]).astype(np.float64),
-                    np.stack([m * p, m * q, (big - m) * p, (big - m) * q]))
-    log_anchor = part[0] + part[1] - part[2] - (dev[0] + dev[1] + dev[2] + dev[3])
-    lower = np.minimum(np.exp(log_anchor) * sums[1], 0.5)
-    out.flat[tail] = np.where((lower > 0) & (lower < 0.5), np.log1p(-lower),
-                              np.minimum(0.0, log_anchor + np.log(sums[0])))
-    return out
 
 
 def hypergeom_enrich(
@@ -248,8 +183,6 @@ def angle_enrich(
     Sets with no member in the direction's universe get theta = pi/2,
     p = q = 1 and a diagnostic flag, and are left out of the correction.
     """
-    if len(library) == 0:
-        raise ValueError("gene set library is empty")
     thetas, present = _set_angles(direction, library)
     pvals = np.where(present > 0, angle_null_pvalue(thetas, len(direction.gene_ids)), 1.0)
     return _tabulate(AngleEnrichmentResult, library, present, theta=thetas, p=pvals)

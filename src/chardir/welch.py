@@ -1,12 +1,12 @@
-"""Welch t-test baseline with Benjamini-Hochberg FDR correction, and the
-regularized incomplete beta behind its p-values and the principal-angle null."""
+"""Welch t-test baseline with Benjamini-Hochberg FDR correction."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .special import _betainc
 
 __all__ = [
     "WelchScreen",
@@ -33,120 +33,6 @@ class WelchScreen:
     q: np.ndarray
     significant: np.ndarray
     diagnostic: np.ndarray
-
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# B_2k / (2k (2k - 1)), the Stirling-series coefficients of log Gamma,
-# highest order first; seven terms are exact to double precision at z >= 10.
-_STIRLING_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
-_TINY = 1e-300  # Lentz's guard against a zero denominator
-_CF_TOL = 1e-15
-_CF_MAX_STEPS = 100_000
-
-
-def _stirling_error(z: np.ndarray) -> np.ndarray:
-    """``log Gamma(z) - ((z - 1/2) log z - z + log sqrt(2 pi))`` for z > 0.
-
-    The asymptotic series is used at z >= 10; smaller z are shifted up by 10
-    with the recurrence ``err(z) = err(z + 1) + (z + 1/2) log1p(1/z) - 1``,
-    whose terms are all small.
-    """
-    small = z < 10.0
-    w = np.where(small, z + 10.0, z)
-    s = 1.0 / (w * w)
-    err = np.zeros_like(w)
-    for coef in _STIRLING_SERIES:
-        err = err * s + coef
-    err /= w
-    if small.any():
-        zs = z[small]
-        shift = np.zeros_like(zs)
-        for k in range(10):
-            shift += (zs + (k + 0.5)) * np.log1p(1.0 / (zs + k)) - 1.0
-        err[small] += shift
-    return err
-
-
-def _log_ratio(w: np.ndarray, r: np.ndarray, other: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``log(w (r + other) / r)``, given ``d = w (r + other) - r``: through
-    ``log1p(d / r)`` when the ratio is near 1, where ``r`` times the
-    logarithm would magnify any rounding in the ratio."""
-    with np.errstate(divide="ignore"):
-        return np.where(
-            np.abs(d) < 0.5 * r, np.log1p(d / r), np.log(w) + np.log1p(other / r)
-        )
-
-
-def _power_terms(a, b, x, y, d) -> np.ndarray:
-    """``x^a y^b / (a B(a, b))`` in Stirling-difference form, given
-    ``d = b x - a y``.
-
-    With Stirling's formula for the three Gamma functions of ``B(a, b)``,
-    the large terms combine into ``a log(x (a + b) / a) + b log(y (a + b) / b)``,
-    whose ratios are ``1 + d/a`` and ``1 - d/b``; ``log Gamma`` itself, which
-    grows like ``a log a``, is never subtracted.
-    """
-    err = _stirling_error(np.stack([a + b, a, b]))
-    expo = a * _log_ratio(x, a, b, d) + b * _log_ratio(y, b, a, -d) + err[0] - err[1] - err[2]
-    return np.sqrt(b / (a * (a + b))) * np.exp(expo - _LOG_SQRT_2PI)
-
-
-def _beta_fraction(a, b, x, y, d) -> np.ndarray:
-    """The continued fraction of ``I_x(a, b) / (x^a y^b / (a B(a, b)))`` in
-    its even contraction, by the modified Lentz method; converges fast for
-    ``x < (a + 1) / (a + b + 2)``.
-
-    Written with ``1 - d = 1 + a y - b x`` and ``1 + y``, no partial
-    denominator subtracts nearly equal terms. Only the entries that have
-    not converged are iterated.
-    """
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    one_minus_d = 1.0 - d
-    f = one_minus_d / (a + 1.0)
-    c, dd = f.copy(), np.zeros_like(x)  # Lentz's C and D
-    for m in range(1, _CF_MAX_STEPS):
-        k = a + 2 * m
-        num = ((a + (m - 1)) * (a + b + (m - 1)) * (b - m) * (m * x * x)
-               / ((k - 2) * (k - 1) ** 2 * k))
-        den = ((2 * m) * (a + m) * (1.0 + y) + (a - 1.0) * one_minus_d) / ((k - 1) * (k + 1))
-        dd = den + num * dd
-        dd = 1.0 / np.where(np.abs(dd) < _TINY, _TINY, dd)
-        c = den + num / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        step = c * dd
-        f *= step
-        done = np.abs(step - 1.0) <= _CF_TOL
-        if done.any():
-            out[idx[done]] = 1.0 / f[done]
-            keep = ~done
-            idx, a, b, x, y, one_minus_d, f, c, dd = (
-                v[keep] for v in (idx, a, b, x, y, one_minus_d, f, c, dd)
-            )
-        if not idx.size:
-            return out
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _betainc(a, b, x, y):
-    """Regularized incomplete beta ``I_x(a, b)``, elementwise, with
-    ``y = 1 - x`` passed separately so that neither tail cancels.
-
-    Where ``x > (a + 1) / (a + b + 2)`` it is ``1 - I_y(b, a)``. Exactly 0 at
-    x = 0 and 1 at y = 0; NaN where a parameter is not a positive finite
-    number or x or y is negative or NaN.
-    """
-    a, b, x, y = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, b, x, y)))
-    out = np.where(x == 0.0, 0.0, np.where(y == 0.0, 1.0, np.nan))
-    inner = (x > 0.0) & (y > 0.0) & (a > 0.0) & (b > 0.0) & (a < np.inf) & (b < np.inf)
-    a, b, x, y = a[inner], b[inner], x[inner], y[inner]
-    flip = x > (a + 1.0) / (a + b + 2.0)
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    x, y = np.where(flip, y, x), np.where(flip, x, y)
-    d = b * x - a * y
-    v = _power_terms(a, b, x, y, d) * _beta_fraction(a, b, x, y, d)
-    out[inner] = np.where(flip, 1.0 - v, v)
-    return out[()]
 
 
 def student_t_two_sided(t, df):

@@ -12,7 +12,8 @@ a cell-by-cell row writer instead of the column-wise table writer,
 per-set Python set intersections instead of the membership index
 behind hypergeometric enrichment, a big-integer anchor (or exact
 big-integer sums with 40-digit logarithms) instead of the log-space
-hypergeometric kernel, line-by-line readers instead of the columnar GMT
+hypergeometric kernel, exact fractions or 40-digit log-Gamma functions
+instead of Loader's saddle-point binomial density, line-by-line readers instead of the columnar GMT
 and ranked-file readers, a loop over n instead of the column
 reduction behind overlap-curve aggregation, and one SVD of the whole
 centred samples instead of their row-blocked tall-skinny QR.
@@ -64,6 +65,26 @@ def exact_log_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int)
     )
     with mpmath.workdps(40):
         return float(mpmath.log(mpmath.mpf(tail) / math.comb(universe, n_drawn)))
+
+
+def exact_log_dbinom(x: int, size: int, p: Fraction) -> float:
+    """log of the binomial density ``C(size, x) p^x (1 - p)^(size - x)``,
+    formed exactly from an integer binomial and fractions, its logarithm
+    taken at 40 digits."""
+    density = math.comb(size, x) * p**x * (1 - p) ** (size - x)
+    with mpmath.workdps(40):
+        return float(mpmath.log(density.numerator) - mpmath.log(density.denominator))
+
+
+def log_dbinom_mpmath(x: float, size: float, p: float) -> float:
+    """log of the binomial density at real ``0 <= x <= size``, its
+    coefficient through 40-digit log-Gamma functions rather than Stirling
+    errors and deviances."""
+    with mpmath.workdps(40):
+        x, size, p = (mpmath.mpf(v) for v in (x, size, p))
+        return float(mpmath.loggamma(size + 1) - mpmath.loggamma(x + 1)
+                     - mpmath.loggamma(size - x + 1) + x * mpmath.log(p)
+                     + (size - x) * mpmath.log(1 - p))
 
 
 def anchored_hypergeom_tail(k: int, n_marked: int, n_drawn: int, universe: int) -> float:
@@ -441,7 +462,7 @@ def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[
     and a rank list per set, instead of one membership index and bincounts.
     Rows are ``(set_name, overlap, set_size, p, q, mean_rank, diagnostic)``,
     sorted by p and then set name."""
-    from chardir.enrichment import _log_hypergeom_tail
+    from chardir.special import _log_hypergeom_tail
     from chardir.welch import bh_fdr
 
     universe_set = set(universe)

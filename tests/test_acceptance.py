@@ -14,12 +14,7 @@ import numpy as np
 from chardir.cli import main as cli_main
 from chardir.data import GeneSet
 from chardir.direction import lr1_direction, np1_direction
-from chardir.enrichment import (
-    _log_hypergeom_tail,
-    aggregate_overlap_curves,
-    angle_null_pvalue,
-    overlap_curve,
-)
+from chardir.enrichment import aggregate_overlap_curves, angle_null_pvalue, overlap_curve
 from chardir.linalg import _component_rule, _factor_samples, _principal_components
 from chardir.projection import project_hierarchy
 from chardir.simulate import (
@@ -30,6 +25,7 @@ from chardir.simulate import (
     score_recovery,
     synthetic_gene_ids,
 )
+from chardir.special import _log_hypergeom_tail
 from chardir.welch import bh_fdr, welch_arrays
 
 from oracles import angle_pdf, normal_equation_direction, student_t_two_sided_quad

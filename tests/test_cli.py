@@ -511,6 +511,18 @@ class TestEnrichCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("mode", ["hypergeom", "angle"])
+    def test_empty_gmt_is_analysis_error_in_both_modes(self, tmp_path, capsys, mode):
+        ranked = tmp_path / "ranked.tsv"
+        ranked.write_text("gene_id\tcoefficient\tsignificant\nGA\t1.0\ttrue\n")
+        gmt = tmp_path / "blank.gmt"
+        gmt.write_text("\n \n\n")
+        out = tmp_path / "out"
+        assert run(["enrich", "--ranked", ranked, "--gmt", gmt, "--mode", mode,
+                    "--seed", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == "chardir enrich: error: gene set library is empty\n"
+        assert not out.exists()
+
     def test_ranked_with_genes_is_usage_error(self, toy, capsys):
         _, _, tmp = toy
         ranked = tmp / "ranked.tsv"
@@ -549,6 +561,51 @@ def test_usage_error_prints_the_commands_usage(toy, capsys, command, flags):
     assert err.startswith(f"usage: chardir {command} "), err
     assert f"chardir {command}: error: " in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "nan", "abc"])
+@pytest.mark.parametrize("command,flag", [("ttest", "--fdr"), ("enrich", "--fdr"),
+                                          ("chdir", "--alpha")])
+def test_bad_fraction_is_usage_error_before_any_file_is_read(
+    toy, capsys, monkeypatch, command, flag, value
+):
+    import chardir.cli
+
+    for reader in ("parse_design_tsv", "parse_expression_tsv", "parse_gmt"):
+        monkeypatch.setattr(chardir.cli, reader, lambda *args, **kwargs: pytest.fail("read"))
+    expr, design, tmp = toy
+    if command == "enrich":
+        inputs = ["--genes", design, "--universe", design, "--gmt", design]
+    else:
+        inputs = ["--expression", expr, "--design", design]
+    out = tmp / "out"
+    assert run([command, *inputs, f"{flag}={value}", "--seed", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: chardir {command} "), err
+    assert (f"chardir {command}: error: argument {flag}: expected a number in (0, 1], "
+            f"got {value!r}\n") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--epsilon", "7", "a number in [0, 1)"),
+    ("--epsilon", "1", "a number in [0, 1)"),
+    ("--epsilon", "-0.5", "a number in [0, 1)"),
+    ("--epsilon", "nan", "a number in [0, 1)"),
+    ("--max-components", "-4", "an integer >= 1"),
+    ("--max-components", "0", "an integer >= 1"),
+    ("--max-components", "2.5", "an integer >= 1"),
+])
+@pytest.mark.parametrize("command", [["chdir", "--method", "lr1"], ["chdir", "--method", "np1"],
+                                     ["project"]])
+def test_bad_pca_flag_is_usage_error_for_every_method(toy, capsys, command, flag, value, expected):
+    expr, design, tmp = toy
+    out = tmp / "out"
+    assert run([*command, "--expression", expr, "--design", design, f"{flag}={value}",
+                "--seed", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"chardir {command[0]}: error: argument {flag}: expected {expected}, got {value!r}\n" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags,names", [

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from chardir.data import GeneSet, GeneSetLibrary
+from chardir.data import GeneSet, GeneSetLibrary, parse_gmt
 from chardir.direction import CharacteristicDirection
 from chardir.enrichment import (
     OverlapCurve,
-    _log_hypergeom_tail,
     _set_angles,
     aggregate_overlap_curves,
     angle_enrich,
@@ -21,16 +20,15 @@ from chardir.enrichment import (
     overlap_curve,
     sliding_window_profile,
 )
+from chardir.special import _log_hypergeom_tail
 
 from oracles import (
     aggregate_ratios_by_n,
-    anchored_hypergeom_tail,
     angle_pdf,
     angle_pvalue_betainc,
     angle_pvalue_quad,
     enumerated_hypergeom_tail,
     exact_hypergeom_tail,
-    exact_log_hypergeom_tail,
     hypergeom_enrich_rows,
 )
 
@@ -95,61 +93,6 @@ class TestHypergeomTail:
             sliding_window_profile(genes, distances, ["a"], 3, 2)
         with pytest.raises(ValueError):
             sliding_window_profile(genes, distances, ["a"], 0, 10)
-
-
-class TestLogHypergeomTail:
-    @pytest.mark.parametrize(
-        "case",
-        [(290, 1000, 300, 20_000), (400, 400, 495, 20_000), (300, 2000, 300, 20_000)],
-    )
-    def test_far_tail_log_p(self, case):
-        # p underflows to 0 in the first two cases and is subnormal in the third.
-        assert abs(_log_hypergeom_tail(*case) - exact_log_hypergeom_tail(*case)) <= 1e-12
-
-    @pytest.mark.parametrize("k", [1, 2, 5, 14])
-    def test_log_p_near_one_keeps_relative_accuracy(self, k):
-        # The mode (15) lies in the tail, so p = 1 - P(K < k) with P(K < k)
-        # down to 1.8e-7 at k = 1.
-        exact = exact_log_hypergeom_tail(k, 1000, 300, 20_000)
-        assert abs(_log_hypergeom_tail(k, 1000, 300, 20_000) - exact) <= 1e-12 * abs(exact)
-
-    def test_grid_relative_accuracy_where_p_is_normal(self):
-        checked = 0
-        for universe in (7, 60, 1_000, 20_000):
-            for marked in sorted({1, universe // 50 + 1, universe // 7, universe // 2, universe - 1}):
-                for drawn in sorted({1, 15, 300, universe // 3, universe - 2} - {0}):
-                    if drawn > min(universe, 2_000):
-                        continue
-                    lo, hi = max(0, marked + drawn - universe), min(marked, drawn)
-                    for k in sorted(set(np.linspace(lo, hi, 13).astype(int).tolist())):
-                        exact = exact_hypergeom_tail(k, marked, drawn, universe)
-                        if exact < np.finfo(float).tiny:
-                            continue
-                        got = math.exp(_log_hypergeom_tail(k, marked, drawn, universe))
-                        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (k, marked, drawn, universe)
-                        assert got == pytest.approx(
-                            anchored_hypergeom_tail(k, marked, drawn, universe), rel=1e-12, abs=0.0
-                        )
-                        checked += 1
-        assert checked > 300
-
-    def test_batch_values_equal_values_alone(self):
-        rng = np.random.default_rng(14)
-        sizes = np.exp(rng.uniform(np.log(15), np.log(500), 300)).astype(int)
-        enrich = (rng.binomial(sizes, 0.05 + 0.5 * (rng.random(300) < 0.1)), 950, sizes, 20_000)
-        overlaps = rng.integers(0, 60, 100)
-        profile = (overlaps, 400, 300, 20_000)
-        for case in (enrich, profile):
-            batch = _log_hypergeom_tail(*case)
-            alone = [_log_hypergeom_tail(*point) for point in zip(*np.broadcast_arrays(*case))]
-            assert batch.tobytes() == np.array(alone).tobytes()
-            assert np.all(np.isfinite(batch)) and np.all(batch <= 0.0)
-
-    def test_scalar_tail_is_one_point_of_the_kernel(self):
-        universe = [f"g{i}" for i in range(20_000)]
-        library = GeneSetLibrary.from_sets([GeneSet("S", "", frozenset(universe[:300]))])
-        result = hypergeom_enrich(universe[:2000], library, universe)
-        assert result.p[0] == math.exp(_log_hypergeom_tail(300, 2000, 300, 20_000))
 
 
 class TestPrincipalAngle:
@@ -344,6 +287,15 @@ class TestAngleEnrich:
 
 
 class TestHypergeomEnrich:
+    @pytest.mark.parametrize("mode", ["hypergeom", "angle"])
+    def test_empty_library_is_rejected_in_both_modes(self, mode):
+        library = parse_gmt("\n\n")
+        with pytest.raises(ValueError, match="gene set library is empty"):
+            if mode == "hypergeom":
+                hypergeom_enrich(["g0"], library, ["g0", "g1"])
+            else:
+                angle_enrich(make_direction([0.6, 0.8]), library)
+
     def test_significant_set_is_top_hit(self):
         universe = [f"g{i}" for i in range(20)]
         significant = universe[:5]

@@ -1,4 +1,4 @@
-"""Tests for the Welch t-test, Student-t tail, incomplete beta and BH correction."""
+"""Tests for the Welch t-test, Student-t tail and BH correction."""
 
 import math
 import warnings
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from chardir.welch import (
-    _betainc,
     bh_fdr,
     student_t_two_sided,
     ttest_screen,
@@ -186,38 +185,6 @@ class TestStudentTail:
             p = student_t_two_sided(t, df)
             assert 0.0 <= p <= 1.0
             assert p == student_t_two_sided(-t, df)
-
-
-class TestIncompleteBeta:
-    def test_angle_null_grid(self):
-        # I_{cos^2 theta}(1/2, (n-1)/2), the principal-angle null.
-        for n in (3, 10, 100, 2000, 20000):
-            for c2 in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9):
-                assert_relative(
-                    _betainc(0.5, (n - 1) / 2, c2, 1.0 - c2),
-                    betainc_mpmath(0.5, (n - 1) / 2, c2),
-                )
-
-    def test_both_parameters_large_grid(self):
-        # I_{sin^2 theta}((n-m)/2, m/2), the null of an m-gene set.
-        n = 20000
-        for m in (5, 15, 495):
-            for s2 in (0.5, 0.7, 0.9, 0.95, 0.97, 0.975, 0.98, 0.99, 0.995, 0.999):
-                assert_relative(
-                    _betainc((n - m) / 2, m / 2, s2, 1.0 - s2),
-                    betainc_mpmath((n - m) / 2, m / 2, s2),
-                )
-
-    def test_complement_and_ends(self):
-        a = np.array([0.5, 3.0, 40.0, 9997.5])
-        b = np.array([7.0, 0.5, 40.0, 2.5])
-        x = np.array([0.2, 0.9, 0.5, 0.9996])
-        total = _betainc(a, b, x, 1.0 - x) + _betainc(b, a, 1.0 - x, x)
-        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
-        assert _betainc(a, b, 0.0, 1.0).tolist() == [0.0] * 4
-        assert _betainc(a, b, 1.0, 0.0).tolist() == [1.0] * 4
-        assert np.isnan(_betainc([math.nan, 0.0, math.inf], 1.0, 0.5, 0.5)).all()
-        assert _betainc(np.empty(0), 1.0, 0.5, 0.5).shape == (0,)
 
 
 class TestBhFdr:
