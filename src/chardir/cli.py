@@ -22,19 +22,17 @@ import json
 import math
 import sys
 from functools import partial
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import (
-    _CHUNK_ROWS,
     ExpressionMatrix,
     TwoClassDesign,
-    _numbered_lines,
-    canonical_gene_id,
+    _read_associations,
+    _read_gene_lines,
+    _read_ranked_file,
     matrix_to_tsv,
     parse_design_tsv,
     parse_expression_tsv,
@@ -165,128 +163,6 @@ def _two_class_input(parser, args):
     return matrix.gene_ids, design, matrix.values[:, columns], len(design.class1_samples)
 
 
-def _read_gene_lines(path: Path) -> list[str]:
-    with open(path) as handle:
-        return [canonical_gene_id(line) for _, line in _numbered_lines(handle)]
-
-
-def _floats(cells: list[str]) -> tuple[np.ndarray, int | None]:
-    """The cells by ``float()`` up to the first one it rejects, and that
-    cell's index (None when every cell converts)."""
-    values: list[float] = []
-    try:
-        values.extend(map(float, cells))  # keeps the values before a failure
-    except ValueError:
-        return np.array(values), len(values)
-    return np.array(values), None
-
-
-def _read_ranked_file(path: Path):
-    """Read a ranked-gene or Welch output TSV, column by column: (ranking,
-    significant, coefficients, method), the canonical gene ids in row order,
-    the significant ones, the coefficient column as an array (None without
-    one) and the last ``# method:`` comment.
-
-    Raises:
-        ValueError: a required column missing from the header, a row that
-            stops before a column read, a non-numeric coefficient or a
-            repeated canonical gene id, naming the physical lines and the
-            column; of several faults the earliest row's first.
-    """
-    header, comments, faults = None, [], []  # faults: (row, rank within the row, message)
-    linenos, genes, flags, values = [], [], [], [np.zeros(0)]
-    with open(path) as handle:
-        numbered = enumerate(handle, start=1)
-        # A chunk of lines at a time, so only the cells read outlive their chunk.
-        while not faults and (chunk := list(islice(numbered, _CHUNK_ROWS))):
-            comments += [line for _, line in chunk if line.startswith("#")]
-            chunk = [(i, line.rstrip("\n")) for i, line in chunk if line.strip() and line[0] != "#"]
-            if header is None and chunk:
-                header = chunk.pop(0)[1].split("\t")
-                for column in ("gene_id", "significant"):
-                    if column not in header:
-                        raise ValueError(f"{path}: expected a '{column}' column in the ranked file")
-                read = sorted(header.index(c) for c in ("gene_id", "significant", "coefficient")
-                              if c in header)
-            start = len(linenos)
-            linenos += [i for i, _ in chunk]
-            rows = [line for _, line in chunk]
-            tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
-            short = np.flatnonzero(tabs < (read[-1] if rows else 0))
-            if short.size:
-                rows, col = rows[: short[0]], next(c for c in read if c > tabs[short[0]])
-                faults.append((start + len(rows), 0, f"row {linenos[start + len(rows)]}, "
-                                                     f"column {col + 1}: missing '{header[col]}' cell"))
-            if not rows:
-                continue
-            picked = zip(*map(itemgetter(*read), map(str.split, rows, repeat("\t"))))
-            cells = dict(zip([header[c] for c in read], picked))
-            genes += map(str.upper, map(str.strip, cells["gene_id"]))  # canonical_gene_id
-            flags += map("true".__eq__, cells["significant"])
-            if "coefficient" in cells:
-                chunk_values, bad = _floats(cells["coefficient"])
-                values.append(chunk_values)
-                if bad is not None:
-                    col = header.index("coefficient") + 1
-                    faults.append((start + bad, 2, f"row {linenos[start + bad]}, column {col}: "
-                                                   f"non-numeric coefficient {cells['coefficient'][bad]!r}"))
-    if header is None:
-        raise ValueError(f"{path}: empty ranked file")
-    if len(set(genes)) < len(genes):
-        first = dict(zip(reversed(genes), range(len(genes) - 1, -1, -1)))
-        i = next(i for i, gene in enumerate(genes) if first[gene] != i)
-        faults.append((i, 1, f"rows {linenos[first[genes[i]]]} and {linenos[i]}: "
-                             f"duplicate gene id {genes[i]!r}"))
-    if faults:
-        raise ValueError(f"{path}: {min(faults)[2]}")
-    methods = [c.split(":", 1)[1].strip() for c in (line.lstrip("#").strip() for line in comments)
-               if c.startswith("method:")]
-    coefficients = np.concatenate(values) if "coefficient" in header else None
-    return genes, list(compress(genes, flags)), coefficients, (methods or [None])[-1]
-
-
-def _read_associations(path: Path) -> tuple[list[str], np.ndarray]:
-    """Read a gene-to-TSS-distance TSV (two cells per line, an optional
-    ``gene_id`` header as the first content line, blank and ``#`` lines
-    skipped) into the canonical gene ids and the distances, in file order.
-
-    Raises:
-        ValueError: a line without exactly two cells, or a distance that is
-            not a number or is negative or non-finite, naming the physical
-            line; of several faults the earliest line's first.
-    """
-    genes, distances = [], [np.zeros(0)]
-    with open(path) as handle:
-        numbered = _numbered_lines(handle)
-        first = next(numbered, None)
-        if first is not None and first[1].split("\t")[0] != "gene_id":
-            numbered = chain([first], numbered)
-        # A chunk of lines at a time, so only the ids and distances outlive their chunk.
-        while chunk := list(islice(numbered, _CHUNK_ROWS)):
-            linenos, lines = zip(*chunk)
-            tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
-            ragged = np.flatnonzero(tabs != 1)
-            end = int(ragged[0]) if ragged.size else len(lines)
-            faults = []  # (line index in the chunk, message); the first is raised
-            if ragged.size:
-                faults.append((end, f"line {linenos[end]}: expected gene_id and distance"))
-            cells = "\t".join(lines[:end]).split("\t") if end else []
-            values, bad = _floats(cells[1::2])
-            if bad is not None:
-                faults.append((bad, f"line {linenos[bad]}, column 2: "
-                                    f"non-numeric distance {cells[2 * bad + 1]!r}"))
-            invalid = np.flatnonzero(~((values >= 0) & (values < math.inf)))
-            if invalid.size:
-                i = int(invalid[0])
-                faults.append((i, f"line {linenos[i]}, column 2: "
-                                  f"invalid distance {cells[2 * i + 1]!r}"))
-            if faults:
-                raise ValueError(f"{path}: {min(faults)[1]}")
-            genes += map(str.upper, map(str.strip, cells[::2]))  # canonical_gene_id
-            distances.append(values)
-    return genes, np.concatenate(distances)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each returns its summary line and its outputs, an ordered
 # {file name: writer of the open file}; main writes them.
@@ -378,7 +254,8 @@ def _cmd_profile(parser, args):
     return f"profile: {len(log_p)} windows over {len(genes)} genes", {"profile.tsv": partial(
         write_table,
         header=["mean_distance", "minus_log10_p"],
-        columns=[mean_distance, -log_p / math.log(10)],
+        # 0.0 - x rather than -x, so a window whose p is exactly 1 prints 0.0, not -0.0.
+        columns=[mean_distance, 0.0 - log_p / math.log(10)],
     )}
 
 

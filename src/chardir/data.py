@@ -1,16 +1,19 @@
-"""Expression matrices, two-class designs, and gene-set libraries.
+"""Expression matrices, two-class designs, gene-set libraries, input readers.
 
 All containers are frozen after construction and safe to share between
-threads. Parsers consume text streams (file handles or plain strings) and
-report errors with row/column locations.
+threads. Readers take text streams (file handles or plain strings), or a
+path for gene lists, ranked and association files; all report errors with
+row/column locations.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -198,58 +201,49 @@ def _numbered_lines(text: str | TextIO | Iterable[str]) -> Iterator[tuple[int, s
             yield lineno, line
 
 
-def _check_row(
-    lineno: int, line: str, n_columns: int, already_log: bool, pseudocount: float
-) -> None:
-    """Raise the first fault of one gene row, checks and columns in order."""
-    cells = line.split("\t")
-    if len(cells) != n_columns:
-        raise ExpressionDataError(
-            f"row {lineno}: expected {n_columns} columns, got {len(cells)}"
-        )
-    if not canonical_gene_id(cells[0]):
-        raise ExpressionDataError(f"row {lineno}: empty gene id")
-    for col, cell in enumerate(cells[1:], start=2):
-        try:
-            float(cell)
-        except ValueError:
-            raise ExpressionDataError(
-                f"row {lineno}, column {col}: non-numeric value {cell!r}"
-            ) from None
-    raw = np.array(cells[1:], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        raise ExpressionDataError(f"row {lineno}, column {bad[0] + 2}: non-finite value")
-    bad = np.flatnonzero(raw + pseudocount <= 0)
-    if not already_log and bad.size:
-        raise ExpressionDataError(
-            f"row {lineno}, column {bad[0] + 2}: value {float(raw[bad[0]])!r} not "
-            f"positive after pseudocount {pseudocount}"
-        )
-
-
 def _value_block(
-    rows: list[str], n_columns: int, already_log: bool, pseudocount: float
-) -> tuple[list[str], np.ndarray] | None:
-    """Canonical ids and stored values of the gene rows, converted column-wise;
-    None when a row is ragged, has an empty id, or holds a value that is
-    non-numeric, non-finite or invalid for the log transform."""
-    if set(map(str.count, rows, repeat("\t"))) != {n_columns - 1}:
-        return None
-    cells = "\t".join(rows).split("\t")
+    chunk: list[tuple[int, str]], n_columns: int, already_log: bool, pseudocount: float
+) -> tuple[list[str], np.ndarray]:
+    """Canonical ids and stored values of the numbered gene rows, converted
+    column-wise. Of several faults the earliest row's first is raised, with
+    the checks in the order cell count, empty id, non-numeric, non-finite and
+    log-invalid: each check reads only the rows before the fault found by
+    the checks ahead of it, since that fault wins over any later row's."""
+    linenos, rows = zip(*chunk)
+    width, end, fault = n_columns - 1, len(rows), None
+    tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
+    if (bad := np.flatnonzero(tabs != width)).size:
+        end = int(bad[0])
+        fault = f"row {linenos[end]}: expected {n_columns} columns, got {tabs[end] + 1}"
+    cells = "\t".join(rows[:end]).split("\t") if end else []
     genes = list(map(str.upper, map(str.strip, cells[::n_columns])))  # canonical_gene_id
+    if "" in genes:
+        end = genes.index("")
+        fault = f"row {linenos[end]}: empty gene id"
     del cells[::n_columns]
+    del cells[end * width :]
     try:
         # Accepts and rejects exactly the spellings float() does.
-        raw = np.array(cells, dtype=np.float64).reshape(len(rows), n_columns - 1)
+        raw = np.array(cells, dtype=np.float64)
     except ValueError:
-        return None
-    if "" in genes or not np.all(np.isfinite(raw)):
-        return None
-    if already_log:
-        return genes, raw
-    shifted = raw + pseudocount
-    return None if np.any(shifted <= 0) else (genes, np.log2(shifted))
+        converted: list[float] = []
+        with suppress(ValueError):
+            converted.extend(map(float, cells))  # keeps the values before a failure
+        end, col = divmod(len(converted), width)
+        fault = f"row {linenos[end]}, column {col + 2}: non-numeric value {cells[len(converted)]!r}"
+        raw = np.array(converted)
+    raw = raw[: end * width].reshape(end, width)
+    if (bad := np.flatnonzero(~np.isfinite(raw))).size:
+        end, col = divmod(int(bad[0]), width)
+        fault = f"row {linenos[end]}, column {col + 2}: non-finite value"
+    shifted = None if already_log else raw[:end] + pseudocount
+    if shifted is not None and (bad := np.flatnonzero(shifted <= 0)).size:
+        row, col = divmod(int(bad[0]), width)
+        fault = (f"row {linenos[row]}, column {col + 2}: value {float(raw[row, col])!r} not "
+                 f"positive after pseudocount {pseudocount}")
+    if fault:
+        raise ExpressionDataError(fault)
+    return genes, raw if shifted is None else np.log2(shifted)
 
 
 def parse_expression_tsv(
@@ -301,12 +295,7 @@ def parse_expression_tsv(
     genes: list[str] = []
     blocks: list[np.ndarray] = []
     while chunk := list(islice(numbered, _CHUNK_ROWS)):
-        block = _value_block([line for _, line in chunk], len(header), already_log, pseudocount)
-        if block is None:
-            # The same checks one row at a time: the earliest faulty row raises.
-            for lineno, line in chunk:
-                _check_row(lineno, line, len(header), already_log, pseudocount)
-            raise ExpressionDataError("malformed expression table")
+        block = _value_block(chunk, len(header), already_log, pseudocount)
         genes += block[0]
         blocks.append(block[1])
     if not genes:
@@ -402,6 +391,115 @@ def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:
                 f"line {lineno}: class must be 1 or 2, got {label!r}"
             )
     return TwoClassDesign(tuple(class1), tuple(class2))
+
+
+def _read_gene_lines(path) -> list[str]:
+    """The canonical ids of a gene list: one id per line, blank and ``#``
+    lines skipped."""
+    with open(path) as handle:
+        return [canonical_gene_id(line) for _, line in _numbered_lines(handle)]
+
+
+def _read_ranked_file(path):
+    """Read a ranked-gene or Welch output TSV line by line: (ranking,
+    significant, coefficients, method), the canonical gene ids in row order,
+    the significant ones, the coefficient column as an array (None without
+    one) and the last ``# method:`` comment. Only a ``#`` in column 1 starts
+    a comment.
+
+    Raises:
+        ExpressionDataError: a required column missing from the header; at
+            the first faulty row, a row that stops before a column read, an
+            empty or repeated canonical gene id or a non-numeric
+            coefficient, in that order, naming the physical lines and the
+            column.
+    """
+    header, method, line_of, significant, values = None, None, {}, [], []
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                if (comment := line.lstrip("#").strip()).startswith("method:"):
+                    method = comment.split(":", 1)[1].strip()
+                continue
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            if header is None:
+                header = cells
+                for column in ("gene_id", "significant"):
+                    if column not in header:
+                        raise ExpressionDataError(
+                            f"{path}: expected a '{column}' column in the ranked file"
+                        )
+                gene_col, flag_col = header.index("gene_id"), header.index("significant")
+                coef_col = header.index("coefficient") if "coefficient" in header else None
+                read = sorted({gene_col, flag_col, coef_col} - {None})
+                continue
+            if len(cells) <= read[-1]:
+                col = next(c for c in read if c >= len(cells))
+                raise ExpressionDataError(
+                    f"{path}: row {lineno}, column {col + 1}: missing '{header[col]}' cell"
+                )
+            if not (gene := canonical_gene_id(cells[gene_col])):
+                raise ExpressionDataError(
+                    f"{path}: row {lineno}, column {gene_col + 1}: empty gene id"
+                )
+            if (first := line_of.setdefault(gene, lineno)) != lineno:
+                raise ExpressionDataError(
+                    f"{path}: rows {first} and {lineno}: duplicate gene id {gene!r}"
+                )
+            if cells[flag_col] == "true":
+                significant.append(gene)
+            if coef_col is not None:
+                try:
+                    values.append(float(cells[coef_col]))
+                except ValueError:
+                    raise ExpressionDataError(
+                        f"{path}: row {lineno}, column {coef_col + 1}: "
+                        f"non-numeric coefficient {cells[coef_col]!r}"
+                    ) from None
+    if header is None:
+        raise ExpressionDataError(f"{path}: empty ranked file")
+    coefficients = None if coef_col is None else np.array(values, dtype=np.float64)
+    return list(line_of), significant, coefficients, method
+
+
+def _read_associations(path) -> tuple[list[str], np.ndarray]:
+    """Read a gene-to-TSS-distance TSV (two cells per line, an optional
+    ``gene_id`` header as the first content line, blank and ``#`` lines
+    skipped) into the canonical gene ids and the distances, in file order.
+
+    Raises:
+        ExpressionDataError: at the first faulty line, a line without
+            exactly two cells, an empty gene id, or a distance that is not a
+            number or is negative or non-finite, naming the physical line.
+    """
+    genes, distances = [], array("d")  # 8 bytes a distance, not a float object's 32
+    with open(path) as handle:
+        numbered = _numbered_lines(handle)
+        first = next(numbered, None)
+        if first is not None and first[1].split("\t")[0] != "gene_id":
+            numbered = chain([first], numbered)
+        for lineno, line in numbered:
+            cells = line.split("\t")
+            if len(cells) != 2:
+                raise ExpressionDataError(f"{path}: line {lineno}: expected gene_id and distance")
+            if not (gene := canonical_gene_id(cells[0])):
+                raise ExpressionDataError(f"{path}: line {lineno}, column 1: empty gene id")
+            try:
+                distance = float(cells[1])
+            except ValueError:
+                raise ExpressionDataError(
+                    f"{path}: line {lineno}, column 2: non-numeric distance {cells[1]!r}"
+                ) from None
+            if not 0 <= distance < math.inf:
+                raise ExpressionDataError(
+                    f"{path}: line {lineno}, column 2: invalid distance {cells[1]!r}"
+                )
+            genes.append(gene)
+            distances.append(distance)
+    return genes, np.array(distances)
 
 
 def align_design(

@@ -119,9 +119,9 @@ def _principal_components(
     each row's sign fixed so that the largest-magnitude entry of its basis
     column is positive."""
     k = _component_rule(factors, epsilon, max_components)[0]
-    basis = factors.basis[:, :k]
-    flips = np.where(basis[np.abs(basis).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    return flips[:, None] * factors.coords[:k]
+    # One column at a time, so |basis| is never held whole (genes x k).
+    flips = [-1.0 if c[np.abs(c).argmax()] < 0 else 1.0 for c in factors.basis[:, :k].T]
+    return np.array(flips)[:, None] * factors.coords[:k]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -561,6 +561,10 @@ def read_ranked_lines(path):
                 )
             row = dict(zip(header, cells))
             gene = canonical_gene_id(row["gene_id"])
+            if not gene:
+                raise ValueError(
+                    f"{path}: row {lineno}, column {header.index('gene_id') + 1}: empty gene id"
+                )
             if gene in line_of:
                 raise ValueError(
                     f"{path}: rows {line_of[gene]} and {lineno}: duplicate gene id {gene!r}"
@@ -579,6 +583,40 @@ def read_ranked_lines(path):
     if header is None:
         raise ValueError(f"{path}: empty ranked file")
     return list(line_of), significant, coefficients, method
+
+
+def read_association_lines(path):
+    """A gene-to-TSS-distance TSV read whole and split once, with no helper
+    of ``chardir.data``: (canonical ids, distances as a list), raising at the
+    first faulty line. The first content line is a header when its first
+    cell is ``gene_id``."""
+    with open(path) as handle:
+        lines = handle.read().split("\n")
+    content = [
+        (lineno, line) for lineno, line in enumerate(lines, start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if content and content[0][1].split("\t")[0] == "gene_id":
+        content = content[1:]
+    genes, distances = [], []
+    for lineno, line in content:
+        cells = line.split("\t")
+        if len(cells) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected gene_id and distance")
+        gene = cells[0].strip().upper()
+        if gene == "":
+            raise ValueError(f"{path}: line {lineno}, column 1: empty gene id")
+        try:
+            distance = float(cells[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}, column 2: non-numeric distance {cells[1]!r}"
+            ) from None
+        if not math.isfinite(distance) or distance < 0:
+            raise ValueError(f"{path}: line {lineno}, column 2: invalid distance {cells[1]!r}")
+        genes.append(gene)
+        distances.append(distance)
+    return genes, distances
 
 
 def aggregate_ratios_by_n(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

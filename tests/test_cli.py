@@ -11,10 +11,15 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from chardir.cli import _read_associations, _read_ranked_file, main
-from chardir.data import _CHUNK_ROWS
+from chardir.cli import main
+from chardir.data import _CHUNK_ROWS, _read_associations, _read_ranked_file
 
-from oracles import covariance_eigendecomposition, exact_hypergeom_tail, read_ranked_lines
+from oracles import (
+    covariance_eigendecomposition,
+    exact_hypergeom_tail,
+    read_association_lines,
+    read_ranked_lines,
+)
 
 TOY_EXPRESSION = (
     "gene_id\tc1\tc2\tc3\tt1\tt2\tt3\n"
@@ -103,6 +108,7 @@ RANKED_CASES = {
     "missing_column": "gene_id\tcoefficient\nGA\t0.8\n",
     "non_numeric_coefficient": RANKED_HEADER + "GA\t0.8\ttrue\n\nGB\tx0.6\ttrue\n",
     "duplicate_id": RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.5\tfalse\n\nga\t0.3\tfalse\n",
+    "empty_id": "coefficient\tgene_id\tsignificant\n0.8\tGA\ttrue\n0.8\t \ttrue\n0.5\t\ttrue\n",
     "faults_in_several_rows": RANKED_HEADER + "GA\t0.8\ttrue\nGB\tx\ttrue\nga\t0.1\tfalse\nGC\n",
     "duplicate_and_non_numeric_in_one_row": RANKED_HEADER + "GA\t0.8\ttrue\nga\tzz\ttrue\nGB\n",
     "header_only": "# method: lr1\n" + RANKED_HEADER,
@@ -127,6 +133,73 @@ def test_ranked_reader_matches_line_by_line_oracle(tmp_path, text):
         assert got[2] is None
     else:
         assert repr(got[2].tolist()) == repr([coefficients[g] for g in ranking])
+
+
+def _long_associations() -> str:
+    """1,100 data lines after a header; line 1,030, past the first 1,024
+    lines, is faulty, as is a later one."""
+    cells = [f"{i}" for i in range(1100)]
+    cells[1028], cells[1050] = "x7", "-3"
+    return "gene_id\tdistance\n" + "".join(f"G{i}\t{c}\n" for i, c in enumerate(cells))
+
+
+ASSOCIATION_CASES = {
+    "header": "gene_id\tdistance\nga\t1\n gB \t2.5\n",
+    "no_header": "GA\t1\nGB\t0\n",
+    "header_after_comment": "# tss\n\ngene_id\tdistance\nGA\t3\n",
+    "header_one_cell": "gene_id\nGA\t3\n",
+    "header_not_first": "GA\t3\ngene_id\tdistance\n",
+    "crlf_endings": "gene_id\tdistance\r\nGA\t1\r\nGB\t2\r\n",
+    "blank_and_comment_lines": "\n  \nGA\t1\n\t\n  # indented\n#\nGB\t2\n",
+    "three_cells": "GA\t1\nGB\t2\t3\n",
+    "one_cell": "GA\t1\nGB\n",
+    "empty_id": "GA\t1\n\t5\n",
+    "blank_id": "gene_id\tdistance\nGA\t1\n  \t5\n",
+    "underscore_distance": "GA\t1_0\n",
+    "padded_exponent_distance": "GA\t 2e3 \n",
+    "negative_zero_distance": "GA\t-0.0\n",
+    "nan_distance": "GA\t1\nGB\tnan\n",
+    "inf_distance": "GA\tinf\n",
+    "negative_distance": "GA\t1\nGB\t-3\n",
+    "non_numeric_distance": "GA\t1\nGB\tx7\n",
+    "empty_distance": "GA\t\n",
+    "two_faults_earlier_wins": "GA\t1\nGB\t-3\nGC\tx7\n\t1\n",
+    "kinds_in_reverse_order": "GA\tx7\nGB\t1\t2\n",
+    "fault_past_line_1025": _long_associations(),
+    "empty": "# only a comment\n\n",
+}
+
+
+@pytest.mark.parametrize("text", ASSOCIATION_CASES.values(), ids=ASSOCIATION_CASES.keys())
+def test_associations_reader_matches_split_text_oracle(tmp_path, text):
+    path = tmp_path / "assoc.tsv"
+    path.write_bytes(text.encode())
+    try:
+        genes, distances = read_association_lines(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _read_associations(path)
+        assert str(raised.value) == str(exc)
+        return
+    got = _read_associations(path)
+    assert got[0] == genes
+    assert got[1].dtype == np.float64 and repr(got[1].tolist()) == repr(distances)
+
+
+def test_association_battery_reaches_each_outcome(tmp_path):
+    messages = []
+    for name, text in ASSOCIATION_CASES.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.encode())
+        try:
+            read_association_lines(path)
+        except ValueError as exc:
+            messages.append(str(exc))
+    for fragment in ("expected gene_id and distance", "column 1: empty gene id",
+                     "non-numeric distance", "invalid distance 'nan'",
+                     "invalid distance 'inf'", "invalid distance '-3'", "line 1030,"):
+        assert any(fragment in m for m in messages), fragment
+    assert len(messages) < len(ASSOCIATION_CASES) - 5
 
 
 class TestChdirCommand:
@@ -718,6 +791,20 @@ class TestProfileCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "assoc.tsv: line 4, column 2: invalid distance '-3'" in err
+
+    def test_empty_gene_id_names_line_and_column(self, tmp_path, capsys):
+        code = self.profile_run(tmp_path, "gene_id\tdistance\nG0\t1.0\n\t5\nG1\t2.0\n")
+        assert code == 1
+        assert "assoc.tsv: line 3, column 1: empty gene id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_window_with_p_one_prints_zero_not_negative_zero(self, tmp_path):
+        # Windows past G0 and G1 hold no significant gene: p = 1 exactly.
+        rows = "".join(f"G{i}\t{i}\n" for i in range(6))
+        assert self.profile_run(tmp_path, rows) == 0
+        cells = [r["minus_log10_p"] for r in read_rows(tmp_path / "out" / "profile.tsv")]
+        assert cells[-3:] == ["0.0", "0.0", "0.0"]
+        assert "-0.0" not in cells
 
     def test_associations_read_holds_one_chunk_of_lines(self, tmp_path):
         # Ten chunks: the whole file's lines and cells as strings would be

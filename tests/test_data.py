@@ -240,6 +240,19 @@ def _parse_outcome(parse, source, already_log, pseudocount):
     return "matrix", (m.gene_ids, m.sample_ids, m.values.shape, m.values.tobytes())
 
 
+FAULT_KINDS = ("cell_count", "empty_id", "non_numeric", "non_finite", "log_invalid")
+
+
+def _with_fault(row: list[str], kind: str, col: int) -> list[str]:
+    """``row`` with one fault of ``kind``, a value fault in cell ``col``."""
+    if kind == "cell_count":
+        return row + ["1"]
+    if kind == "empty_id":
+        return [" ", *row[1:]]
+    value = {"non_numeric": "q", "non_finite": "nan", "log_invalid": "-4"}[kind]
+    return row[:col] + [value] + row[col + 1 :]
+
+
 class TestParserMatchesRowWalk:
     @pytest.mark.parametrize("name", sorted(PARSER_BATTERY) + sorted(CHUNKED_TABLES))
     @pytest.mark.parametrize("already_log,pseudocount", [(True, 1.0), (False, 1.0), (False, 2.5)])
@@ -263,6 +276,21 @@ class TestParserMatchesRowWalk:
                          "header has no sample ids"):
             assert any(fragment in m for m in messages), fragment
         assert sum(kind == "matrix" for kind, _ in outcomes) >= 10
+
+    @pytest.mark.parametrize("later_row", [False, True], ids=["same_row", "later_row"])
+    @pytest.mark.parametrize("second", FAULT_KINDS)
+    @pytest.mark.parametrize("first", FAULT_KINDS)
+    def test_two_faults_raise_as_the_row_walk_does(self, first, second, later_row):
+        # ``first`` in the last value cell of gene row 1, ``second`` in the
+        # first value cell of the same row or of the next one.
+        rows = [[f"G{i}", "1.5", "2.5", "3.5"] for i in range(4)]
+        rows[1] = _with_fault(rows[1], first, 3)
+        rows[1 + later_row] = _with_fault(rows[1 + later_row], second, 1)
+        text = "id\ts1\ts2\ts3\n\n" + "\n".join(map("\t".join, rows)) + "\n"
+        for already_log in (True, False):
+            expected = _parse_outcome(parse_expression_rows, text, already_log, 1.0)
+            assert expected[0] == "error" or already_log  # -4 is a valid log value
+            assert _parse_outcome(parse_expression_tsv, text, already_log, 1.0) == expected
 
     def test_line_numbers_count_comment_and_blank_lines(self):
         with pytest.raises(ExpressionDataError, match=r"^row 9, column 2: non-numeric value 'z'$"):

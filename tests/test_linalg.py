@@ -1,5 +1,6 @@
 """Tests for the PCA, sample-factorisation and random-rotation primitives."""
 
+import math
 import subprocess
 import sys
 
@@ -114,6 +115,18 @@ class TestPcaReduce:
         factors, _, scores = pca(data)
         for col in signed_basis(data - factors.mean[:, None], scores).T:
             assert col[np.argmax(np.abs(col))] > 0
+
+
+    def test_sign_rule_takes_first_of_tied_magnitudes(self):
+        # Column 0 holds +0.5 before -0.5, column 1 -0.5 before +0.5: the
+        # first largest |entry| fixes the sign, so only row 1 of the scores flips.
+        basis = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        coords = np.array([[2.0, 0.0, -2.0], [0.5, -1.0, 0.5]])
+        factors = chardir.linalg._SampleFactors(
+            np.zeros(4), basis, np.array([2.0 * math.sqrt(2), math.sqrt(1.5)]), coords, 1.0
+        )
+        scores = _principal_components(factors, 1e-3, 20)
+        assert scores.tolist() == [coords[0].tolist(), (-coords[1]).tolist()]
 
 
 class TestRandomRotation:
