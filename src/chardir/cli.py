@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import math
 import sys
@@ -31,11 +30,12 @@ from .data import (
     ExpressionMatrix,
     TwoClassDesign,
     _read_associations,
+    _read_expression_file,
     _read_gene_lines,
     _read_ranked_file,
+    _sha256,
     matrix_to_tsv,
     parse_design_tsv,
-    parse_expression_tsv,
     parse_gmt,
     write_table,
 )
@@ -72,17 +72,11 @@ ANALYSIS_ERROR = 1
 _ANALYSIS_ERRORS = (ValueError, OSError)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class _InputFile(str):
     """The ``type`` of every input-file flag: ``main`` checks that each such
-    value names a file, and the manifest records its digest."""
+    value names a file, and the manifest records its digest: ``digest``, if
+    the reader hashed the file, or else a fresh one."""
+    digest = None
 
 
 def _checked(convert, accept, expected: str):
@@ -120,7 +114,7 @@ def _write_manifest(args, out) -> None:
     manifest = {
         "command": args.command,
         "parameters": params,
-        "input_digests": {k: _sha256(Path(v)) for k, v in _input_files(args).items()},
+        "input_digests": {k: v.digest or _sha256(v) for k, v in _input_files(args).items()},
         "seed": args.seed,
         "tool_version": __version__,
     }
@@ -155,10 +149,8 @@ def _two_class_input(parser, args):
     table is not kept, so its values are freed before the fit. The design is
     resolved first, so a usage error is reported before the table is parsed."""
     design = _resolve_design(parser, args)
-    with open(args.expression) as handle:
-        matrix = parse_expression_tsv(
-            handle, already_log=not args.log2_transform, pseudocount=args.pseudocount
-        )
+    matrix, args.expression.digest = _read_expression_file(
+        args.expression, not args.log2_transform, args.pseudocount)
     columns = [matrix.column_index(s) for s in design.class1_samples + design.class2_samples]
     return matrix.gene_ids, design, matrix.values[:, columns], len(design.class1_samples)
 

@@ -2,18 +2,23 @@
 
 All containers are frozen after construction and safe to share between
 threads. Readers take text streams (file handles or plain strings), or a
-path for gene lists, ranked and association files; all report errors with
-row/column locations.
+path for gene lists, ranked, association and (with a parse cache)
+expression files; all report errors with row/column locations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import os
+import sys
+import tempfile
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -36,6 +41,8 @@ __all__ = [
 # Rows the table readers convert at a time, so only one chunk's cells are held
 # as strings at once.
 _CHUNK_ROWS = 1024
+# The parse cache's bounds (``_read_expression_file``): 8 entries, 256 MiB in all.
+_CACHE_ENTRIES, _CACHE_BYTES = 8, 1 << 28
 
 
 class ExpressionDataError(ValueError):
@@ -313,6 +320,64 @@ def parse_expression_tsv(
     return ExpressionMatrix(tuple(unique), tuple(sample_ids), values)
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_expression_file(path, already_log: bool, pseudocount: float):
+    """``(parse_expression_tsv of the file at path, its SHA-256)``, the table
+    cached in ``$XDG_CACHE_HOME/chardir`` (``~/.cache/chardir`` by default; a
+    relative location is unused). An entry that does not load is a miss, a
+    cache that cannot be used is passed over silently, and the newest entries
+    within ``_CACHE_ENTRIES`` and ``_CACHE_BYTES`` stay."""
+    digest, entry = _sha256(path), None
+    root = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chardir")
+    # A log-scale parse leaves a valid pseudocount unused; an invalid one must fail it.
+    unused = already_log and 0 <= pseudocount < math.inf
+    # The key holds the encoding ``open`` decodes the table with, and this
+    # module's bytes, so that an edit to the parser retires every entry.
+    with suppress(OSError):
+        key = repr((digest, already_log, None if unused else pseudocount, np.__version__,
+                    sys.version, io.TextIOWrapper(io.BytesIO()).encoding, _sha256(__file__)))
+        if root.is_absolute():
+            entry = root / f"expression-{hashlib.sha256(key.encode()).hexdigest()}.npy"
+    with suppress(OSError, ValueError):  # an entry that does not load is a miss
+        if entry:
+            with open(entry, "rb") as stored:
+                *ids, values = [np.lib.format.read_array(stored, allow_pickle=False)
+                                for _ in range(3)]
+            matrix = ExpressionMatrix(*(i.tobytes().decode().split("\t") for i in ids), values)
+            with suppress(OSError):  # an entry that cannot be touched still serves
+                os.utime(entry)
+            return matrix, digest
+    with open(path) as handle:
+        matrix = parse_expression_tsv(handle, already_log, pseudocount)
+    # Stored only if the file did not change while it was parsed, and if it fits.
+    if (after := _sha256(path)) == digest and entry and matrix.values.nbytes <= _CACHE_BYTES:
+        with suppress(OSError):
+            root.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, temp = tempfile.mkstemp(".tmp", "expression-", root)  # mode 0600
+            try:  # the ids as tab-joined bytes: a numpy string array drops trailing NULs
+                with os.fdopen(fd, "wb") as out:
+                    for names in (matrix.gene_ids, matrix.sample_ids):
+                        np.save(out, np.frombuffer("\t".join(names).encode(), np.uint8))
+                    np.save(out, matrix.values)
+                os.replace(temp, entry)
+            except BaseException:
+                os.unlink(temp)  # a failed write leaves no file behind
+                raise
+            total = 0
+            for rank, old in enumerate(sorted(root.glob("expression-*"),
+                                              key=lambda p: -p.stat().st_mtime_ns)):
+                if rank >= _CACHE_ENTRIES or (total := total + old.stat().st_size) > _CACHE_BYTES:
+                    old.unlink()
+    return matrix, after
+
+
 def _library(rows) -> GeneSetLibrary:
     """The library of ``(name, description, member ids)`` rows. Each member
     is coded by one dict operation as its row arrives, so only the distinct
@@ -395,9 +460,15 @@ def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:
 
 def _read_gene_lines(path) -> list[str]:
     """The canonical ids of a gene list: one id per line, blank and ``#``
-    lines skipped."""
+    lines skipped. A line with a tab inside its id fails, naming the line."""
+    genes = []
     with open(path) as handle:
-        return [canonical_gene_id(line) for _, line in _numbered_lines(handle)]
+        for lineno, line in _numbered_lines(handle):
+            if (cells := line.strip().count("\t") + 1) > 1:
+                raise ExpressionDataError(f"{path}: line {lineno}: expected one gene id "
+                                          f"per line, got {cells} cells")
+            genes.append(canonical_gene_id(line))
+    return genes
 
 
 def _read_ranked_file(path):
@@ -408,11 +479,11 @@ def _read_ranked_file(path):
     a comment.
 
     Raises:
-        ExpressionDataError: a required column missing from the header; at
-            the first faulty row, a row that stops before a column read, an
-            empty or repeated canonical gene id or a non-numeric
-            coefficient, in that order, naming the physical lines and the
-            column.
+        ExpressionDataError: a required column missing from the header or a
+            column read named twice in it; at the first faulty row, a row
+            that stops before a column read, an empty or repeated canonical
+            gene id or a non-numeric coefficient, in that order, naming the
+            physical lines and the column.
     """
     header, method, line_of, significant, values = None, None, {}, [], []
     with open(path) as handle:
@@ -432,6 +503,9 @@ def _read_ranked_file(path):
                         raise ExpressionDataError(
                             f"{path}: expected a '{column}' column in the ranked file"
                         )
+                if twice := [c for c in ("gene_id", "significant", "coefficient")
+                             if header.count(c) > 1]:
+                    raise ExpressionDataError(f"{path}: row {lineno}: duplicate column '{twice[0]}'")
                 gene_col, flag_col = header.index("gene_id"), header.index("significant")
                 coef_col = header.index("coefficient") if "coefficient" in header else None
                 read = sorted({gene_col, flag_col, coef_col} - {None})

@@ -524,7 +524,8 @@ def parse_gmt_lines(text: str) -> tuple[list[GeneSet], list[str]]:
 def read_ranked_lines(path):
     """A ranked-gene TSV line by line with a dict per row: (ranking,
     significant, {gene: coefficient} or None, method), raising at the first
-    faulty row."""
+    faulty row. A header that repeats a column read is rejected, since the
+    row dict would keep only the last one."""
     line_of: dict[str, int] = {}
     significant: list[str] = []
     coefficients: dict[str, float] | None = None
@@ -548,6 +549,10 @@ def read_ranked_lines(path):
                         raise ValueError(
                             f"{path}: expected a '{column}' column in the ranked file"
                         )
+                for c in ("gene_id", "significant", "coefficient"):
+                    # A name past its first column is a repeat.
+                    if c in header and c in header[header.index(c) + 1:]:
+                        raise ValueError(f"{path}: row {lineno}: duplicate column '{c}'")
                 read = sorted(
                     header.index(c) for c in ("gene_id", "significant", "coefficient") if c in header
                 )

@@ -1,18 +1,29 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain
+from itertools import chain, count
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chardir.data
 from chardir.cli import main
-from chardir.data import _CHUNK_ROWS, _read_associations, _read_ranked_file
+from chardir.data import (
+    _CHUNK_ROWS,
+    _read_associations,
+    _read_expression_file,
+    _read_gene_lines,
+    _read_ranked_file,
+)
 
 from oracles import (
     covariance_eigendecomposition,
@@ -89,6 +100,11 @@ def write_two_class(tmp_path, values, n1):
     return expr, design
 
 
+def cache_entries():
+    """The parse cache's entries under this test's ``XDG_CACHE_HOME``."""
+    return sorted(Path(os.environ["XDG_CACHE_HOME"], "chardir").glob("expression-*.npy"))
+
+
 def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split("\t")
@@ -112,6 +128,12 @@ RANKED_CASES = {
     "faults_in_several_rows": RANKED_HEADER + "GA\t0.8\ttrue\nGB\tx\ttrue\nga\t0.1\tfalse\nGC\n",
     "duplicate_and_non_numeric_in_one_row": RANKED_HEADER + "GA\t0.8\ttrue\nga\tzz\ttrue\nGB\n",
     "header_only": "# method: lr1\n" + RANKED_HEADER,
+    "repeated_gene_id_column": "gene_id\tsignificant\tgene_id\nGA\ttrue\tGB\nGC\tfalse\tGD\n",
+    "repeated_significant_column": "\nsignificant\tgene_id\tsignificant\nfalse\tGA\ttrue\n",
+    "repeated_coefficient_column": "gene_id\tcoefficient\tsignificant\tcoefficient\n"
+    "GA\t0.8\ttrue\t0.1\n",
+    "repeated_unread_column": "note\tgene_id\tnote\tsignificant\t\t\nx\tGA\ty\ttrue\t\t\n",
+    "missing_column_and_repeated_column": "gene_id\tgene_id\nGA\tGB\n",
     "empty": "# method: lr1\n\n",
 }
 
@@ -611,6 +633,36 @@ class TestEnrichCommand:
         assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--genes", "--universe", "--significant"])
+def test_gene_list_with_a_second_column_is_rejected(tmp_path, capsys, flag):
+    table = tmp_path / "table.tsv"
+    table.write_text("# calls\ngene_id\tsignificant\nGA\ttrue\nGB\tfalse\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("GA\nGB\n")
+    lists = {"--genes": plain, "--universe": plain, "--significant": plain, flag: table}
+    if flag == "--significant":
+        tss = tmp_path / "tss.tsv"
+        tss.write_text("GA\t1\nGB\t2\n")
+        argv = ["profile", "--associations", tss, "--significant", lists[flag],
+                "--window", "1", "--universe", "2"]
+    else:
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tGA\tGB\n")
+        argv = ["enrich", "--genes", lists["--genes"], "--universe", lists["--universe"],
+                "--gmt", gmt]
+    out = tmp_path / "out"
+    assert run([*argv, "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {table}: line 2: expected one gene id per line, got 2 cells\n" in err
+    assert not out.exists()
+
+
+def test_gene_list_ids_padded_with_tabs_are_one_id(tmp_path):
+    path = tmp_path / "genes.txt"
+    path.write_text("\tga\t\n# x\ty\n\n gB \t\n")
+    assert _read_gene_lines(path) == ["GA", "GB"]
+
+
 @pytest.mark.parametrize("command,flags", [
     ("chdir", ["--design", "{design}", "--class1", "c1,c2"]),
     ("ttest", ["--class1", "c1,c2"]),
@@ -644,7 +696,7 @@ def test_bad_fraction_is_usage_error_before_any_file_is_read(
 ):
     import chardir.cli
 
-    for reader in ("parse_design_tsv", "parse_expression_tsv", "parse_gmt"):
+    for reader in ("parse_design_tsv", "_read_expression_file", "parse_gmt"):
         monkeypatch.setattr(chardir.cli, reader, lambda *args, **kwargs: pytest.fail("read"))
     expr, design, tmp = toy
     if command == "enrich":
@@ -879,7 +931,7 @@ class TestProjectCommand:
     ):
         import chardir.cli
 
-        monkeypatch.setattr(chardir.cli, "parse_expression_tsv",
+        monkeypatch.setattr(chardir.cli, "_read_expression_file",
                             lambda *args, **kwargs: pytest.fail("the table was parsed"))
         expr, design, tmp = toy
         out = tmp / "out"
@@ -993,29 +1045,330 @@ class TestWorkingSet:
         # traced allocation after the parse, over the parsed values' bytes,
         # reads 1.6 (chdir) and 1.8 (ttest) on this table; a run that keeps
         # the parsed table beside a copy of each class reads 3.1 and 4.3.
+        # The first run parses the table and stores it in the parse cache,
+        # the second loads it from there; both are held to the bound.
         import chardir.cli
 
         sim = tmp_path / "sim"
         assert run(["simulate", "--n-genes", "8192", "--samples-per-class", "10",
                     "--seed", "3", "--out", sim]) == 0
-        parse, after = chardir.cli.parse_expression_tsv, {}
+        read, after = chardir.cli._read_expression_file, {}
 
-        def parse_then_reset_peak(*args, **kwargs):
-            matrix = parse(*args, **kwargs)
+        def read_then_reset_peak(*args, **kwargs):
+            matrix, digest = read(*args, **kwargs)
             after.update(held=tracemalloc.get_traced_memory()[0], nbytes=matrix.values.nbytes)
             tracemalloc.reset_peak()
+            return matrix, digest
+
+        monkeypatch.setattr(chardir.cli, "_read_expression_file", read_then_reset_peak)
+        for run_index in range(2):
+            tracemalloc.start()
+            try:
+                code = run([command, "--expression", sim / "expression.tsv",
+                            "--design", sim / "design.tsv", "--out", tmp_path / f"out{run_index}"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert (peak - after["held"]) / after["nbytes"] < bound, run_index
+        assert len(cache_entries()) == 1
+
+
+class TestExpressionCache:
+    """The parse cache behind ``chdir``, ``ttest`` and ``project``: a warm run
+    loads the table the cold run stored and writes the same bytes."""
+
+    COMMANDS = {
+        "chdir_lr1": ["chdir", "--method", "lr1"],
+        "chdir_np1": ["chdir", "--method", "np1"],
+        "ttest": ["ttest"],
+        "project": ["project", "--depth", "3"],
+    }
+
+    @staticmethod
+    def outputs(argv, out):
+        """Run ``argv`` into a fresh ``out``: its exit code and its files' bytes."""
+        shutil.rmtree(out, ignore_errors=True)
+        code = run([*argv, "--seed", "1", "--out", out])
+        return code, {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        """The list that gets one item per parse of an expression table."""
+        parse, parses = chardir.data.parse_expression_tsv, []
+        monkeypatch.setattr(chardir.data, "parse_expression_tsv",
+                            lambda *args, **kwargs: parses.append(1) or parse(*args, **kwargs))
+        return parses
+
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_warm_run_writes_the_cold_runs_bytes_without_a_parse(self, tmp_path, monkeypatch,
+                                                                 command):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-genes", "300", "--samples-per-class", "5",
+                    "--seed", "2", "--out", sim]) == 0
+        argv = [*command, "--expression", sim / "expression.tsv", "--design", sim / "design.tsv"]
+        parses = self.count_parses(monkeypatch)
+        cold = self.outputs(argv, tmp_path / "out")
+        assert cold[0] == 0 and len(cold[1]) > 1 and parses == [1]
+        assert self.outputs(argv, tmp_path / "out") == cold
+        assert parses == [1] and len(cache_entries()) == 1
+
+    def test_entry_and_its_directory_are_private(self, toy):
+        _read_expression_file(toy[0], True, 1.0)
+        [entry] = cache_entries()
+        assert entry.parent.stat().st_mode & 0o077 == 0
+        assert entry.stat().st_mode & 0o077 == 0
+
+    def test_parse_options_give_distinct_entries(self, toy, monkeypatch):
+        expr, design, tmp = toy
+        variants = [[], ["--log2-transform"], ["--log2-transform", "--pseudocount", "3"]]
+        argvs = [["chdir", "--expression", expr, "--design", design, *v] for v in variants]
+        cold = [self.outputs(argv, tmp / "out") for argv in argvs]
+        assert [code for code, _ in cold] == [0, 0, 0] and len(cache_entries()) == 3
+        parses = self.count_parses(monkeypatch)
+        assert [self.outputs(argv, tmp / "out") for argv in argvs] == cold
+        assert parses == []
+
+    def test_ids_that_differ_by_a_trailing_nul_survive_a_warm_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "expr.tsv"
+        path.write_text("gene_id\ts1\ts1\x00\nG1\x00\t1\t2\nG1\t3\t4\n")
+        cold, _ = _read_expression_file(path, True, 1.0)
+        assert cold.gene_ids == ("G1\x00", "G1") and cold.sample_ids == ("s1", "s1\x00")
+        parses = self.count_parses(monkeypatch)
+        warm, _ = _read_expression_file(path, True, 1.0)
+        assert parses == [] and (warm.gene_ids, warm.sample_ids) == (cold.gene_ids, cold.sample_ids)
+        assert warm.values.tobytes() == cold.values.tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "one_array",
+                                        "zip_archive", "duplicate_gene_ids", "wrong_shape"])
+    def test_damaged_entry_is_a_miss_and_is_rewritten(self, toy, monkeypatch, damage):
+        expr, design, tmp = toy
+        argv = ["chdir", "--expression", expr, "--design", design]
+        cold = self.outputs(argv, tmp / "out")
+        [entry] = cache_entries()
+        good = entry.read_bytes()
+        ids = lambda text: np.frombuffer(text.encode(), np.uint8)
+        samples = ids("c1\tc2\tc3\tt1\tt2\tt3")
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"not an entry\n" * 10)
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        elif damage == "one_array":
+            np.save(entry, ids("GA\tGB"))
+        elif damage == "zip_archive":
+            np.savez(entry, genes=ids("GA\tGB"), samples=samples, values=np.zeros((2, 6)))
+            entry.with_suffix(".npy.npz").replace(entry)
+        else:
+            genes, shape = ("GA\tGA", (2, 6)) if damage == "duplicate_gene_ids" else ("GA\tGB", (3, 6))
+            with open(entry, "wb") as handle:
+                for array in (ids(genes), samples, np.zeros(shape)):
+                    np.save(handle, array)
+        parses = self.count_parses(monkeypatch)
+        assert self.outputs(argv, tmp / "out") == cold
+        assert parses == [1] and cache_entries() == [entry]
+        assert self.outputs(argv, tmp / "out") == cold
+        assert parses == [1]
+
+    def test_unwritable_cache_location_runs_uncached_and_silently(self, toy, capsys, monkeypatch):
+        expr, design, tmp = toy
+        argv = ["chdir", "--expression", expr, "--design", design]
+        cold = self.outputs(argv, tmp / "out")
+        capsys.readouterr()
+        regular_file = tmp / "cache_home"
+        regular_file.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(regular_file))
+        parses = self.count_parses(monkeypatch)
+        for _ in range(2):
+            assert self.outputs(argv, tmp / "out") == cold
+            assert capsys.readouterr().err == ""
+        assert parses == [1, 1] and regular_file.read_text() == ""
+
+    def test_relative_cache_location_neither_reads_nor_writes(self, toy, monkeypatch):
+        expr, design, tmp = toy
+        argv = ["ttest", "--expression", expr, "--design", design]
+        cold = self.outputs(argv, tmp / "out")
+        [entry] = cache_entries()
+        monkeypatch.chdir(tmp)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        parses = self.count_parses(monkeypatch)
+        assert self.outputs(argv, tmp / "out") == cold
+        assert parses == [1] and not (tmp / "relative").exists()
+        # A valid entry where the relative location would find it is not read.
+        planted = tmp / "relative" / "chardir" / entry.name
+        planted.parent.mkdir(parents=True)
+        shutil.copy(entry, planted)
+        assert self.outputs(argv, tmp / "out") == cold
+        assert parses == [1, 1] and list(planted.parent.iterdir()) == [planted]
+
+    def test_entry_that_cannot_be_touched_still_serves(self, toy, monkeypatch):
+        _read_expression_file(toy[0], True, 1.0)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(os, "utime", refuse)
+        parses = self.count_parses(monkeypatch)
+        _read_expression_file(toy[0], True, 1.0)
+        assert parses == [] and len(cache_entries()) == 1
+
+    def test_unreadable_parser_module_runs_uncached(self, toy, capsys, monkeypatch):
+        expr, design, tmp = toy
+        argv = ["chdir", "--expression", expr, "--design", design]
+        monkeypatch.setattr(chardir.data, "__file__", str(tmp / "missing.py"))
+        parses = self.count_parses(monkeypatch)
+        cold = self.outputs(argv, tmp / "out")
+        assert cold[0] == 0 and capsys.readouterr().err == ""
+        assert self.outputs(argv, tmp / "out") == cold
+        assert parses == [1, 1] and cache_entries() == []
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_log_scale_runs_share_an_entry_and_a_bad_pseudocount_still_fails(
+        self, toy, capsys, monkeypatch, bad
+    ):
+        expr, design, tmp = toy
+        argv = ["chdir", "--expression", expr, "--design", design]
+        tables = lambda files: {k: v for k, v in files.items() if k != "manifest.json"}
+        code, cold = self.outputs(argv, tmp / "out")
+        parses = self.count_parses(monkeypatch)
+        code3, warm = self.outputs([*argv, "--pseudocount", "3"], tmp / "out")
+        assert code == code3 == 0 and tables(warm) == tables(cold)
+        assert parses == [] and len(cache_entries()) == 1
+        capsys.readouterr()
+        assert run([*argv, "--pseudocount", bad, "--out", tmp / "bad"]) == 1
+        message = f"pseudocount must be a nonnegative finite number, got {float(bad)!r}"
+        assert message in capsys.readouterr().err
+        assert parses == [1] and len(cache_entries()) == 1
+
+    def test_expression_file_is_hashed_once_on_a_hit_and_twice_on_a_miss(self, toy,
+                                                                        monkeypatch):
+        expr, design, tmp = toy
+        sha256, hashed = chardir.data._sha256, []
+        monkeypatch.setattr(chardir.data, "_sha256",
+                            lambda path: hashed.append(Path(path)) or sha256(path))
+        monkeypatch.setattr(chardir.cli, "_sha256", chardir.data._sha256)
+        argv = ["chdir", "--expression", expr, "--design", design]
+        for times in (2, 1):
+            hashed.clear()
+            code, files = self.outputs(argv, tmp / "out")
+            assert code == 0 and hashed.count(expr) == times
+            digests = json.loads(files["manifest.json"])["input_digests"]
+            assert digests["expression"] == hashlib.sha256(expr.read_bytes()).hexdigest()
+            assert hashed.count(design) == 1
+
+    def test_entries_stay_within_the_byte_bound(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(4):
+            paths.append(tmp_path / f"expr{i}.tsv")
+            paths[-1].write_text(f"gene_id\ts1\ts2\nGA\t{i}\t1\n")
+        _read_expression_file(paths[0], True, 1.0)
+        [first] = cache_entries()
+        size = first.stat().st_size
+        monkeypatch.setattr(chardir.data, "_CACHE_BYTES", 2 * size + size // 2)
+        entry_of = {0: first}
+        os.utime(first, ns=(10**9, 10**9))
+        for i in (1, 2, 3):
+            before = set(cache_entries())
+            _read_expression_file(paths[i], True, 1.0)
+            [entry_of[i]] = set(cache_entries()) - before
+            os.utime(entry_of[i], ns=((i + 1) * 10**9,) * 2)
+            assert sum(e.stat().st_size for e in cache_entries()) <= 2 * size + size // 2
+        assert cache_entries() == sorted([entry_of[2], entry_of[3]])
+
+    def test_table_above_the_byte_bound_is_not_written(self, toy, monkeypatch):
+        matrix, _ = _read_expression_file(toy[0], False, 1.0)
+        monkeypatch.setattr(chardir.data, "_CACHE_BYTES", matrix.values.nbytes - 1)
+        monkeypatch.setattr(chardir.data.tempfile, "mkstemp",
+                            lambda *args, **kwargs: pytest.fail("an entry was written"))
+        assert len(cache_entries()) == 1
+        _read_expression_file(toy[0], True, 1.0)
+        assert len(cache_entries()) == 1
+
+    def test_failed_write_leaves_no_file(self, toy, monkeypatch):
+        save = np.save
+
+        def save_then_fail(file, array):
+            save(file, array)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "save", save_then_fail)
+        matrix, _ = _read_expression_file(toy[0], True, 1.0)
+        assert matrix.gene_ids == ("GA", "GB")
+        cache = Path(os.environ["XDG_CACHE_HOME"], "chardir")
+        assert cache.is_dir() and list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("table,flags,message", [
+        (TOY_EXPRESSION + "GC\t0\t0\t0\tx\t5\t5\n", [], "row 4, column 5: non-numeric value 'x'"),
+        (TOY_EXPRESSION + "GC\t-4\t0\t0\t0\t0\t0\n", ["--log2-transform", "--pseudocount", "3"],
+         "row 4, column 2: value -4.0 not positive after pseudocount 3.0"),
+    ], ids=["non_numeric", "below_pseudocount"])
+    def test_failing_table_leaves_no_entry(self, tmp_path, capsys, table, flags, message):
+        expr = tmp_path / "expr.tsv"
+        expr.write_text(table)
+        design = tmp_path / "design.tsv"
+        design.write_text(TOY_DESIGN)
+        errors = []
+        for _ in range(2):
+            code = run(["chdir", "--expression", expr, "--design", design, *flags,
+                        "--out", tmp_path / "out"])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"chardir chdir: error: {message}\n"
+        assert cache_entries() == []
+
+    def test_at_most_eight_entries_stay_the_least_recently_used_go(self, tmp_path):
+        paths = []
+        for i in range(10):
+            paths.append(tmp_path / f"expr{i}.tsv")
+            paths[-1].write_text(f"gene_id\ts1\ts2\nGA\t{i}\t1\n")
+        # Each new entry's time is set to its place in the sequence, so the
+        # order does not rest on the file system's timestamp resolution; a
+        # hit stamps its entry with the present, later than every such time.
+        entry_of, stamp = {}, count(1)
+        for i in [*range(8), 0, 8, 9]:
+            before = set(cache_entries())
+            _read_expression_file(paths[i], True, 1.0)
+            if new := set(cache_entries()) - before:
+                [entry_of[i]] = new
+                os.utime(entry_of[i], ns=(next(stamp) * 10**9,) * 2)
+            assert len(cache_entries()) <= 8
+        assert cache_entries() == sorted(entry_of[i] for i in (0, 3, 4, 5, 6, 7, 8, 9))
+
+    def test_an_edit_to_the_parser_module_changes_the_key(self, toy, tmp_path, monkeypatch):
+        expr = toy[0]
+        _read_expression_file(expr, True, 1.0)
+        source = chardir.data.__file__
+        edited = tmp_path / "data.py"
+        edited.write_bytes(Path(source).read_bytes() + b"# edited\n")
+        monkeypatch.setattr(chardir.data, "__file__", str(edited))
+        parses = self.count_parses(monkeypatch)
+        _read_expression_file(expr, True, 1.0)
+        assert parses == [1] and len(cache_entries()) == 2
+        monkeypatch.setattr(chardir.data, "__file__", source)
+        _read_expression_file(expr, True, 1.0)
+        assert parses == [1]
+
+    def test_the_encoding_the_table_is_decoded_with_is_in_the_key(self, toy):
+        read = f"from chardir.data import _read_expression_file as r; r({str(toy[0])!r}, True, 1.0)"
+        for utf8 in ("0", "1"):  # under the C locale: ASCII, then UTF-8
+            proc = subprocess.run([sys.executable, "-c", read], capture_output=True, text=True,
+                                  env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": utf8})
+            assert proc.returncode == 0, proc.stderr
+        assert len(cache_entries()) == 2
+
+    def test_table_changed_during_the_parse_is_not_stored(self, toy, monkeypatch):
+        expr = toy[0]
+        parse = chardir.data.parse_expression_tsv
+
+        def parse_then_edit(*args, **kwargs):
+            matrix = parse(*args, **kwargs)
+            expr.write_text(TOY_EXPRESSION.replace("5.1", "5.2"))
             return matrix
 
-        monkeypatch.setattr(chardir.cli, "parse_expression_tsv", parse_then_reset_peak)
-        tracemalloc.start()
-        try:
-            code = run([command, "--expression", sim / "expression.tsv",
-                        "--design", sim / "design.tsv", "--out", tmp_path / "out"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert (peak - after["held"]) / after["nbytes"] < bound
+        monkeypatch.setattr(chardir.data, "parse_expression_tsv", parse_then_edit)
+        _read_expression_file(expr, True, 1.0)
+        assert cache_entries() == []
 
 
 class TestThreadPin:
