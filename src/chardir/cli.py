@@ -54,7 +54,7 @@ from .enrichment import (
     sliding_window_profile,
 )
 from .linalg import _principal_components
-from .projection import _project_samples, density_estimate
+from .projection import GRID_POINTS, _kernel_bandwidth, _project_samples, _unit_density
 from .simulate import (
     METHODS,
     SyntheticSpec,
@@ -258,19 +258,14 @@ def _cmd_project(parser, args):
     sample_ids = list(design.class1_samples) + list(design.class2_samples)
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
-    level1 = hierarchy.coords[0]
-    curve1 = density_estimate(level1[:n1], bandwidth)
-    curve2 = density_estimate(level1[n1:], bandwidth)
-    # Resample both classes onto a shared grid spanning the union.
-    lo = min(curve1.grid[0], curve2.grid[0])
-    hi = max(curve1.grid[-1], curve2.grid[-1])
-    grid = np.linspace(lo, hi, len(curve1.grid))
-    dens1 = np.interp(grid, curve1.grid, curve1.density, left=0.0, right=0.0)
-    dens2 = np.interp(grid, curve2.grid, curve2.density, left=0.0, right=0.0)
+    level1 = np.split(hierarchy.coords[0], [n1])
+    classes = [(x, _kernel_bandwidth(x, bandwidth)[0]) for x in level1]
+    # Both classes on one grid, reaching 3 bandwidths past either class.
+    grid = np.linspace(min(x.min() - 3 * h for x, h in classes),
+                       max(x.max() + 3 * h for x, h in classes), GRID_POINTS)
+    dens1, dens2 = (_unit_density(grid, x, h) for x, h in classes)
 
-    scores = _principal_components(
-        samples.factors, args.epsilon, max(2, args.max_components)
-    )
+    scores = _principal_components(samples.factors, 2)
     pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))
     note = f" ({hierarchy.truncated_reason})" if hierarchy.truncated_reason else ""
     return f"project: depth {hierarchy.depth}{note}", {
@@ -293,22 +288,28 @@ def _cmd_project(parser, args):
     }
 
 
-def _spec_from_args(args, samples_per_class: int) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_genes=args.n_genes,
-        samples_per_class=samples_per_class,
-        seed=args.seed,
-        intrinsic_dim=args.intrinsic_dim,
-        variance_scale=args.variance_scale,
-        frac_correlating=args.frac_correlating,
-        frac_de=args.frac_de,
-        de_magnitude=args.de_magnitude,
-    )
+def _spec_from_args(parser, args, samples_per_class, flag: str = "") -> SyntheticSpec:
+    """The spec of ``args`` at ``samples_per_class`` (a count or its text);
+    a value the spec rejects is a usage error, prefixed by ``flag``."""
+    try:
+        return SyntheticSpec(
+            n_genes=args.n_genes,
+            samples_per_class=int(samples_per_class),
+            seed=args.seed,
+            intrinsic_dim=args.intrinsic_dim,
+            variance_scale=args.variance_scale,
+            frac_correlating=args.frac_correlating,
+            frac_de=args.frac_de,
+            de_magnitude=args.de_magnitude,
+        )
+    except ValueError as exc:
+        parser.error(f"{flag}{exc}")
 
 
 def _cmd_simulate(parser, args):
+    _spec_from_args(parser, args, args.samples_per_class)  # before a seed is drawn
     _resolve_seed(args)
-    spec = _spec_from_args(args, args.samples_per_class)
+    spec = _spec_from_args(parser, args, args.samples_per_class)
     outcome = generate(spec)
 
     gene_ids = synthetic_gene_ids(spec.n_genes)
@@ -337,21 +338,18 @@ def _cmd_benchmark(parser, args):
     for flag in ("runs", "jobs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1")
-    flag = ""  # the flag whose value is being checked, as an error names it
     try:
         methods = _validated_methods(m.strip() for m in args.methods.split(",") if m.strip())
-        _spec_from_args(args, 2)  # checks every flag of the spec but the sample size
-        flag = "--sizes: "
-        sizes = [_spec_from_args(args, int(s)).samples_per_class
-                 for s in args.sizes.split(",") if s.strip()]
-        flag = "--roc-samples: "
-        _spec_from_args(args, args.roc_samples)
     except ValueError as exc:
-        parser.error(f"{flag}{exc}")
+        parser.error(str(exc))
+    _spec_from_args(parser, args, 2)  # checks every flag of the spec but the sample size
+    sizes = [_spec_from_args(parser, args, s, "--sizes: ").samples_per_class
+             for s in args.sizes.split(",") if s.strip()]
+    _spec_from_args(parser, args, args.roc_samples, "--roc-samples: ")
     if not sizes:
         parser.error("--sizes must list at least one sample size")
     _resolve_seed(args)
-    template = _spec_from_args(args, max(sizes))
+    template = _spec_from_args(parser, args, max(sizes))
     cells, curves = benchmark_sweep_roc(
         template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs
     )

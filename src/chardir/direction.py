@@ -151,30 +151,26 @@ def _finalize(
     )
 
 
-def _scaled_contrast(
-    factors: _SampleFactors, n1: int, power: int, k: int | None = None
+def _weights(
+    factors: _SampleFactors, n1: int, method: str, epsilon: float, max_components: int
 ) -> np.ndarray:
-    """``basis[:, :k] @ (delta_pc[:k] / singular[:k] ** power)``, where
-    ``delta_pc`` is the centroid difference (class 2 minus the first ``n1``
-    samples) in the principal coordinates and ``k=None`` keeps every axis.
-    The rows of ``coords`` are orthogonal with squared norms
-    ``singular ** 2``, so power 2 is the least-squares normal of the class
-    contrast on the leading k scores, and power 1 over all axes whitens by
-    the label-permutation null."""
+    """The "LR1" or "NP1" weights on the principal axes of ``factors``, whose
+    ``basis[:, :len(weights)] @ weights`` is the unnormalized direction.
+    ``delta_pc``, the centroid difference (class 2 minus the first ``n1``
+    samples) in principal coordinates, is divided by ``singular ** 2`` on
+    the components :func:`_component_rule` keeps (LR1: the least-squares
+    normal of the class contrast on the orthogonal scores) or by
+    ``singular`` on every axis (NP1: whitened by the label-permutation null).
+    """
+    if method == "LR1":
+        k, power = _component_rule(factors, epsilon, max_components)[0], 2
+    elif method == "NP1":
+        k, power = None, 1
+    else:
+        raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
     coords = factors.coords[:k]
     delta_pc = coords[:, n1:].mean(axis=1) - coords[:, :n1].mean(axis=1)
-    return factors.basis[:, :k] @ (delta_pc / factors.singular[:k] ** power)
-
-
-def _lr1_normal(
-    factors: _SampleFactors, n1: int, epsilon: float, max_components: int
-) -> np.ndarray:
-    """Unnormalized lr1 hyperplane normal in the row space of
-    ``factors.basis``: the class contrast regressed on the scores of the
-    leading principal components that capture a fraction 1 - epsilon of the
-    pooled variance, at most ``max_components`` of them."""
-    k = _component_rule(factors, epsilon, max_components)[0]
-    return _scaled_contrast(factors, n1, 2, k)
+    return delta_pc / factors.singular[:k] ** power
 
 
 def _fit(
@@ -185,12 +181,8 @@ def _fit(
 ) -> CharacteristicDirection:
     """The "LR1" or "NP1" direction of factored samples, so one factorisation
     serves both estimators; ``epsilon`` and ``max_components`` apply to LR1."""
-    if method == "LR1":
-        raw = _lr1_normal(samples.factors, samples.n1, epsilon, max_components)
-    elif method == "NP1":
-        raw = _scaled_contrast(samples.factors, samples.n1, 1)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
+    weights = _weights(samples.factors, samples.n1, method, epsilon, max_components)
+    raw = samples.factors.basis[:, : len(weights)] @ weights
     return _finalize(samples.gene_ids, raw, samples.centroid_diff, method)
 
 

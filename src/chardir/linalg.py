@@ -112,16 +112,13 @@ def _component_rule(
     return k, variances[:k], float(cumulative[k - 1]), k_target > max_components
 
 
-def _principal_components(
-    factors: _SampleFactors, epsilon: float, max_components: int
-) -> np.ndarray:
-    """Scores (k x samples) of the components :func:`_component_rule` keeps,
-    each row's sign fixed so that the largest-magnitude entry of its basis
-    column is positive."""
-    k = _component_rule(factors, epsilon, max_components)[0]
+def _principal_components(factors: _SampleFactors, count: int) -> np.ndarray:
+    """Scores (k x samples) of the first ``count`` principal axes, or of all
+    r if fewer, each row's sign fixed so that the largest-magnitude entry of
+    its basis column is positive."""
     # One column at a time, so |basis| is never held whole (genes x k).
-    flips = [-1.0 if c[np.abs(c).argmax()] < 0 else 1.0 for c in factors.basis[:, :k].T]
-    return np.array(flips)[:, None] * factors.coords[:k]
+    flips = [-1.0 if c[np.abs(c).argmax()] < 0 else 1.0 for c in factors.basis[:, :count].T]
+    return np.array(flips)[:, None] * factors.coords[: len(flips)]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

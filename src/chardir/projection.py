@@ -17,11 +17,11 @@ from .direction import (
     CharacteristicDirection,
     NoDifferentialSignalError,
     _finalize,
-    _lr1_normal,
     _pooled,
     _require_signal,
     _two_class_samples,
     _TwoClassSamples,
+    _weights,
 )
 from .linalg import (
     DEFAULT_EPSILON,
@@ -103,10 +103,10 @@ def _project_samples(
     for _ in range(depth):
         try:
             _require_signal(centroid_diff, factors.scale)
-            normal = _lr1_normal(_factor_samples(coords.copy()), n1, epsilon, max_components)
-            direction = _finalize(
-                samples.gene_ids, factors.basis @ normal, centroid_diff, "LR1"
-            )
+            level = _factor_samples(coords.copy())
+            weights = _weights(level, n1, "LR1", epsilon, max_components)
+            normal = factors.basis @ (level.basis[:, : len(weights)] @ weights)
+            direction = _finalize(samples.gene_ids, normal, centroid_diff, "LR1")
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             truncated_reason = (
                 f"signal exhausted at level {len(directions) + 1}: {exc}"
@@ -154,26 +154,32 @@ def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
     1.0 with a diagnostic.
     """
     coords = np.asarray(coords, dtype=np.float64)
+    h, diagnostic = _kernel_bandwidth(coords, bandwidth)
+    grid = np.linspace(coords.min() - 3 * h, coords.max() + 3 * h, GRID_POINTS)
+    return DensityCurve(grid, _unit_density(grid, coords, h), h, diagnostic)
+
+
+def _kernel_bandwidth(coords: np.ndarray, bandwidth: float | None) -> tuple[float, str]:
+    """The kernel bandwidth of :func:`density_estimate` and its diagnostic."""
     if coords.ndim != 1 or coords.size < 2:
         raise ValueError("need at least 2 one-dimensional points")
     if not np.all(np.isfinite(coords)):
         raise ValueError("coords contain non-finite values")
-
-    diagnostic = ""
-    if bandwidth is None:
-        h = silverman_bandwidth(coords)
-        if h <= ROUNDING_SPREAD * float(np.abs(coords).max()):
-            h = FALLBACK_BANDWIDTH
-            diagnostic = "zero spread: fell back to fixed bandwidth"
-    else:
+    if bandwidth is not None:
         h = float(bandwidth)
         if not 0 < h < math.inf:
             raise ValueError(f"bandwidth must be a positive finite number, got {h!r}")
+        return h, ""
+    h = silverman_bandwidth(coords)
+    if h <= ROUNDING_SPREAD * float(np.abs(coords).max()):
+        return FALLBACK_BANDWIDTH, "zero spread: fell back to fixed bandwidth"
+    return h, ""
 
-    grid = np.linspace(coords.min() - 3 * h, coords.max() + 3 * h, GRID_POINTS)
-    z = (grid[:, None] - coords[None, :]) / h
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (
-        coords.size * h * math.sqrt(2 * math.pi)
-    )
-    mass = float(np.trapezoid(density, grid))
-    return DensityCurve(grid=grid, density=density / mass, bandwidth=h, diagnostic=diagnostic)
+
+def _unit_density(grid: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
+    """The Gaussian kernel sum of ``coords`` on ``grid``, scaled to a unit
+    trapezoid integral. Distances are taken relative to the least, so a term
+    is 1 even when every point falls between grid points many ``h`` apart."""
+    z2 = ((grid[:, None] - coords[None, :]) / h) ** 2
+    density = np.exp(-0.5 * (z2 - z2.min())).sum(axis=1)
+    return density / float(np.trapezoid(density, grid))

@@ -201,7 +201,7 @@ class TestCriterion4Invariants:
             epsilon = float(rng.choice([1e-3, 1e-6, 0.05]))
             factors = _factor_samples(data.copy())
             k, _, _, capped = _component_rule(factors, epsilon, 20)
-            scores = _principal_components(factors, epsilon, 20)
+            scores = _principal_components(factors, k)
             basis = factors.basis[:, :k]
             ok &= bool(np.allclose(basis.T @ basis, np.eye(k), atol=1e-8))
             centered = data - factors.mean[:, None]

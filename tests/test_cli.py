@@ -671,6 +671,7 @@ def test_gene_list_ids_padded_with_tabs_are_one_id(tmp_path):
     ("benchmark", ["--roc-samples", "3", "--runs", "0"]),
     ("ttest", ["--design", "{design}", "--class1", "c1,c2"]),
     ("project", ["--design", "{design}", "--class1", "c1,c2"]),
+    ("simulate", ["--n-genes", "0", "--samples-per-class", "3"]),
 ])
 def test_usage_error_prints_the_commands_usage(toy, capsys, command, flags):
     # Raised by the command's handler, not by argparse, yet usage names the
@@ -957,13 +958,24 @@ class TestProjectCommand:
         assert grid[0] == pytest.approx(min(coords) - 3 * 0.25)
         assert json.loads((out / "manifest.json").read_text())["parameters"]["bandwidth"] == "0.25"
 
-    def test_density_columns_integrate_to_one_with_more_genes_than_samples(self, tmp_path):
+    @pytest.mark.parametrize("fixture", ["shift 3", "shift 300", "in range"])
+    def test_density_columns_integrate_to_one_with_more_genes_than_samples(
+        self, tmp_path, fixture
+    ):
         # With p > n the level-1 coordinates are constant within each class
         # up to rounding, so the automatic bandwidth must take the fallback.
-        rng = np.random.default_rng(13)
-        values = rng.standard_normal((200, 8))
-        values[:20, 4:] += 3.0
-        expr, design = write_two_class(tmp_path, values, 4)
+        # At shift 300 the classes sit far apart on the shared grid; "in
+        # range" repeats one column as class 2, whose coordinates fall inside
+        # class 1's range, between grid points far more than a bandwidth apart.
+        if fixture == "in range":
+            rng = np.random.default_rng(5)
+            values = np.hstack([1e5 * rng.standard_normal((3, 6)),
+                                np.repeat(1e4 * rng.standard_normal((3, 1)), 6, axis=1)])
+        else:
+            rng = np.random.default_rng(13)
+            values = rng.standard_normal((200, 8))
+            values[:20, 4:] += float(fixture.split()[1])
+        expr, design = write_two_class(tmp_path, values, values.shape[1] // 2)
         out = tmp_path / "out"
         assert run(
             ["project", "--expression", expr, "--design", design,
@@ -971,12 +983,21 @@ class TestProjectCommand:
         ) == 0
         dens = np.loadtxt(out / "density.tsv", skiprows=1)
         for column in (1, 2):
-            assert np.trapezoid(dens[:, column], dens[:, 0]) == pytest.approx(1.0, abs=1e-2)
+            assert np.trapezoid(dens[:, column], dens[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_pca_scores_match_covariance_eigendecomposition(self, tmp_path):
-        rng = np.random.default_rng(17)
-        values = rng.standard_normal((30, 9)) * np.linspace(3.0, 0.5, 30)[:, None]
-        values[:5, 4:] += 2.0
+    @pytest.mark.parametrize("fixture", ["spread", "dominated"])
+    def test_pca_scores_match_covariance_eigendecomposition(self, tmp_path, fixture):
+        if fixture == "dominated":
+            # The first component holds all but about 1e-6 of the variance,
+            # yet a second axis exists, and pc2 must be its score.
+            rng = np.random.default_rng(3)
+            values = 100 * np.outer(rng.standard_normal(200), rng.standard_normal(8))
+            values += 0.1 * rng.standard_normal((200, 8))
+            values[:10, 4:] += 0.5
+        else:
+            rng = np.random.default_rng(17)
+            values = rng.standard_normal((30, 9)) * np.linspace(3.0, 0.5, 30)[:, None]
+            values[:5, 4:] += 2.0
         expr, design = write_two_class(tmp_path, values, 4)
         out = tmp_path / "out"
         assert run(
@@ -984,7 +1005,9 @@ class TestProjectCommand:
              "--depth", "2", "--seed", "1", "--out", out]
         ) == 0
         rows = read_rows(out / "pca.tsv")
-        assert [r["sample_id"] for r in rows] == ["c0", "c1", "c2", "c3", "t0", "t1", "t2", "t3", "t4"]
+        n2 = values.shape[1] - 4
+        assert [r["sample_id"] for r in rows] == [*(f"c{j}" for j in range(4)),
+                                                  *(f"t{j}" for j in range(n2))]
         _, eigvecs = covariance_eigendecomposition(values)
         centred = values - values.mean(axis=1, keepdims=True)
         for k in range(2):

@@ -36,7 +36,7 @@ def pca(data, epsilon=DEFAULT_EPSILON, max_components=DEFAULT_MAX_COMPONENTS):
     """(factors, (k, variances, retained, capped), scores) of ``data``."""
     factors = _factor_samples(np.array(data, dtype=np.float64))
     rule = _component_rule(factors, epsilon, max_components)
-    return factors, rule, _principal_components(factors, epsilon, max_components)
+    return factors, rule, _principal_components(factors, rule[0])
 
 
 def signed_basis(centered, scores):
@@ -125,7 +125,7 @@ class TestPcaReduce:
         factors = chardir.linalg._SampleFactors(
             np.zeros(4), basis, np.array([2.0 * math.sqrt(2), math.sqrt(1.5)]), coords, 1.0
         )
-        scores = _principal_components(factors, 1e-3, 20)
+        scores = _principal_components(factors, _component_rule(factors, 1e-3, 20)[0])
         assert scores.tolist() == [coords[0].tolist(), (-coords[1]).tolist()]
 
 
