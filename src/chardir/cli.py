@@ -54,7 +54,7 @@ from .enrichment import (
     sliding_window_profile,
 )
 from .linalg import _principal_components
-from .projection import GRID_POINTS, _kernel_bandwidth, _project_samples, _unit_density
+from .projection import _density_grid, _kernel_bandwidth, _project_samples, _unit_density
 from .simulate import (
     METHODS,
     SyntheticSpec,
@@ -92,6 +92,7 @@ def _checked(convert, accept, expected: str):
 _fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _epsilon = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 _components = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_pseudocount = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 # Kept as given, so the manifest records the bandwidth as typed.
 _bandwidth = _checked(str, lambda v: v == "auto" or 0 < float(v) < math.inf,
                       "'auto' or a positive finite number")
@@ -260,9 +261,7 @@ def _cmd_project(parser, args):
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
     level1 = np.split(hierarchy.coords[0], [n1])
     classes = [(x, _kernel_bandwidth(x, bandwidth)[0]) for x in level1]
-    # Both classes on one grid, reaching 3 bandwidths past either class.
-    grid = np.linspace(min(x.min() - 3 * h for x, h in classes),
-                       max(x.max() + 3 * h for x, h in classes), GRID_POINTS)
+    grid = _density_grid(classes)
     dens1, dens2 = (_unit_density(grid, x, h) for x, h in classes)
 
     scores = _principal_components(samples.factors, 2)
@@ -380,7 +379,7 @@ def _add_expression_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="input is raw scale; store log2(x + pseudocount)",
     )
-    p.add_argument("--pseudocount", type=float, default=1.0)
+    p.add_argument("--pseudocount", type=_pseudocount, default=1.0)
 
 
 def _add_design_args(p: argparse.ArgumentParser) -> None:

@@ -336,12 +336,10 @@ def _read_expression_file(path, already_log: bool, pseudocount: float):
     within ``_CACHE_ENTRIES`` and ``_CACHE_BYTES`` stay."""
     digest, entry = _sha256(path), None
     root = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chardir")
-    # A log-scale parse leaves a valid pseudocount unused; an invalid one must fail it.
-    unused = already_log and 0 <= pseudocount < math.inf
     # The key holds the encoding ``open`` decodes the table with, and this
     # module's bytes, so that an edit to the parser retires every entry.
     with suppress(OSError):
-        key = repr((digest, already_log, None if unused else pseudocount, np.__version__,
+        key = repr((digest, already_log, None if already_log else pseudocount, np.__version__,
                     sys.version, io.TextIOWrapper(io.BytesIO()).encoding, _sha256(__file__)))
         if root.is_absolute():
             entry = root / f"expression-{hashlib.sha256(key.encode()).hexdigest()}.npy"

@@ -34,8 +34,8 @@ __all__ = [
     "write_ranked_json",
 ]
 
-# Relative size at or below which a centroid difference or a fitted normal
-# counts as no signal.
+# Size, relative to the table's magnitude, at or below which a centroid
+# difference on the axes a fit uses counts as no signal (both in data units).
 SIGNAL_FLOOR = 1e-12
 
 
@@ -91,11 +91,12 @@ def _require_signal(vector: np.ndarray, scale: float) -> None:
 
 
 class _TwoClassSamples(NamedTuple):
-    """Validated input: pooled samples (class 1 first) and centroid difference."""
+    """Validated input: the factored pooled samples (class 1 first, ``n1``
+    of them) and ``magnitude``, the norm of their centroid difference."""
 
     gene_ids: tuple[str, ...]
     factors: _SampleFactors
-    centroid_diff: np.ndarray
+    magnitude: float
     n1: int
 
 
@@ -114,10 +115,10 @@ def _pooled(x1, x2) -> tuple[np.ndarray, int]:
 
 def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSamples:
     """Validate the classes (the first ``n1`` columns of the genes x samples
-    ``pooled``, then the rest), take their centroid difference, factor the
-    samples and check for a difference. ``pooled`` is overwritten by the
-    factorisation (see :func:`_factor_samples`), so callers pass a float64
-    array they own."""
+    ``pooled``, then the rest), factor the samples and check their centroid
+    difference, read in principal coordinates. ``pooled`` is overwritten by
+    the factorisation (see :func:`_factor_samples`), so callers pass a
+    float64 array they own."""
     if n1 < 2 or pooled.shape[1] - n1 < 2:
         raise ValueError("each class needs at least 2 samples")
     if not np.all(np.isfinite(pooled)):
@@ -126,29 +127,15 @@ def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSample
     if len(gene_ids) != pooled.shape[0]:
         raise ValueError("gene_ids and matrices disagree on gene count")
 
-    centroid_diff = pooled[:, n1:].mean(axis=1) - pooled[:, :n1].mean(axis=1)
     factors = _factor_samples(pooled)
+    centroid_diff = _class_difference(factors.coords, n1)
     _require_signal(centroid_diff, factors.scale)
-    return _TwoClassSamples(gene_ids, factors, centroid_diff, n1)
+    return _TwoClassSamples(gene_ids, factors, float(np.linalg.norm(centroid_diff)), n1)
 
 
-def _finalize(
-    gene_ids,
-    raw: np.ndarray,
-    centroid_diff: np.ndarray,
-    method: str,
-) -> CharacteristicDirection:
-    """Unit-normalize, orient along the centroid difference, and wrap."""
-    _require_signal(raw, max(1.0, float(np.abs(centroid_diff).max(initial=0.0))))
-    b = raw / np.linalg.norm(raw)
-    if float(b @ centroid_diff) < 0:
-        b = -b
-    return CharacteristicDirection(
-        gene_ids=tuple(gene_ids),
-        coefficients=b,
-        method=method,
-        magnitude=float(np.linalg.norm(centroid_diff)),
-    )
+def _class_difference(coords: np.ndarray, n1: int) -> np.ndarray:
+    """The mean of the columns of ``coords`` past ``n1`` minus that of the rest."""
+    return coords[:, n1:].mean(axis=1) - coords[:, :n1].mean(axis=1)
 
 
 def _weights(
@@ -161,6 +148,9 @@ def _weights(
     the components :func:`_component_rule` keeps (LR1: the least-squares
     normal of the class contrast on the orthogonal scores) or by
     ``singular`` on every axis (NP1: whitened by the label-permutation null).
+    A ``delta_pc`` on those axes at most ``SIGNAL_FLOOR * factors.scale``
+    raises NoDifferentialSignalError; else its dot product with the weights
+    is positive, so the direction points from class 1 to class 2.
     """
     if method == "LR1":
         k, power = _component_rule(factors, epsilon, max_components)[0], 2
@@ -168,8 +158,8 @@ def _weights(
         k, power = None, 1
     else:
         raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
-    coords = factors.coords[:k]
-    delta_pc = coords[:, n1:].mean(axis=1) - coords[:, :n1].mean(axis=1)
+    delta_pc = _class_difference(factors.coords[:k], n1)
+    _require_signal(delta_pc, factors.scale)
     return delta_pc / factors.singular[:k] ** power
 
 
@@ -183,7 +173,9 @@ def _fit(
     serves both estimators; ``epsilon`` and ``max_components`` apply to LR1."""
     weights = _weights(samples.factors, samples.n1, method, epsilon, max_components)
     raw = samples.factors.basis[:, : len(weights)] @ weights
-    return _finalize(samples.gene_ids, raw, samples.centroid_diff, method)
+    return CharacteristicDirection(
+        samples.gene_ids, raw / np.linalg.norm(raw), method, samples.magnitude
+    )
 
 
 def lr1_direction(

@@ -16,7 +16,7 @@ import numpy as np
 from .direction import (
     CharacteristicDirection,
     NoDifferentialSignalError,
-    _finalize,
+    _class_difference,
     _pooled,
     _require_signal,
     _two_class_samples,
@@ -91,7 +91,7 @@ def project_hierarchy(
 def _project_samples(
     samples: _TwoClassSamples, depth: int, epsilon: float, max_components: int
 ) -> ProjectionHierarchy:
-    factors, centroid_diff, n1 = samples.factors, samples.centroid_diff, samples.n1
+    factors, n1 = samples.factors, samples.n1
     coords = factors.coords
     n_samples = coords.shape[1]
     if not 1 <= depth <= min(n_samples - 2, len(samples.gene_ids)):
@@ -102,22 +102,19 @@ def _project_samples(
     truncated_reason = ""
     for _ in range(depth):
         try:
+            centroid_diff = _class_difference(coords, n1)
             _require_signal(centroid_diff, factors.scale)
             level = _factor_samples(coords.copy())
             weights = _weights(level, n1, "LR1", epsilon, max_components)
-            normal = factors.basis @ (level.basis[:, : len(weights)] @ weights)
-            direction = _finalize(samples.gene_ids, normal, centroid_diff, "LR1")
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
-            truncated_reason = (
-                f"signal exhausted at level {len(directions) + 1}: {exc}"
-            )
+            truncated_reason = f"signal exhausted at level {len(directions) + 1}: {exc}"
             break
-        b = direction.coefficients
-        c = factors.basis.T @ b
-        directions.append(direction)
+        c = level.basis[:, : len(weights)] @ weights
+        c /= np.linalg.norm(c)
+        directions.append(CharacteristicDirection(
+            samples.gene_ids, factors.basis @ c, "LR1", float(np.linalg.norm(centroid_diff))))
         levels.append(c @ coords)
         coords = coords - np.outer(c, levels[-1])
-        centroid_diff = centroid_diff - b * (b @ centroid_diff)
 
     if not directions:
         raise NoDifferentialSignalError(truncated_reason)
@@ -155,8 +152,15 @@ def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
     """
     coords = np.asarray(coords, dtype=np.float64)
     h, diagnostic = _kernel_bandwidth(coords, bandwidth)
-    grid = np.linspace(coords.min() - 3 * h, coords.max() + 3 * h, GRID_POINTS)
+    grid = _density_grid([(coords, h)])
     return DensityCurve(grid, _unit_density(grid, coords, h), h, diagnostic)
+
+
+def _density_grid(classes) -> np.ndarray:
+    """:data:`GRID_POINTS` points reaching 3 bandwidths past every class of
+    ``classes``, ``(coords, bandwidth)`` pairs."""
+    return np.linspace(min(x.min() - 3 * h for x, h in classes),
+                       max(x.max() + 3 * h for x, h in classes), GRID_POINTS)
 
 
 def _kernel_bandwidth(coords: np.ndarray, bandwidth: float | None) -> tuple[float, str]:

@@ -251,16 +251,22 @@ class TestChdirCommand:
         rows = read_rows(out / "ranked_genes.tsv")
         assert all(r["significant"] == "true" for r in rows)
 
-    @pytest.mark.parametrize("pseudocount", ["nan", "inf"])
-    def test_non_finite_pseudocount_is_named(self, toy, capsys, pseudocount):
+    @pytest.mark.parametrize("pseudocount", ["-1", "nan", "inf"])
+    def test_bad_pseudocount_is_usage_error_before_any_file_is_read(
+        self, toy, capsys, monkeypatch, pseudocount
+    ):
+        import chardir.cli
+
+        for reader in ("parse_design_tsv", "_read_expression_file"):
+            monkeypatch.setattr(chardir.cli, reader, lambda *args, **kwargs: pytest.fail("read"))
         expr, design, tmp = toy
         out = tmp / "out"
         assert run(
             ["chdir", "--expression", expr, "--design", design, "--log2-transform",
              "--pseudocount", pseudocount, "--seed", "1", "--out", out]
-        ) == 1
-        message = f"pseudocount must be a nonnegative finite number, got {float(pseudocount)!r}"
-        assert f"chardir chdir: error: {message}\n" in capsys.readouterr().err
+        ) == 2
+        assert ("chardir chdir: error: argument --pseudocount: expected a nonnegative finite "
+                f"number, got {pseudocount!r}\n") in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_design_file_is_usage_error(self, toy, capsys):
@@ -1259,10 +1265,10 @@ class TestExpressionCache:
         assert code == code3 == 0 and tables(warm) == tables(cold)
         assert parses == [] and len(cache_entries()) == 1
         capsys.readouterr()
-        assert run([*argv, "--pseudocount", bad, "--out", tmp / "bad"]) == 1
-        message = f"pseudocount must be a nonnegative finite number, got {float(bad)!r}"
+        assert run([*argv, "--pseudocount", bad, "--out", tmp / "bad"]) == 2
+        message = f"argument --pseudocount: expected a nonnegative finite number, got {bad!r}"
         assert message in capsys.readouterr().err
-        assert parses == [1] and len(cache_entries()) == 1
+        assert parses == [] and len(cache_entries()) == 1
 
     def test_expression_file_is_hashed_once_on_a_hit_and_twice_on_a_miss(self, toy,
                                                                         monkeypatch):

@@ -75,12 +75,16 @@ class TestLr1:
             oracle = normal_equation_direction(x1, x2)
             assert float(d.coefficients @ oracle) > 1 - 1e-8
 
-    def test_global_sign_flip_negates_coefficients(self):
+    # A table multiplied by a constant keeps its direction, up to the sign.
+    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8])
+    def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(3)
         gene_ids, x1, x2 = random_two_class(rng)
         d = lr1_direction(gene_ids, x1, x2)
-        d_flip = lr1_direction(gene_ids, -x1, -x2)
-        np.testing.assert_allclose(d_flip.coefficients, -d.coefficients, atol=1e-10)
+        d_scaled = lr1_direction(gene_ids, factor * x1, factor * x2)
+        np.testing.assert_allclose(
+            d_scaled.coefficients, np.sign(factor) * d.coefficients, atol=1e-10
+        )
 
     def test_sample_order_invariance_within_class(self):
         rng = np.random.default_rng(4)
@@ -157,12 +161,13 @@ class TestNp1:
         with pytest.raises(NoDifferentialSignalError):
             np1_direction(["a", "b", "c"], x, x.copy())
 
-    def test_global_sign_flip_negates_coefficients(self):
+    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8])
+    def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(10)
         gene_ids, x1, x2 = random_two_class(rng)
         a = np1_direction(gene_ids, x1, x2)
-        b = np1_direction(gene_ids, -x1, -x2)
-        np.testing.assert_allclose(b.coefficients, -a.coefficients, atol=1e-10)
+        b = np1_direction(gene_ids, factor * x1, factor * x2)
+        np.testing.assert_allclose(b.coefficients, np.sign(factor) * a.coefficients, atol=1e-10)
 
     def test_matches_rank_restricted_gene_space_oracle(self):
         # np1 is the infinite-shuffle limit of the Monte Carlo oracle: the

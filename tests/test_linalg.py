@@ -278,7 +278,7 @@ class TestBlockedFactorisation:
         assert np.abs(factors.basis @ factors.coords - centred).max() <= 1e-13 * factors.scale
         assert np.abs(factors.basis.T @ factors.basis - np.eye(r)).max() <= 1e-13
 
-        reference = _TwoClassSamples(samples.gene_ids, oracle, samples.centroid_diff, n // 2)
+        reference = _TwoClassSamples(samples.gene_ids, oracle, samples.magnitude, n // 2)
         for method in ("LR1", "NP1"):
             blocked = _fit(samples, method).coefficients
             single = _fit(reference, method).coefficients

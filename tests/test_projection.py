@@ -85,7 +85,10 @@ class TestHierarchy:
                 dot = float(h.directions[i].coefficients @ h.directions[j].coefficients)
                 assert abs(dot) < 1e-8
 
-    def test_depth_three_matches_gene_space_oracle(self):
+    # A table multiplied by a constant keeps its directions and scales its
+    # coordinates by that constant.
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_depth_three_matches_gene_space_oracle(self, scale):
         # All components kept, so each level is the full-space normal of
         # the deflated data; both more genes than samples and the reverse.
         rng = np.random.default_rng(16)
@@ -93,12 +96,13 @@ class TestHierarchy:
             x1 = rng.standard_normal((n_genes, n1))
             x2 = rng.standard_normal((n_genes, n2)) + rng.standard_normal(n_genes)[:, None]
             gene_ids = tuple(f"g{i}" for i in range(n_genes))
-            h = project_hierarchy(gene_ids, x1, x2, depth=3, epsilon=1e-12, max_components=50)
+            h = project_hierarchy(gene_ids, scale * x1, scale * x2, depth=3,
+                                  epsilon=1e-12, max_components=50)
             directions, coords = hierarchy_normal_equations(x1, x2, 3)
             assert h.depth == 3
             got = np.vstack([d.coefficients for d in h.directions])
             assert np.max(np.abs(got - directions)) <= 1e-10
-            assert np.max(np.abs(h.coords - coords)) <= 1e-10
+            assert np.max(np.abs(h.coords / scale - coords)) <= 1e-10
 
     def test_class_labels(self):
         h = project_hierarchy(("A", "B"), TOY_X1, TOY_X2, depth=1)
