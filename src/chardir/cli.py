@@ -53,7 +53,7 @@ from .enrichment import (
     hypergeom_enrich,
     sliding_window_profile,
 )
-from .linalg import _principal_components
+from .linalg import DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS, _principal_components
 from .projection import _density_grid, _kernel_bandwidth, _project_samples, _unit_density
 from .simulate import (
     METHODS,
@@ -416,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p)
     p.add_argument("--method", choices=("lr1", "np1"), default="lr1")
     p.add_argument("--alpha", type=_fraction, default=0.3, help="cumulative squared-coefficient cutoff")
-    p.add_argument("--epsilon", type=_epsilon, default=1e-3, help="PCA unexplained-variance budget")
-    p.add_argument("--max-components", type=_components, default=20)
+    p.add_argument(
+        "--epsilon", type=_epsilon, default=DEFAULT_EPSILON, help="PCA unexplained-variance budget"
+    )
+    p.add_argument("--max-components", type=_components, default=DEFAULT_MAX_COMPONENTS)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     _add_common_args(p)
     p.set_defaults(func=_cmd_chdir)
@@ -456,8 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_expression_args(p)
     _add_design_args(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--epsilon", type=_epsilon, default=1e-3)
-    p.add_argument("--max-components", type=_components, default=20)
+    p.add_argument(
+        "--epsilon", type=_epsilon, default=DEFAULT_EPSILON, help="PCA unexplained-variance budget"
+    )
+    p.add_argument("--max-components", type=_components, default=DEFAULT_MAX_COMPONENTS)
     p.add_argument("--bandwidth", type=_bandwidth, default="auto", help="KDE bandwidth or 'auto'")
     _add_common_args(p)
     p.set_defaults(func=_cmd_project)

@@ -138,19 +138,19 @@ def _class_difference(coords: np.ndarray, n1: int) -> np.ndarray:
     return coords[:, n1:].mean(axis=1) - coords[:, :n1].mean(axis=1)
 
 
-def _weights(
+def _unit_direction(
     factors: _SampleFactors, n1: int, method: str, epsilon: float, max_components: int
 ) -> np.ndarray:
-    """The "LR1" or "NP1" weights on the principal axes of ``factors``, whose
-    ``basis[:, :len(weights)] @ weights`` is the unnormalized direction.
+    """The unit "LR1" or "NP1" direction in the row space of ``factors``:
+    ``basis @ w`` normalised, with weights ``w`` on its principal axes.
     ``delta_pc``, the centroid difference (class 2 minus the first ``n1``
     samples) in principal coordinates, is divided by ``singular ** 2`` on
     the components :func:`_component_rule` keeps (LR1: the least-squares
     normal of the class contrast on the orthogonal scores) or by
     ``singular`` on every axis (NP1: whitened by the label-permutation null).
     A ``delta_pc`` on those axes at most ``SIGNAL_FLOOR * factors.scale``
-    raises NoDifferentialSignalError; else its dot product with the weights
-    is positive, so the direction points from class 1 to class 2.
+    raises NoDifferentialSignalError; else its dot product with ``w`` is
+    positive, so the direction points from class 1 to class 2.
     """
     if method == "LR1":
         k, power = _component_rule(factors, epsilon, max_components)[0], 2
@@ -160,7 +160,8 @@ def _weights(
         raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
     delta_pc = _class_difference(factors.coords[:k], n1)
     _require_signal(delta_pc, factors.scale)
-    return delta_pc / factors.singular[:k] ** power
+    raw = factors.basis[:, : len(delta_pc)] @ (delta_pc / factors.singular[:k] ** power)
+    return raw / np.linalg.norm(raw)
 
 
 def _fit(
@@ -171,11 +172,8 @@ def _fit(
 ) -> CharacteristicDirection:
     """The "LR1" or "NP1" direction of factored samples, so one factorisation
     serves both estimators; ``epsilon`` and ``max_components`` apply to LR1."""
-    weights = _weights(samples.factors, samples.n1, method, epsilon, max_components)
-    raw = samples.factors.basis[:, : len(weights)] @ weights
-    return CharacteristicDirection(
-        samples.gene_ids, raw / np.linalg.norm(raw), method, samples.magnitude
-    )
+    unit = _unit_direction(samples.factors, samples.n1, method, epsilon, max_components)
+    return CharacteristicDirection(samples.gene_ids, unit, method, samples.magnitude)
 
 
 def lr1_direction(

@@ -28,7 +28,7 @@ class _SampleFactors(NamedTuple):
     """``data - mean[:, None] == basis @ coords``: the thin SVD of row-centred
     data truncated at its numerical rank r, with orthonormal ``basis``
     (genes x r), ``coords = diag(singular) @ Vt`` (r x samples) and
-    ``scale``, the data's magnitude (at least 1)."""
+    ``scale``, the data's largest magnitude."""
 
     mean: np.ndarray
     basis: np.ndarray
@@ -45,7 +45,7 @@ def _factor_samples(data: np.ndarray) -> _SampleFactors:
     numerical rank counts singular values above LAPACK's tolerance,
     max(shape) * eps * largest."""
     mean = data.mean(axis=1)
-    scale = max(1.0, float(data.max()), -float(data.min()))
+    scale = max(float(data.max()), -float(data.min()))
     data -= mean[:, None]
     u, s, vt = _thin_svd(data)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps

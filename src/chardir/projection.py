@@ -21,7 +21,7 @@ from .direction import (
     _require_signal,
     _two_class_samples,
     _TwoClassSamples,
-    _weights,
+    _unit_direction,
 )
 from .linalg import (
     DEFAULT_EPSILON,
@@ -104,13 +104,10 @@ def _project_samples(
         try:
             centroid_diff = _class_difference(coords, n1)
             _require_signal(centroid_diff, factors.scale)
-            level = _factor_samples(coords.copy())
-            weights = _weights(level, n1, "LR1", epsilon, max_components)
+            c = _unit_direction(_factor_samples(coords.copy()), n1, "LR1", epsilon, max_components)
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             truncated_reason = f"signal exhausted at level {len(directions) + 1}: {exc}"
             break
-        c = level.basis[:, : len(weights)] @ weights
-        c /= np.linalg.norm(c)
         directions.append(CharacteristicDirection(
             samples.gene_ids, factors.basis @ c, "LR1", float(np.linalg.norm(centroid_diff))))
         levels.append(c @ coords)

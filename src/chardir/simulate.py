@@ -81,10 +81,10 @@ class SyntheticSpec:
             raise ValueError("samples_per_class must be >= 2")
         if not 0 < self.frac_correlating <= 1 or not 0 < self.frac_de <= 1:
             raise ValueError("gene fractions must lie in (0, 1]")
-        if self.variance_scale <= 1:
-            raise ValueError("variance_scale must exceed 1")
-        if self.de_magnitude < 0:
-            raise ValueError("de_magnitude must be nonnegative")
+        if not 1 < self.variance_scale < math.inf:
+            raise ValueError("variance_scale must be a finite number above 1")
+        if not 0 <= self.de_magnitude < math.inf:
+            raise ValueError("de_magnitude must be a finite nonnegative number")
         if self.intrinsic_dim < 1:
             raise ValueError("intrinsic_dim must be >= 1")
         if self.intrinsic_dim > self.n_correlating:
@@ -264,15 +264,11 @@ def _derived_seed(master_seed: int, *key: int) -> int:
 
 
 def _run_single(
-    spec_template: SyntheticSpec,
-    size: int,
-    run_index: int,
-    methods: tuple[str, ...],
-    roc_samples: int | None = None,
-) -> dict[str, tuple[float, np.ndarray | None] | None]:
+    spec_template: SyntheticSpec, size: int, run_index: int, methods: tuple[str, ...]
+) -> dict[str, tuple[float, np.ndarray] | None]:
     """One simulation run: generate data and score every method, as its
-    Gini and, when ``size`` is ``roc_samples``, its ROC's true-positive
-    rates on ``ROC_GRID`` (None where the estimator degenerates).
+    Gini and its ROC's true-positive rates on ``ROC_GRID`` (None where the
+    estimator degenerates).
 
     The data seed is derived from (master seed, sample size, run index),
     so a sweep's runs reproduce identically whether executed sequentially
@@ -288,8 +284,7 @@ def _run_single(
     for method, scores in method_scores(outcome, methods).items():
         if scores is not None:
             score = score_recovery(scores, outcome.de_mask)
-            roc = np.interp(ROC_GRID, score.fpr, score.tpr) if size == roc_samples else None
-            records[method] = (score.gini, roc)
+            records[method] = (score.gini, np.interp(ROC_GRID, score.fpr, score.tpr))
     return records
 
 
@@ -301,30 +296,6 @@ def _validated_methods(methods) -> tuple[str, ...]:
     if not methods:
         raise ValueError("need at least one method")
     return methods
-
-
-def _run_all(
-    spec_template: SyntheticSpec,
-    tasks: list[tuple[int, int]],
-    methods: tuple[str, ...],
-    roc_samples: int | None,
-    n_jobs: int,
-) -> dict[tuple[int, int], dict[str, tuple[float, np.ndarray | None] | None]]:
-    """Each distinct (size, run) task simulated once, keyed by the task."""
-    tasks = list(dict.fromkeys(tasks))
-    if n_jobs == 1:
-        return {
-            (s, r): _run_single(spec_template, s, r, methods, roc_samples) for s, r in tasks
-        }
-    # Imported here: it loads multiprocessing, which no other path needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [
-            pool.submit(_run_single, spec_template, s, r, methods, roc_samples)
-            for s, r in tasks
-        ]
-        return dict(zip(tasks, [f.result() for f in futures]))
 
 
 def benchmark_sweep_roc(
@@ -341,8 +312,8 @@ def benchmark_sweep_roc(
     ``spec_template.seed`` is the master seed: each run draws its data from
     a seed derived from (master seed, size, run index), every method scores
     the same data, and a (size, run) pair both tables need runs once. Each
-    run, in this process or a worker, returns per method only its Gini and,
-    at ``roc_samples``, its ROC interpolated onto a common false-positive-rate
+    run, in this process or one of ``n_jobs`` workers, returns per method
+    its Gini and its ROC interpolated onto a common false-positive-rate
     grid, and this function averages them: runs where an estimator
     degenerates are counted and excluded, and Ginis are averaged by
     compensated summation in run order, so results do not depend on
@@ -353,13 +324,23 @@ def benchmark_sweep_roc(
     sample_sizes = list(dict.fromkeys(sample_sizes))
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    tasks = [(size, run) for size in sample_sizes for run in range(n_runs)]
-    roc_tasks = [] if roc_samples is None else [(roc_samples, run) for run in range(n_runs)]
-    runs = _run_all(spec_template, tasks + roc_tasks, methods, roc_samples, n_jobs)
+    sizes = list(dict.fromkeys(sample_sizes + ([] if roc_samples is None else [roc_samples])))
+    one_run = functools.partial(_run_single, spec_template, methods=methods)
+    task_sizes = [size for size in sizes for _ in range(n_runs)]
+    task_runs = [*range(n_runs)] * len(sizes)
+    if n_jobs == 1:
+        records = list(map(one_run, task_sizes, task_runs))
+    else:
+        # Imported here: it loads multiprocessing, which no other path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            records = list(pool.map(one_run, task_sizes, task_runs))
+    runs = {size: records[i * n_runs : (i + 1) * n_runs] for i, size in enumerate(sizes)}
 
     cells = []
     for size in sample_sizes:
-        per_run = [runs[task] for task in tasks if task[0] == size]
+        per_run = runs[size]
         for method in methods:
             ginis = [run[method][0] for run in per_run if run[method] is not None]
             mean = math.fsum(ginis) / len(ginis) if ginis else float("nan")
@@ -374,7 +355,7 @@ def benchmark_sweep_roc(
         return cells, []
     curves = []
     for method in methods:
-        rows = [runs[task][method][1] for task in roc_tasks if runs[task][method] is not None]
+        rows = [run[method][1] for run in runs[roc_samples] if run[method] is not None]
         if not rows:
             raise RuntimeError(f"all runs failed for method {method}")
         curves.append(MeanRocCurve(method, ROC_GRID, np.vstack(rows).mean(axis=0)))

@@ -317,7 +317,7 @@ def single_svd_factors(data: np.ndarray) -> _SampleFactors:
     """The sample factorisation by one numpy SVD of the whole row-centred
     ``data``, which is left unchanged: no row blocks and no QR."""
     mean = data.mean(axis=1)
-    scale = max(1.0, float(data.max()), -float(data.min()))
+    scale = float(np.abs(data).max())
     centred = data - mean[:, None]
     u, s, vt = np.linalg.svd(centred, full_matrices=False)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps

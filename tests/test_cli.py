@@ -678,6 +678,8 @@ def test_gene_list_ids_padded_with_tabs_are_one_id(tmp_path):
     ("ttest", ["--design", "{design}", "--class1", "c1,c2"]),
     ("project", ["--design", "{design}", "--class1", "c1,c2"]),
     ("simulate", ["--n-genes", "0", "--samples-per-class", "3"]),
+    ("simulate", ["--variance-scale", "nan", "--samples-per-class", "3"]),
+    ("simulate", ["--de-magnitude", "inf", "--samples-per-class", "3"]),
 ])
 def test_usage_error_prints_the_commands_usage(toy, capsys, command, flags):
     # Raised by the command's handler, not by argparse, yet usage names the
@@ -1501,6 +1503,10 @@ class TestPipeline:
         ("--sizes", "3,x", "--sizes: invalid literal for int() with base 10: 'x'"),
         ("--roc-samples", "1", "--roc-samples: samples_per_class must be >= 2"),
         ("--n-genes", "0", "n_genes must be >= 1"),
+        ("--variance-scale", "nan", "variance_scale must be a finite number above 1"),
+        ("--variance-scale", "inf", "variance_scale must be a finite number above 1"),
+        ("--de-magnitude", "nan", "de_magnitude must be a finite nonnegative number"),
+        ("--de-magnitude", "inf", "de_magnitude must be a finite nonnegative number"),
     ])
     def test_benchmark_size_error_names_its_flag(self, tmp_path, capsys, flag, value, message):
         args = {"--n-genes": "30", "--sizes": "3,4", "--roc-samples": "3", flag: value}

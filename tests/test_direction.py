@@ -76,7 +76,7 @@ class TestLr1:
             assert float(d.coefficients @ oracle) > 1 - 1e-8
 
     # A table multiplied by a constant keeps its direction, up to the sign.
-    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8])
+    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100])
     def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(3)
         gene_ids, x1, x2 = random_two_class(rng)
@@ -161,7 +161,7 @@ class TestNp1:
         with pytest.raises(NoDifferentialSignalError):
             np1_direction(["a", "b", "c"], x, x.copy())
 
-    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8])
+    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100])
     def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(10)
         gene_ids, x1, x2 = random_two_class(rng)

@@ -87,7 +87,7 @@ class TestHierarchy:
 
     # A table multiplied by a constant keeps its directions and scales its
     # coordinates by that constant.
-    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-13])
     def test_depth_three_matches_gene_space_oracle(self, scale):
         # All components kept, so each level is the full-space normal of
         # the deflated data; both more genes than samples and the reverse.

@@ -89,6 +89,10 @@ class TestGenerate:
             spec(n=1)
         with pytest.raises(ValueError):
             SyntheticSpec(n_genes=50, samples_per_class=5, seed=0, variance_scale=1.0)
+        for field in ("variance_scale", "de_magnitude"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{field} must be a finite"):
+                    spec(**{field: value})
 
 
 class TestScoreRecovery:
@@ -210,14 +214,17 @@ class TestBenchmark:
         assert len(calls) == 1
         assert list(record) == list(METHODS)
 
-    def test_only_runs_at_roc_samples_carry_a_roc_row(self):
+    def test_every_run_carries_a_roc_row(self):
         template = spec(p=50, n=5, seed=3)
-        other = _run_single(template, 5, 0, METHODS, roc_samples=4)
-        at_roc = _run_single(template, 5, 0, METHODS, roc_samples=5)
-        for method in METHODS:
-            assert other[method][1] is None
-            assert other[method][0] == at_roc[method][0]
-            assert at_roc[method][1].shape == ROC_GRID.shape
+        for size in (4, 5):
+            record = _run_single(template, size, 0, METHODS)
+            for method in METHODS:
+                gini, roc = record[method]
+                assert roc.shape == ROC_GRID.shape and -1.0 <= gini <= 1.0
+                assert roc[-1] == 1.0 and np.all(np.diff(roc) >= 0)
+        # The ROC size picks the runs the curves average, never a Gini.
+        cells = [benchmark_sweep_roc(template, [4, 5], roc, 2)[0] for roc in (None, 4, 5, 6)]
+        assert all(c == cells[0] for c in cells[1:])
 
     def test_degenerate_runs_are_counted_and_excluded(self, monkeypatch):
         import chardir.simulate
