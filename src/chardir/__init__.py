@@ -46,7 +46,7 @@ from .enrichment import (
     angle_enrich,
     angle_null_pvalue,
     hypergeom_enrich,
-    overlap_curve,
+    overlap_counts,
     sliding_window_profile,
 )
 from .linalg import ZeroVarianceError, random_rotation
@@ -83,7 +83,7 @@ __all__ = [
     "angle_enrich",
     "angle_null_pvalue",
     "hypergeom_enrich",
-    "overlap_curve",
+    "overlap_counts",
     "sliding_window_profile",
     "ZeroVarianceError",
     "random_rotation",

@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def _checked(convert, accept, expected: str):
 
 _fraction = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _epsilon = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
-_components = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _pseudocount = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 # Kept as given, so the manifest records the bandwidth as typed.
 _bandwidth = _checked(str, lambda v: v == "auto" or 0 < float(v) < math.inf,
@@ -306,9 +307,9 @@ def _spec_from_args(parser, args, samples_per_class, flag: str = "") -> Syntheti
 
 
 def _cmd_simulate(parser, args):
-    _spec_from_args(parser, args, args.samples_per_class)  # before a seed is drawn
+    spec = _spec_from_args(parser, args, args.samples_per_class)  # before a seed is drawn
     _resolve_seed(args)
-    spec = _spec_from_args(parser, args, args.samples_per_class)
+    spec = replace(spec, seed=args.seed)
     outcome = generate(spec)
 
     gene_ids = synthetic_gene_ids(spec.n_genes)
@@ -334,21 +335,18 @@ def _cmd_simulate(parser, args):
 
 
 def _cmd_benchmark(parser, args):
-    for flag in ("runs", "jobs"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1")
     try:
         methods = _validated_methods(m.strip() for m in args.methods.split(",") if m.strip())
     except ValueError as exc:
         parser.error(str(exc))
-    _spec_from_args(parser, args, 2)  # checks every flag of the spec but the sample size
+    template = _spec_from_args(parser, args, 2)  # every flag of the spec but the sample size
     sizes = [_spec_from_args(parser, args, s, "--sizes: ").samples_per_class
              for s in args.sizes.split(",") if s.strip()]
     _spec_from_args(parser, args, args.roc_samples, "--roc-samples: ")
     if not sizes:
         parser.error("--sizes must list at least one sample size")
     _resolve_seed(args)
-    template = _spec_from_args(parser, args, max(sizes))
+    template = replace(template, samples_per_class=max(sizes), seed=args.seed)
     cells, curves = benchmark_sweep_roc(
         template, sizes, args.roc_samples, args.runs, methods, n_jobs=args.jobs
     )
@@ -396,11 +394,11 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-genes", type=int, default=100)
-    p.add_argument("--intrinsic-dim", type=int, default=2)
-    p.add_argument("--variance-scale", type=float, default=40.0)
-    p.add_argument("--frac-correlating", type=float, default=0.1)
-    p.add_argument("--frac-de", type=float, default=0.1)
-    p.add_argument("--de-magnitude", type=float, default=5.0)
+    p.add_argument("--intrinsic-dim", type=int, default=SyntheticSpec.intrinsic_dim)
+    p.add_argument("--variance-scale", type=float, default=SyntheticSpec.variance_scale)
+    p.add_argument("--frac-correlating", type=float, default=SyntheticSpec.frac_correlating)
+    p.add_argument("--frac-de", type=float, default=SyntheticSpec.frac_de)
+    p.add_argument("--de-magnitude", type=float, default=SyntheticSpec.de_magnitude)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", type=_epsilon, default=DEFAULT_EPSILON, help="PCA unexplained-variance budget"
     )
-    p.add_argument("--max-components", type=_components, default=DEFAULT_MAX_COMPONENTS)
+    p.add_argument("--max-components", type=_positive_int, default=DEFAULT_MAX_COMPONENTS)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     _add_common_args(p)
     p.set_defaults(func=_cmd_chdir)
@@ -449,19 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="sliding-window enrichment along TSS distances")
     p.add_argument("--associations", type=_InputFile, required=True, help="TSV: gene_id, distance")
     p.add_argument("--significant", type=_InputFile, required=True, help="significant-gene list")
-    p.add_argument("--window", type=int, required=True, help="window size in genes")
-    p.add_argument("--universe", type=int, required=True, help="total genes measured")
+    p.add_argument("--window", type=_positive_int, required=True, help="window size in genes")
+    p.add_argument("--universe", type=_positive_int, required=True, help="total genes measured")
     _add_common_args(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("project", help="projection plot data (directions, KDE, PCA)")
     _add_expression_args(p)
     _add_design_args(p)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_positive_int, default=2)
     p.add_argument(
         "--epsilon", type=_epsilon, default=DEFAULT_EPSILON, help="PCA unexplained-variance budget"
     )
-    p.add_argument("--max-components", type=_components, default=DEFAULT_MAX_COMPONENTS)
+    p.add_argument("--max-components", type=_positive_int, default=DEFAULT_MAX_COMPONENTS)
     p.add_argument("--bandwidth", type=_bandwidth, default="auto", help="KDE bandwidth or 'auto'")
     _add_common_args(p)
     p.set_defaults(func=_cmd_project)
@@ -475,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="method-recovery sweep on synthetic data")
     _add_spec_args(p)
     p.add_argument("--sizes", default="3,4,5,6,8,10", help="comma-separated sample sizes")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_positive_int, default=100)
     p.add_argument(
         "--methods", default="lr1,welch", help=f"comma-separated subset of {METHODS}"
     )
     p.add_argument("--roc-samples", type=int, required=True, help="sample size for the ROC table")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     _add_common_args(p)
     p.set_defaults(func=_cmd_benchmark)
 

@@ -85,9 +85,16 @@ class SignificantGeneCall:
     selected_count: int
 
 
-def _require_signal(vector: np.ndarray, scale: float) -> None:
-    if float(np.linalg.norm(vector)) <= SIGNAL_FLOOR * scale:
+def _signal_norm(vector: np.ndarray, scale: float) -> float:
+    """The norm of ``vector``, taken after exact division by the power of two
+    at the table's magnitude ``scale``, so it neither overflows nor
+    underflows. A norm at most ``SIGNAL_FLOOR * scale`` raises
+    NoDifferentialSignalError."""
+    exponent = np.frexp(scale)[1]
+    norm = float(np.linalg.norm(np.ldexp(vector, -exponent)))
+    if norm <= SIGNAL_FLOOR * np.ldexp(scale, -exponent):
         raise NoDifferentialSignalError("no differential signal between the classes")
+    return float(np.ldexp(norm, exponent))
 
 
 class _TwoClassSamples(NamedTuple):
@@ -128,9 +135,8 @@ def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSample
         raise ValueError("gene_ids and matrices disagree on gene count")
 
     factors = _factor_samples(pooled)
-    centroid_diff = _class_difference(factors.coords, n1)
-    _require_signal(centroid_diff, factors.scale)
-    return _TwoClassSamples(gene_ids, factors, float(np.linalg.norm(centroid_diff)), n1)
+    magnitude = _signal_norm(_class_difference(factors.coords, n1), factors.scale)
+    return _TwoClassSamples(gene_ids, factors, magnitude, n1)
 
 
 def _class_difference(coords: np.ndarray, n1: int) -> np.ndarray:
@@ -150,7 +156,9 @@ def _unit_direction(
     ``singular`` on every axis (NP1: whitened by the label-permutation null).
     A ``delta_pc`` on those axes at most ``SIGNAL_FLOOR * factors.scale``
     raises NoDifferentialSignalError; else its dot product with ``w`` is
-    positive, so the direction points from class 1 to class 2.
+    positive, so the direction points from class 1 to class 2. Both are
+    divided by the power of two at the table's magnitude first, so powers
+    and norms stay finite at any scale.
     """
     if method == "LR1":
         k, power = _component_rule(factors, epsilon, max_components)[0], 2
@@ -159,8 +167,10 @@ def _unit_direction(
     else:
         raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
     delta_pc = _class_difference(factors.coords[:k], n1)
-    _require_signal(delta_pc, factors.scale)
-    raw = factors.basis[:, : len(delta_pc)] @ (delta_pc / factors.singular[:k] ** power)
+    _signal_norm(delta_pc, factors.scale)
+    exponent = np.frexp(factors.scale)[1]
+    w = np.ldexp(delta_pc, -exponent) / np.ldexp(factors.singular[:k], -exponent) ** power
+    raw = factors.basis[:, : len(delta_pc)] @ w
     return raw / np.linalg.norm(raw)
 
 

@@ -1,6 +1,6 @@
 """Enrichment statistics: hypergeometric over-representation, the
-principal-angle p-value against an isotropic null, top-n overlap-ratio
-curves, and the sliding-window TSS-distance profile.
+principal-angle p-value against an isotropic null, top-n overlap counts
+and their ratio curves, and the sliding-window TSS-distance profile.
 
 Every hypergeometric p-value, per set or per window, is the exponential of
 one log-space tail kernel over arrays of counts; a set's principal angle is
@@ -14,7 +14,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import GeneSet, GeneSetLibrary
+from .data import GeneSetLibrary
 from .direction import CharacteristicDirection
 from .special import _betainc, _log_hypergeom_tail
 from .welch import bh_fdr
@@ -22,12 +22,11 @@ from .welch import bh_fdr
 __all__ = [
     "EnrichmentResult",
     "AngleEnrichmentResult",
-    "OverlapCurve",
     "OverlapCurveSummary",
     "hypergeom_enrich",
     "angle_null_pvalue",
     "angle_enrich",
-    "overlap_curve",
+    "overlap_counts",
     "aggregate_overlap_curves",
     "dedupe_tss_associations",
     "sliding_window_profile",
@@ -70,7 +69,7 @@ def _member_index(index: dict[str, int], library: GeneSetLibrary) -> tuple[np.nd
     of ``library`` found in ``index`` (gene id -> position), set by set
     with positions ascending inside a set, so the order does not follow the
     string-hash seed. Each distinct id is looked up once; members outside
-    the index are dropped. Either mode rejects an empty library here."""
+    the index are dropped. Every set statistic rejects an empty library here."""
     if len(library) == 0:
         raise ValueError("gene set library is empty")
     where = np.fromiter(map(index.get, library.ids, repeat(-1)), np.int64, len(library.ids))
@@ -189,21 +188,6 @@ def angle_enrich(
 
 
 @dataclass(frozen=True)
-class OverlapCurve:
-    """Per-n overlap of two rankings with a target set.
-
-    ``ratios[i] = counts_a[i] / counts_b[i]``; 0/0 points are NaN and
-    positive/0 points are +inf, so callers can tell the two undefined
-    cases apart.
-    """
-
-    ns: np.ndarray
-    counts_a: np.ndarray
-    counts_b: np.ndarray
-    ratios: np.ndarray
-
-
-@dataclass(frozen=True)
 class OverlapCurveSummary:
     """Mean overlap ratio across experiments with its standard error.
 
@@ -218,54 +202,45 @@ class OverlapCurveSummary:
     n_undefined: np.ndarray
 
 
-def overlap_curve(
-    ranking_a,
-    ranking_b,
-    target: GeneSet,
-    n_max: int,
-) -> OverlapCurve:
-    """Count target genes among the top n of each ranking for n = 1..n_max."""
-    ranking_a = list(ranking_a)
-    ranking_b = list(ranking_b)
+def overlap_counts(ranking_a, ranking_b, library: GeneSetLibrary, n_max: int):
+    """``(counts_a, counts_b)``: sets x ``n_max`` arrays whose column n - 1
+    counts each library set's members among that ranking's top n genes. The
+    rankings must order the same genes, each once."""
+    ranking_a, ranking_b = list(ranking_a), list(ranking_b)
     if set(ranking_a) != set(ranking_b):
         raise ValueError("rankings cover different gene universes")
-    if len(set(ranking_a)) != len(ranking_a):
+    if len(set(ranking_a)) != len(ranking_a) or len(ranking_b) != len(ranking_a):
         raise ValueError("ranking contains duplicate gene ids")
     if not 1 <= n_max <= len(ranking_a):
         raise ValueError("n_max must lie in [1, universe size]")
+    counts = []
+    for ranking in (ranking_a, ranking_b):
+        which, where = _member_index(dict(zip(ranking[:n_max], range(n_max))), library)
+        hits = np.bincount(which * n_max + where, minlength=len(library) * n_max)
+        counts.append(hits.reshape(len(library), n_max).cumsum(axis=1))
+    return tuple(counts)
 
-    in_target_a = np.fromiter((g in target.members for g in ranking_a), dtype=bool)
-    in_target_b = np.fromiter((g in target.members for g in ranking_b), dtype=bool)
-    counts_a = np.cumsum(in_target_a)[:n_max].astype(np.int64)
-    counts_b = np.cumsum(in_target_b)[:n_max].astype(np.int64)
+
+def aggregate_overlap_curves(counts_a, counts_b) -> OverlapCurveSummary:
+    """Aggregate per n the ratios ``counts_a / counts_b`` of experiments
+    stacked as rows (as :func:`overlap_counts` returns them). A 0/0 ratio
+    is NaN and a positive/0 one +inf; both count as undefined."""
+    counts_a, counts_b = np.asarray(counts_a), np.asarray(counts_b)
+    if counts_a.ndim != 2 or counts_a.shape != counts_b.shape or not counts_a.size:
+        raise ValueError("need two non-empty count arrays of one experiments x n shape")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = counts_a / counts_b
-    return OverlapCurve(np.arange(1, n_max + 1), counts_a, counts_b, ratios)
-
-
-def aggregate_overlap_curves(curves) -> OverlapCurveSummary:
-    """Aggregate overlap curves from repeated experiments per n."""
-    curves = list(curves)
-    if not curves:
-        raise ValueError("no curves to aggregate")
-    ns = curves[0].ns
-    for c in curves[1:]:
-        if not np.array_equal(c.ns, ns):
-            raise ValueError("curves disagree on the n grid")
-
-    ratios = np.vstack([c.ratios for c in curves])
-    defined = np.isfinite(ratios)
-    n_defined = defined.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        defined = np.isfinite(ratios)
+        n_defined = defined.sum(axis=0)
         mean = np.where(defined, ratios, 0.0).sum(axis=0) / n_defined
         squares = (np.where(defined, ratios - mean, 0.0) ** 2).sum(axis=0)
         stderr = np.sqrt(squares / (n_defined - 1)) / np.sqrt(n_defined)
     return OverlapCurveSummary(
-        ns=ns,
+        ns=np.arange(1, ratios.shape[1] + 1),
         mean_ratio=mean,
         stderr=np.where(n_defined >= 2, stderr, np.nan),
         n_defined=n_defined,
-        n_undefined=len(curves) - n_defined,
+        n_undefined=len(ratios) - n_defined,
     )
 
 

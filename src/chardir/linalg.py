@@ -25,12 +25,11 @@ class ZeroVarianceError(ValueError):
 
 
 class _SampleFactors(NamedTuple):
-    """``data - mean[:, None] == basis @ coords``: the thin SVD of row-centred
-    data truncated at its numerical rank r, with orthonormal ``basis``
-    (genes x r), ``coords = diag(singular) @ Vt`` (r x samples) and
-    ``scale``, the data's largest magnitude."""
+    """``basis @ coords``: the thin SVD of row-centred data truncated at its
+    numerical rank r, with orthonormal ``basis`` (genes x r),
+    ``coords = diag(singular) @ Vt`` (r x samples) and ``scale``, the
+    data's largest magnitude."""
 
-    mean: np.ndarray
     basis: np.ndarray
     singular: np.ndarray
     coords: np.ndarray
@@ -44,13 +43,12 @@ def _factor_samples(data: np.ndarray) -> _SampleFactors:
     left singular vectors, so callers pass a float64 array they own. The
     numerical rank counts singular values above LAPACK's tolerance,
     max(shape) * eps * largest."""
-    mean = data.mean(axis=1)
     scale = max(float(data.max()), -float(data.min()))
-    data -= mean[:, None]
+    data -= data.mean(axis=1)[:, None]
     u, s, vt = _thin_svd(data)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
-    return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
 
 # Row-block height of the factorisation: taller samples are QR-factored one
@@ -91,6 +89,8 @@ def _component_rule(
     variance, up to ``max_components`` and never more than the numerical
     rank or n_samples - 1. Returns the count k, the k component variances,
     the retained variance fraction and whether ``max_components`` capped k.
+    Singular values are squared after division by the power of two at the
+    table's magnitude, so no square overflows or underflows.
 
     Raises:
         ZeroVarianceError: all samples are identical.
@@ -100,16 +100,19 @@ def _component_rule(
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
     n_samples = factors.coords.shape[1]
-    variances = factors.singular**2 / (n_samples - 1)
+    exponent = np.frexp(factors.scale)[1]
+    variances = np.ldexp(factors.singular, -exponent) ** 2 / (n_samples - 1)
     total = float(variances.sum())
-    if total <= (1e-12 * factors.scale) ** 2:
+    if total <= (1e-12 * np.ldexp(factors.scale, -exponent)) ** 2:
         raise ZeroVarianceError("zero total variance: all samples identical")
 
     cumulative = np.cumsum(variances) / total
     available = min(n_samples - 1, len(variances))
     k_target = min(int(np.searchsorted(cumulative, 1.0 - epsilon) + 1), available)
     k = min(k_target, max_components)
-    return k, variances[:k], float(cumulative[k - 1]), k_target > max_components
+    capped = k_target > max_components
+    with np.errstate(over="ignore"):  # a variance past the float range reads inf
+        return k, np.ldexp(variances[:k], 2 * exponent), float(cumulative[k - 1]), capped
 
 
 def _principal_components(factors: _SampleFactors, count: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .direction import (
     NoDifferentialSignalError,
     _class_difference,
     _pooled,
-    _require_signal,
+    _signal_norm,
     _two_class_samples,
     _TwoClassSamples,
     _unit_direction,
@@ -102,14 +102,13 @@ def _project_samples(
     truncated_reason = ""
     for _ in range(depth):
         try:
-            centroid_diff = _class_difference(coords, n1)
-            _require_signal(centroid_diff, factors.scale)
+            magnitude = _signal_norm(_class_difference(coords, n1), factors.scale)
             c = _unit_direction(_factor_samples(coords.copy()), n1, "LR1", epsilon, max_components)
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             truncated_reason = f"signal exhausted at level {len(directions) + 1}: {exc}"
             break
-        directions.append(CharacteristicDirection(
-            samples.gene_ids, factors.basis @ c, "LR1", float(np.linalg.norm(centroid_diff))))
+        directions.append(
+            CharacteristicDirection(samples.gene_ids, factors.basis @ c, "LR1", magnitude))
         levels.append(c @ coords)
         coords = coords - np.outer(c, levels[-1])
 

@@ -15,7 +15,9 @@ big-integer sums with 40-digit logarithms) instead of the log-space
 hypergeometric kernel, exact fractions or 40-digit log-Gamma functions
 instead of Loader's saddle-point binomial density, line-by-line readers instead of the columnar GMT
 and ranked-file readers, a loop over n instead of the column
-reduction behind overlap-curve aggregation, and one SVD of the whole
+reduction behind overlap-curve aggregation, a gene-by-gene prefix walk
+with a Python set test instead of the bincount over the membership
+index behind overlap counts, and one SVD of the whole
 centred samples instead of their row-blocked tall-skinny QR.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
@@ -316,13 +318,12 @@ def covariance_eigendecomposition(data: np.ndarray):
 def single_svd_factors(data: np.ndarray) -> _SampleFactors:
     """The sample factorisation by one numpy SVD of the whole row-centred
     ``data``, which is left unchanged: no row blocks and no QR."""
-    mean = data.mean(axis=1)
     scale = float(np.abs(data).max())
-    centred = data - mean[:, None]
+    centred = data - data.mean(axis=1)[:, None]
     u, s, vt = np.linalg.svd(centred, full_matrices=False)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
-    return _SampleFactors(mean, u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
 
 
 def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:
@@ -636,3 +637,19 @@ def aggregate_ratios_by_n(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if vals.size >= 2:
             stderr[i] = vals.std(ddof=1) / math.sqrt(vals.size)
     return mean, stderr
+
+
+def overlap_counts_loop(ranking_a, ranking_b, library, n_max: int):
+    """``(counts_a, counts_b)``, sets x n_max: per set and per ranking, the
+    running count of members met walking the ranking gene by gene."""
+    counts = []
+    for ranking in (ranking_a, ranking_b):
+        rows = []
+        for gene_set in library:
+            hits, row = 0, []
+            for gene in list(ranking)[:n_max]:
+                hits += gene in gene_set.members
+                row.append(hits)
+            rows.append(row)
+        counts.append(np.array(rows, dtype=np.int64).reshape(len(rows), n_max))
+    return counts[0], counts[1]

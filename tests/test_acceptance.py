@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from chardir.cli import main as cli_main
-from chardir.data import GeneSet
+from chardir.data import GeneSet, GeneSetLibrary
 from chardir.direction import lr1_direction, np1_direction
-from chardir.enrichment import aggregate_overlap_curves, angle_null_pvalue, overlap_curve
+from chardir.enrichment import aggregate_overlap_curves, angle_null_pvalue, overlap_counts
 from chardir.linalg import _component_rule, _factor_samples, _principal_components
 from chardir.projection import project_hierarchy
 from chardir.simulate import (
@@ -204,7 +204,7 @@ class TestCriterion4Invariants:
             scores = _principal_components(factors, k)
             basis = factors.basis[:, :k]
             ok &= bool(np.allclose(basis.T @ basis, np.eye(k), atol=1e-8))
-            centered = data - factors.mean[:, None]
+            centered = data - data.mean(axis=1)[:, None]
             # Score rows are orthogonal: row i over its squared norm gives
             # the signed basis column it is the coordinate on.
             signed = centered @ scores.T / np.sum(scores**2, axis=1)
@@ -315,7 +315,7 @@ class TestCriterion6Determinism:
 
 class TestCriterion7OverlapRatio:
     def test_planted_set_recovered_better_than_welch(self):
-        curves = []
+        counts = []
         for run in range(50):
             spec = SyntheticSpec(
                 n_genes=1000, samples_per_class=4, seed=MASTER_SEED + 100 + run,
@@ -329,8 +329,9 @@ class TestCriterion7OverlapRatio:
             planted = GeneSet(
                 "DE", "", frozenset(g for g, m in zip(gene_ids, outcome.de_mask) if m)
             )
-            curves.append(overlap_curve(rank_lr1, rank_welch, planted, 500))
-        summary = aggregate_overlap_curves(curves)
+            library = GeneSetLibrary.from_sets([planted])
+            counts.append(overlap_counts(rank_lr1, rank_welch, library, 500))
+        summary = aggregate_overlap_curves(*(np.vstack(side) for side in zip(*counts)))
         grid = np.arange(50, 501, 50)
         ratios = summary.mean_ratio[grid - 1]
         grand_mean = float(np.nanmean(ratios))

@@ -674,7 +674,7 @@ def test_gene_list_ids_padded_with_tabs_are_one_id(tmp_path):
     ("ttest", ["--class1", "c1,c2"]),
     ("chdir", ["--design", "{tmp}/nope.tsv"]),
     ("enrich", ["--genes", "{design}", "--gmt", "{design}"]),
-    ("benchmark", ["--roc-samples", "3", "--runs", "0"]),
+    ("benchmark", ["--roc-samples", "1"]),
     ("ttest", ["--design", "{design}", "--class1", "c1,c2"]),
     ("project", ["--design", "{design}", "--class1", "c1,c2"]),
     ("simulate", ["--n-genes", "0", "--samples-per-class", "3"]),
@@ -739,6 +739,34 @@ def test_bad_pca_flag_is_usage_error_for_every_method(toy, capsys, command, flag
                 "--seed", "1", "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"chardir {command[0]}: error: argument {flag}: expected {expected}, got {value!r}\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+@pytest.mark.parametrize("command,flag", [("project", "--depth"), ("profile", "--window"),
+                                          ("profile", "--universe")])
+def test_count_below_one_is_usage_error_before_any_file_is_read(
+    toy, capsys, monkeypatch, command, flag, value
+):
+    import chardir.cli
+
+    for reader in ("parse_design_tsv", "_read_expression_file", "_read_associations",
+                   "_read_gene_lines"):
+        monkeypatch.setattr(chardir.cli, reader, lambda *args, **kwargs: pytest.fail("read"))
+    expr, design, tmp = toy
+    if command == "profile":
+        args = {"--associations": design, "--significant": design, "--window": "1",
+                "--universe": "10"}
+    else:
+        args = {"--expression": expr, "--design": design}
+    args[flag] = value
+    out = tmp / "out"
+    assert run([command, *(f"{k}={v}" for k, v in args.items()), "--seed", "1",
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: chardir {command} "), err
+    assert (f"chardir {command}: error: argument {flag}: expected an integer >= 1, "
+            f"got {value!r}\n") in err
     assert not out.exists()
 
 
@@ -1475,7 +1503,8 @@ class TestPipeline:
             ["benchmark", "--n-genes", "30", "--sizes", "3", "--roc-samples", "3",
              "--runs", "2", flag, value, "--seed", "5", "--out", out]
         ) == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1, got {value!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [

@@ -21,6 +21,9 @@ from oracles import normal_equation_direction, np1_gram_whitening, np1_rank_rest
 
 TOY_X1 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 TOY_X2 = np.array([[5.0, 5.1, 5.0], [0.0, 0.0, 0.1]])
+# Table multipliers; from 1e160 on, a squared singular value leaves the
+# float range, and below 1e-155 it underflows.
+SCALE_FACTORS = [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100, 1e-160, -1e-200, 1e160, 1e200, -1e200]
 
 
 def random_two_class(rng, n_genes=None, n1=None, n2=None, shift=None):
@@ -75,8 +78,10 @@ class TestLr1:
             oracle = normal_equation_direction(x1, x2)
             assert float(d.coefficients @ oracle) > 1 - 1e-8
 
-    # A table multiplied by a constant keeps its direction, up to the sign.
-    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100])
+    # A table multiplied by a constant keeps its direction, up to the sign,
+    # and scales its magnitude, even where the squared table leaves the
+    # float range.
+    @pytest.mark.parametrize("factor", SCALE_FACTORS)
     def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(3)
         gene_ids, x1, x2 = random_two_class(rng)
@@ -85,6 +90,7 @@ class TestLr1:
         np.testing.assert_allclose(
             d_scaled.coefficients, np.sign(factor) * d.coefficients, atol=1e-10
         )
+        assert d_scaled.magnitude == pytest.approx(abs(factor) * d.magnitude, rel=1e-12)
 
     def test_sample_order_invariance_within_class(self):
         rng = np.random.default_rng(4)
@@ -161,13 +167,14 @@ class TestNp1:
         with pytest.raises(NoDifferentialSignalError):
             np1_direction(["a", "b", "c"], x, x.copy())
 
-    @pytest.mark.parametrize("factor", [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100])
+    @pytest.mark.parametrize("factor", SCALE_FACTORS)
     def test_global_sign_flip_negates_coefficients(self, factor):
         rng = np.random.default_rng(10)
         gene_ids, x1, x2 = random_two_class(rng)
         a = np1_direction(gene_ids, x1, x2)
         b = np1_direction(gene_ids, factor * x1, factor * x2)
         np.testing.assert_allclose(b.coefficients, np.sign(factor) * a.coefficients, atol=1e-10)
+        assert b.magnitude == pytest.approx(abs(factor) * a.magnitude, rel=1e-12)
 
     def test_matches_rank_restricted_gene_space_oracle(self):
         # np1 is the infinite-shuffle limit of the Monte Carlo oracle: the

@@ -10,14 +10,13 @@ from scipy import integrate
 from chardir.data import GeneSet, GeneSetLibrary, parse_gmt
 from chardir.direction import CharacteristicDirection
 from chardir.enrichment import (
-    OverlapCurve,
     _set_angles,
     aggregate_overlap_curves,
     angle_enrich,
     angle_null_pvalue,
     dedupe_tss_associations,
     hypergeom_enrich,
-    overlap_curve,
+    overlap_counts,
     sliding_window_profile,
 )
 from chardir.special import _log_hypergeom_tail
@@ -30,6 +29,7 @@ from oracles import (
     enumerated_hypergeom_tail,
     exact_hypergeom_tail,
     hypergeom_enrich_rows,
+    overlap_counts_loop,
 )
 
 
@@ -345,72 +345,101 @@ class TestHypergeomEnrich:
         assert any(not math.isnan(row[5]) for row in rows) == ranked
 
 
+def one_set(*members):
+    return GeneSetLibrary.from_sets([GeneSet("T", "", frozenset(members))])
+
+
+def ratios(counts_a, counts_b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return counts_a / counts_b
+
+
 class TestOverlapCurve:
     def test_equal_rankings_unit_ratio(self):
         ranking = [f"g{i}" for i in range(10)]
-        target = GeneSet("T", "", frozenset(ranking[:4]))
-        curve = overlap_curve(ranking, list(ranking), target, 10)
-        defined = np.isfinite(curve.ratios)
-        assert np.all(curve.ratios[defined] == 1.0)
+        counts_a, counts_b = overlap_counts(ranking, list(ranking), one_set(*ranking[:4]), 10)
+        curve = ratios(counts_a, counts_b)[0]
+        defined = np.isfinite(curve)
+        assert np.all(curve[defined] == 1.0)
 
     def test_zero_denominator_flagged_infinite(self):
         ranking_a = ["a", "b", "c", "d", "e", "f"]
         ranking_b = ["f", "e", "d", "c", "b", "a"]
-        target = GeneSet("T", "", frozenset({"a", "b", "c", "d", "e"}))
-        curve = overlap_curve(ranking_a, ranking_b, target, 5)
-        assert curve.counts_a[4] == 5 and curve.counts_b[4] == 4
-        curve_small = overlap_curve(ranking_a, ranking_b, GeneSet("T", "", frozenset({"a"})), 3)
-        assert math.isinf(curve_small.ratios[0])  # 1 vs 0
+        counts_a, counts_b = overlap_counts(ranking_a, ranking_b, one_set(*"abcde"), 5)
+        assert counts_a[0, 4] == 5 and counts_b[0, 4] == 4
+        small = ratios(*overlap_counts(ranking_a, ranking_b, one_set("a"), 3))
+        assert math.isinf(small[0, 0])  # 1 vs 0
 
     def test_hand_counts(self):
         a = ["g1", "g2", "g3"]
         b = ["g3", "g2", "g1"]
-        target = GeneSet("T", "", frozenset({"g1"}))
-        curve = overlap_curve(a, b, target, 3)
-        assert list(curve.counts_a) == [1, 1, 1]
-        assert list(curve.counts_b) == [0, 0, 1]
-        assert math.isinf(curve.ratios[0])
-        assert curve.ratios[2] == 1.0
+        counts_a, counts_b = overlap_counts(a, b, one_set("g1"), 3)
+        assert counts_a.tolist() == [[1, 1, 1]]
+        assert counts_b.tolist() == [[0, 0, 1]]
+        curve = ratios(counts_a, counts_b)[0]
+        assert math.isinf(curve[0])
+        assert curve[2] == 1.0
 
-    def test_counts_nondecreasing(self):
-        rng = np.random.default_rng(7)
-        universe = [f"g{i}" for i in range(40)]
-        a = list(rng.permutation(universe))
-        b = list(rng.permutation(universe))
-        target = GeneSet("T", "", frozenset(rng.choice(universe, 10, replace=False)))
-        curve = overlap_curve(a, b, target, 40)
-        assert np.all(np.diff(curve.counts_a) >= 0)
-        assert np.all(np.diff(curve.counts_b) >= 0)
+    # Sets with members repeated on their GMT line, shared between sets and
+    # outside the universe, an empty overlap, and n_max at both ends.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_equal_the_per_gene_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 60))
+        universe = [f"G{i}" for i in range(size)]
+        pool = universe + ["OUT1", "OUT2"]
+        lines = [f"S{j}\t\t" + "\t".join(rng.choice(pool, int(rng.integers(1, 12))))
+                 for j in range(int(rng.integers(1, 8)))]
+        lines.append("NONE\t\tOUT1\tOUT2\tOUT1")
+        library = parse_gmt("\n".join(lines))
+        a, b = list(rng.permutation(universe)), list(rng.permutation(universe))
+        for n_max in {1, size, int(rng.integers(1, size + 1))}:
+            got = overlap_counts(a, b, library, n_max)
+            want = overlap_counts_loop(a, b, library, n_max)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and g.shape == (len(library), n_max)
+                assert g.tolist() == w.tolist()
 
-    def test_mismatched_universes_rejected(self):
-        with pytest.raises(ValueError):
-            overlap_curve(["a", "b"], ["a", "c"], GeneSet("T", "", frozenset({"a"})), 2)
+    @pytest.mark.parametrize("a,b,library,n_max,message", [
+        (["a", "b"], ["a", "c"], one_set("a"), 2, "different gene universes"),
+        (["a", "b", "a"], ["a", "b", "b"], one_set("a"), 2, "duplicate gene ids"),
+        (["a", "b"], ["a", "b", "b"], one_set("a"), 2, "duplicate gene ids"),
+        (["a", "b"], ["b", "a"], one_set("a"), 0, "n_max must lie"),
+        (["a", "b"], ["b", "a"], one_set("a"), 3, "n_max must lie"),
+        (["a", "b"], ["b", "a"], GeneSetLibrary.from_sets([]), 2, "library is empty"),
+    ])
+    def test_bad_input_rejected(self, a, b, library, n_max, message):
+        with pytest.raises(ValueError, match=message):
+            overlap_counts(a, b, library, n_max)
 
     def test_aggregation_excludes_undefined(self):
         a = ["x", "y", "z"]
         b = ["z", "y", "x"]
-        target = GeneSet("T", "", frozenset({"x"}))
-        curves = [overlap_curve(a, b, target, 3) for _ in range(3)]
-        summary = aggregate_overlap_curves(curves)
+        counts_a, counts_b = overlap_counts(a, b, one_set("x"), 3)
+        summary = aggregate_overlap_curves(np.repeat(counts_a, 3, 0), np.repeat(counts_b, 3, 0))
+        assert summary.ns.tolist() == [1, 2, 3]
         assert summary.n_undefined[0] == 3  # 1/0 at n=1 in every run
         assert math.isnan(summary.mean_ratio[0])
         assert summary.mean_ratio[2] == pytest.approx(1.0)
 
     def test_aggregation_matches_loop_over_n(self):
         rng = np.random.default_rng(8)
-        ratios = rng.uniform(0.2, 3.0, (6, 40))
-        ratios[rng.random(ratios.shape) < 0.2] = np.nan
-        ratios[rng.random(ratios.shape) < 0.1] = np.inf
-        ratios[:, 3] = np.nan  # no finite value
-        ratios[1:, 4] = np.inf  # a single finite value
-        ns = np.arange(1, 41)
-        curves = [OverlapCurve(ns, ns, ns, row) for row in ratios]
-        summary = aggregate_overlap_curves(curves)
-        mean, stderr = aggregate_ratios_by_n(ratios)
+        counts_a = rng.integers(0, 6, (6, 40))
+        counts_b = rng.integers(0, 6, (6, 40))
+        counts_b[:, 3] = 0  # no finite value
+        counts_b[1:, 4] = 0  # a single finite value
+        counts_b[0, 4] = 2
+        summary = aggregate_overlap_curves(counts_a, counts_b)
+        mean, stderr = aggregate_ratios_by_n(ratios(counts_a, counts_b))
         np.testing.assert_allclose(summary.mean_ratio, mean, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(summary.stderr, stderr, rtol=1e-14, atol=0.0)
         assert np.isnan(summary.mean_ratio[3]) and np.isnan(summary.stderr[4])
         assert not np.isnan(summary.mean_ratio[4])
+
+    @pytest.mark.parametrize("shapes", [((0, 3), (0, 3)), ((2, 3), (2, 4)), ((3,), (3,))])
+    def test_aggregation_rejects_mismatched_or_empty_counts(self, shapes):
+        with pytest.raises(ValueError):
+            aggregate_overlap_curves(*(np.ones(shape) for shape in shapes))
 
 
 def windows(assoc, significant, window, universe):

@@ -86,8 +86,8 @@ class TestHierarchy:
                 assert abs(dot) < 1e-8
 
     # A table multiplied by a constant keeps its directions and scales its
-    # coordinates by that constant.
-    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-13])
+    # coordinates by that constant, also where its square leaves the float range.
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-13, 1e-200, 1e200])
     def test_depth_three_matches_gene_space_oracle(self, scale):
         # All components kept, so each level is the full-space normal of
         # the deflated data; both more genes than samples and the reverse.
