@@ -41,7 +41,6 @@ from .data import (
     write_table,
 )
 from .direction import (
-    CharacteristicDirection,
     _fit,
     _two_class_samples,
     call_significant,
@@ -55,7 +54,7 @@ from .enrichment import (
     sliding_window_profile,
 )
 from .linalg import DEFAULT_EPSILON, DEFAULT_MAX_COMPONENTS, _principal_components
-from .projection import _density_grid, _kernel_bandwidth, _project_samples, _unit_density
+from .projection import _project_samples, density_estimate
 from .simulate import (
     METHODS,
     SyntheticSpec,
@@ -199,34 +198,29 @@ def _cmd_ttest(parser, args):
 
 
 def _cmd_enrich(parser, args):
+    if args.mode == "angle" and (args.genes or args.universe):
+        parser.error("--mode angle scores the genes of its --ranked file: "
+                     "it takes neither --genes nor --universe")
     if args.genes and not args.universe:
         parser.error("--genes needs --universe")
     with open(args.gmt) as handle:
         library = parse_gmt(handle)
 
     if args.ranked:
-        ranking, significant, coefficients, method = _read_ranked_file(Path(args.ranked))
-        universe = _read_gene_lines(Path(args.universe)) if args.universe else ranking
+        ranking, significant, coefficients = _read_ranked_file(Path(args.ranked))
     else:
-        significant = _read_gene_lines(Path(args.genes))
-        universe = _read_gene_lines(Path(args.universe))
-        ranking, coefficients, method = None, None, None
+        ranking, significant, coefficients = None, _read_gene_lines(Path(args.genes)), None
+    universe = _read_gene_lines(Path(args.universe), unique=True) if args.universe else ranking
 
     if args.mode == "hypergeom":
         result = hypergeom_enrich(significant, library, universe, ranking)
-    else:
-        if coefficients is None:
-            raise ValueError(
-                "--mode angle needs a ranked file with a coefficient column "
-                "(the chdir command's output)"
-            )
-        direction = CharacteristicDirection(
-            gene_ids=tuple(ranking),
-            coefficients=coefficients,
-            method=method or "LR1",
-            magnitude=float("nan"),
+    elif coefficients is None:
+        raise ValueError(
+            "--mode angle needs a ranked file with a coefficient column "
+            "(the chdir command's output)"
         )
-        result = angle_enrich(direction, library)
+    else:
+        result = angle_enrich(ranking, coefficients, library)
     columns = vars(result)
     n_hits = int(np.count_nonzero((result.q <= args.fdr) & (result.diagnostic == "")))
     top = result.set_name[0] if len(result.set_name) else "none"
@@ -260,10 +254,7 @@ def _cmd_project(parser, args):
     sample_ids = list(design.class1_samples) + list(design.class2_samples)
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
-    level1 = np.split(hierarchy.coords[0], [n1])
-    classes = [(x, _kernel_bandwidth(x, bandwidth)[0]) for x in level1]
-    grid = _density_grid(classes)
-    dens1, dens2 = (_unit_density(grid, x, h) for x, h in classes)
+    curve = density_estimate(np.split(hierarchy.coords[0], [n1]), bandwidth)
 
     scores = _principal_components(samples.factors, 2)
     pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))
@@ -278,7 +269,7 @@ def _cmd_project(parser, args):
         "density.tsv": partial(
             write_table,
             header=["grid_x", "density_class1", "density_class2"],
-            columns=[grid, dens1, dens2],
+            columns=[curve.grid, *curve.density],
         ),
         "pca.tsv": partial(
             write_table,

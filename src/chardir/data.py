@@ -456,42 +456,42 @@ def parse_design_tsv(text: str | TextIO | Iterable[str]) -> TwoClassDesign:
     return TwoClassDesign(tuple(class1), tuple(class2))
 
 
-def _read_gene_lines(path) -> list[str]:
+def _read_gene_lines(path, unique: bool = False) -> list[str]:
     """The canonical ids of a gene list: one id per line, blank and ``#``
-    lines skipped. A line with a tab inside its id fails, naming the line."""
-    genes = []
+    lines skipped. A line with a tab inside its id fails, naming the line;
+    with ``unique``, so does a repeated canonical id, naming both lines."""
+    genes, line_of = [], {}
     with open(path) as handle:
         for lineno, line in _numbered_lines(handle):
             if (cells := line.strip().count("\t") + 1) > 1:
                 raise ExpressionDataError(f"{path}: line {lineno}: expected one gene id "
                                           f"per line, got {cells} cells")
-            genes.append(canonical_gene_id(line))
+            genes.append(gene := canonical_gene_id(line))
+            if unique and (first := line_of.setdefault(gene, lineno)) != lineno:
+                raise ExpressionDataError(
+                    f"{path}: lines {first} and {lineno}: duplicate gene id {gene!r}")
     return genes
 
 
 def _read_ranked_file(path):
     """Read a ranked-gene or Welch output TSV line by line: (ranking,
-    significant, coefficients, method), the canonical gene ids in row order,
-    the significant ones, the coefficient column as an array (None without
-    one) and the last ``# method:`` comment. Only a ``#`` in column 1 starts
-    a comment.
+    significant, coefficients), the canonical gene ids in row order, the
+    significant ones and the coefficient column as an array (None without
+    one). Only a ``#`` in column 1 starts a comment.
 
     Raises:
         ExpressionDataError: a required column missing from the header or a
             column read named twice in it; at the first faulty row, a row
             that stops before a column read, an empty or repeated canonical
-            gene id or a non-numeric coefficient, in that order, naming the
-            physical lines and the column.
+            gene id, a significant cell other than ``true`` or ``false`` or
+            a non-numeric coefficient, in that order, naming the physical
+            lines and the column.
     """
-    header, method, line_of, significant, values = None, None, {}, [], []
+    header, line_of, significant, values = None, {}, [], []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
-            if line.startswith("#"):
-                if (comment := line.lstrip("#").strip()).startswith("method:"):
-                    method = comment.split(":", 1)[1].strip()
-                continue
-            if not line.strip():
+            if line.startswith("#") or not line.strip():
                 continue
             cells = line.split("\t")
             if header is None:
@@ -521,8 +521,11 @@ def _read_ranked_file(path):
                 raise ExpressionDataError(
                     f"{path}: rows {first} and {lineno}: duplicate gene id {gene!r}"
                 )
-            if cells[flag_col] == "true":
+            if (flag := cells[flag_col]) == "true":
                 significant.append(gene)
+            elif flag != "false":
+                raise ExpressionDataError(f"{path}: row {lineno}, column {flag_col + 1}: "
+                                          f"significant cell {flag!r} is neither true nor false")
             if coef_col is not None:
                 try:
                     values.append(float(cells[coef_col]))
@@ -534,7 +537,7 @@ def _read_ranked_file(path):
     if header is None:
         raise ExpressionDataError(f"{path}: empty ranked file")
     coefficients = None if coef_col is None else np.array(values, dtype=np.float64)
-    return list(line_of), significant, coefficients, method
+    return list(line_of), significant, coefficients
 
 
 def _read_associations(path) -> tuple[list[str], np.ndarray]:

@@ -15,7 +15,6 @@ from itertools import repeat
 import numpy as np
 
 from .data import GeneSetLibrary
-from .direction import CharacteristicDirection
 from .special import _betainc, _log_hypergeom_tail
 from .welch import bh_fdr
 
@@ -141,18 +140,6 @@ def hypergeom_enrich(
                      p=p, mean_rank=mean_rank)
 
 
-def _set_angles(
-    direction: CharacteristicDirection, library: GeneSetLibrary
-) -> tuple[np.ndarray, np.ndarray]:
-    """First principal angle of each set, and how many of its members are
-    in the direction's universe (the angle of a set with none is pi/2).
-    Squared coefficients are summed in ascending gene-index order."""
-    index = dict(zip(direction.gene_ids, range(len(direction.gene_ids))))
-    which, where = _member_index(index, library)
-    mass = np.bincount(which, direction.coefficients[where] ** 2, len(library))
-    return np.arccos(np.sqrt(np.minimum(mass, 1.0))), np.bincount(which, minlength=len(library))
-
-
 def angle_null_pvalue(theta, n: int):
     """P-value of a principal angle under the isotropic null, elementwise
     over an array of angles.
@@ -173,17 +160,26 @@ def angle_null_pvalue(theta, n: int):
     return np.where(theta == math.pi / 2, 0.0, p)[()]
 
 
-def angle_enrich(
-    direction: CharacteristicDirection, library: GeneSetLibrary
-) -> AngleEnrichmentResult:
-    """Principal-angle p-value for every library set, BH-corrected across
-    the library and sorted by p ascending.
+def angle_enrich(gene_ids, coefficients, library: GeneSetLibrary) -> AngleEnrichmentResult:
+    """Principal-angle p-value for every library set against the unit
+    direction with ``coefficients`` on ``gene_ids``, BH-corrected across the
+    library and sorted by p ascending. A set's squared coefficients are
+    summed in ascending gene-index order.
 
-    Sets with no member in the direction's universe get theta = pi/2,
-    p = q = 1 and a diagnostic flag, and are left out of the correction.
+    Sets with no member in ``gene_ids`` get theta = pi/2, p = q = 1 and a
+    diagnostic flag, and are left out of the correction.
     """
-    thetas, present = _set_angles(direction, library)
-    pvals = np.where(present > 0, angle_null_pvalue(thetas, len(direction.gene_ids)), 1.0)
+    gene_ids, coefficients = list(gene_ids), np.asarray(coefficients, dtype=np.float64)
+    index = dict(zip(gene_ids, range(len(gene_ids))))
+    if len(index) != len(gene_ids):
+        raise ValueError("gene_ids contain duplicates")
+    if coefficients.shape != (len(gene_ids),):
+        raise ValueError("coefficients and gene_ids lengths differ")
+    which, where = _member_index(index, library)
+    mass = np.bincount(which, coefficients[where] ** 2, len(library))
+    thetas = np.arccos(np.sqrt(np.minimum(mass, 1.0)))
+    present = np.bincount(which, minlength=len(library))
+    pvals = np.where(present > 0, angle_null_pvalue(thetas, len(gene_ids)), 1.0)
     return _tabulate(AngleEnrichmentResult, library, present, theta=thetas, p=pvals)
 
 

@@ -124,12 +124,14 @@ def _project_samples(
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Gaussian KDE sampled on a regular grid, normalized to unit mass."""
+    """Gaussian KDEs of several classes sampled on one regular grid:
+    ``density[i]``, normalized to unit mass, ``bandwidth[i]`` and
+    ``diagnostic[i]`` belong to class i."""
 
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
-    diagnostic: str = ""
+    bandwidth: tuple[float, ...]
+    diagnostic: tuple[str, ...]
 
 
 def silverman_bandwidth(coords: np.ndarray) -> float:
@@ -137,26 +139,24 @@ def silverman_bandwidth(coords: np.ndarray) -> float:
     return 1.06 * float(np.std(coords, ddof=1)) * len(coords) ** (-1 / 5)
 
 
-def density_estimate(coords, bandwidth: float | None = None) -> DensityCurve:
-    """Gaussian kernel density estimate on a 256-point grid.
+def density_estimate(classes, bandwidth: float | None = None) -> DensityCurve:
+    """Gaussian kernel density estimate of every class of ``classes``, each
+    a sequence of coordinates, on one shared 256-point grid.
 
-    The grid spans [min - 3h, max + 3h] and the sampled curve is
-    renormalized so its trapezoid integral is 1. ``bandwidth=None``
-    applies Silverman's rule; data with zero spread, or spread at the
-    rounding level of their magnitude, fall back to a fixed bandwidth of
-    1.0 with a diagnostic.
+    The grid spans [min - 3h, max + 3h] over the classes, h being each
+    class's bandwidth, and each sampled curve is renormalized so its
+    trapezoid integral is 1. ``bandwidth=None`` applies Silverman's rule to
+    each class; a class with zero spread, or spread at the rounding level of
+    its magnitude, falls back to a fixed bandwidth of 1.0 with a diagnostic.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    h, diagnostic = _kernel_bandwidth(coords, bandwidth)
-    grid = _density_grid([(coords, h)])
-    return DensityCurve(grid, _unit_density(grid, coords, h), h, diagnostic)
-
-
-def _density_grid(classes) -> np.ndarray:
-    """:data:`GRID_POINTS` points reaching 3 bandwidths past every class of
-    ``classes``, ``(coords, bandwidth)`` pairs."""
-    return np.linspace(min(x.min() - 3 * h for x, h in classes),
-                       max(x.max() + 3 * h for x, h in classes), GRID_POINTS)
+    classes = [np.asarray(x, dtype=np.float64) for x in classes]
+    if not classes:
+        raise ValueError("need at least one class")
+    h, diagnostic = zip(*(_kernel_bandwidth(x, bandwidth) for x in classes))
+    grid = np.linspace(min(x.min() - 3 * b for x, b in zip(classes, h)),
+                       max(x.max() + 3 * b for x, b in zip(classes, h)), GRID_POINTS)
+    density = np.vstack([_unit_density(grid, x, b) for x, b in zip(classes, h)])
+    return DensityCurve(grid, density, h, diagnostic)
 
 
 def _kernel_bandwidth(coords: np.ndarray, bandwidth: float | None) -> tuple[float, str]:

@@ -17,8 +17,9 @@ instead of Loader's saddle-point binomial density, line-by-line readers instead 
 and ranked-file readers, a loop over n instead of the column
 reduction behind overlap-curve aggregation, a gene-by-gene prefix walk
 with a Python set test instead of the bincount over the membership
-index behind overlap counts, and one SVD of the whole
-centred samples instead of their row-blocked tall-skinny QR.
+index behind overlap counts, one SVD of the whole
+centred samples instead of their row-blocked tall-skinny QR, and a
+kernel sum term by term instead of the broadcast density estimate.
 np1's label-permutation null, which the package evaluates in closed form
 as its infinite-shuffle limit, survives here as a Monte Carlo route.
 """
@@ -524,23 +525,17 @@ def parse_gmt_lines(text: str) -> tuple[list[GeneSet], list[str]]:
 
 def read_ranked_lines(path):
     """A ranked-gene TSV line by line with a dict per row: (ranking,
-    significant, {gene: coefficient} or None, method), raising at the first
-    faulty row. A header that repeats a column read is rejected, since the
-    row dict would keep only the last one."""
+    significant, {gene: coefficient} or None), raising at the first faulty
+    row. A header that repeats a column read is rejected, since the row dict
+    would keep only the last one."""
     line_of: dict[str, int] = {}
     significant: list[str] = []
     coefficients: dict[str, float] | None = None
-    method = None
     header = None
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("method:"):
-                    method = comment.split(":", 1)[1].strip()
+            if not line.strip() or line.startswith("#"):
                 continue
             cells = line.split("\t")
             if header is None:
@@ -576,6 +571,11 @@ def read_ranked_lines(path):
                     f"{path}: rows {line_of[gene]} and {lineno}: duplicate gene id {gene!r}"
                 )
             line_of[gene] = lineno
+            if row["significant"] not in ("true", "false"):
+                raise ValueError(
+                    f"{path}: row {lineno}, column {header.index('significant') + 1}: "
+                    f"significant cell {row['significant']!r} is neither true nor false"
+                )
             if row["significant"] == "true":
                 significant.append(gene)
             if coefficients is not None:
@@ -588,7 +588,7 @@ def read_ranked_lines(path):
                     ) from None
     if header is None:
         raise ValueError(f"{path}: empty ranked file")
-    return list(line_of), significant, coefficients, method
+    return list(line_of), significant, coefficients
 
 
 def read_association_lines(path):
@@ -653,3 +653,20 @@ def overlap_counts_loop(ranking_a, ranking_b, library, n_max: int):
             rows.append(row)
         counts.append(np.array(rows, dtype=np.int64).reshape(len(rows), n_max))
     return counts[0], counts[1]
+
+
+def kde_on_grid(classes, bandwidths, points: int = 256):
+    """``(grid, densities)``: each class's Gaussian kernel sum, one term per
+    point and grid value, on a linspace grid from the least ``x - 3h`` to the
+    greatest ``x + 3h`` over all classes, each curve divided by its
+    trapezoid-rule area written out as a sum of panels."""
+    lo = min(min(x) - 3 * h for x, h in zip(classes, bandwidths))
+    hi = max(max(x) + 3 * h for x, h in zip(classes, bandwidths))
+    grid = np.linspace(lo, hi, points)
+    densities = []
+    for x, h in zip(classes, bandwidths):
+        curve = [sum(math.exp(-0.5 * ((g - xi) / h) ** 2) for xi in x) for g in grid.tolist()]
+        area = sum((grid[i + 1] - grid[i]) * (curve[i] + curve[i + 1]) / 2
+                   for i in range(points - 1))
+        densities.append(np.array(curve) / area)
+    return grid, np.array(densities)

@@ -135,6 +135,11 @@ RANKED_CASES = {
     "repeated_unread_column": "note\tgene_id\tnote\tsignificant\t\t\nx\tGA\ty\ttrue\t\t\n",
     "missing_column_and_repeated_column": "gene_id\tgene_id\nGA\tGB\n",
     "empty": "# method: lr1\n\n",
+    "significant_upper_case": RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.6\tTRUE\nGC\t0.1\tyes\n",
+    "significant_one": RANKED_HEADER + "GA\t0.8\tfalse\n\nGB\t0.6\t1\n",
+    "significant_empty": RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.6\t\n",
+    "duplicate_id_and_bad_significant_in_one_row": RANKED_HEADER + "GA\t0.8\ttrue\nga\t0.6\tTRUE\n",
+    "bad_significant_and_non_numeric_in_one_row": RANKED_HEADER + "GA\t0.8\ttrue\nGB\tx\tyes\n",
 }
 
 
@@ -143,14 +148,14 @@ def test_ranked_reader_matches_line_by_line_oracle(tmp_path, text):
     path = tmp_path / "ranked.tsv"
     path.write_bytes(text.encode())
     try:
-        ranking, significant, coefficients, method = read_ranked_lines(path)
+        ranking, significant, coefficients = read_ranked_lines(path)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
             _read_ranked_file(path)
         assert str(raised.value) == str(exc)
         return
     got = _read_ranked_file(path)
-    assert got[0] == ranking and got[1] == significant and got[3] == method
+    assert len(got) == 3 and got[0] == ranking and got[1] == significant
     if coefficients is None:
         assert got[2] is None
     else:
@@ -526,8 +531,9 @@ class TestEnrichCommand:
         [
             ("GB\t0.6", "row 5, column 3: missing 'significant' cell"),
             ("GB\tx0.6\ttrue", "row 5, column 2: non-numeric coefficient 'x0.6'"),
+            ("GB\t0.6\tTRUE", "row 5, column 3: significant cell 'TRUE' is neither true nor false"),
         ],
-        ids=["short_row", "non_numeric_coefficient"],
+        ids=["short_row", "non_numeric_coefficient", "upper_case_significant"],
     )
     def test_bad_ranked_row_names_line_and_column(self, tmp_path, capsys, row, message):
         ranked = tmp_path / "ranked.tsv"
@@ -575,6 +581,46 @@ class TestEnrichCommand:
         assert capsys.readouterr().err == (
             f"chardir enrich: error: {ranked}: rows 3 and 6: duplicate gene id 'GA'\n"
         )
+
+    @pytest.mark.parametrize("lists", ["--genes", "--ranked"])
+    def test_duplicate_canonical_universe_ids_name_both_lines(self, tmp_path, capsys, lists):
+        listed = {"--genes": "G1\ng1\n", "--ranked": RANKED_HEADER + "G1\t1.0\ttrue\n"}
+        given = tmp_path / "given.txt"
+        given.write_text(listed[lists])
+        universe = tmp_path / "universe.txt"
+        universe.write_text("G1\n# note\ng1\nG2\n")
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("S\td\tG1\n")
+        out = tmp_path / "out"
+        assert run(["enrich", lists, given, "--universe", universe, "--gmt", gmt,
+                    "--seed", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"chardir enrich: error: {universe}: lines 1 and 3: duplicate gene id 'G1'\n"
+        )
+        assert not out.exists()
+        # With each universe id once the run succeeds; a --genes list may
+        # name a gene more than once, and it counts once.
+        universe.write_text("G1\nG2\n")
+        assert run(["enrich", lists, given, "--universe", universe, "--gmt", gmt,
+                    "--seed", "1", "--out", out]) == 0
+        (row,) = read_rows(out / "enrichment.tsv")
+        assert row["overlap"] == "1" and row["set_size"] == "1"
+
+    @pytest.mark.parametrize("mode", ["hypergeom", "angle"])
+    def test_method_comment_does_not_change_the_enrichment(self, tmp_path, mode):
+        body = RANKED_HEADER + "GA\t0.8\ttrue\nGB\t0.6\tfalse\nGC\t0.0\tfalse\n"
+        gmt = tmp_path / "sets.gmt"
+        gmt.write_text("A\td\tGA\nBC\td\tGB\tGC\n")
+        tables = []
+        for name, comment in [("lr1", "# method: LR1\n"), ("np1", "# method: NP1\n"),
+                              ("none", "")]:
+            ranked = tmp_path / f"{name}.tsv"
+            ranked.write_text(comment + body)
+            out = tmp_path / f"out_{name}"
+            assert run(["enrich", "--ranked", ranked, "--gmt", gmt, "--mode", mode,
+                        "--seed", "1", "--out", out]) == 0
+            tables.append((out / "enrichment.tsv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
 
     def test_analysis_error_leaves_no_output_directory(self, toy, capsys):
         expr, design, tmp = toy
@@ -674,6 +720,10 @@ def test_gene_list_ids_padded_with_tabs_are_one_id(tmp_path):
     ("ttest", ["--class1", "c1,c2"]),
     ("chdir", ["--design", "{tmp}/nope.tsv"]),
     ("enrich", ["--genes", "{design}", "--gmt", "{design}"]),
+    ("enrich", ["--mode", "angle", "--ranked", "{design}", "--universe", "{design}",
+                "--gmt", "{design}"]),
+    ("enrich", ["--mode", "angle", "--genes", "{design}", "--universe", "{design}",
+                "--gmt", "{design}"]),
     ("benchmark", ["--roc-samples", "1"]),
     ("ttest", ["--design", "{design}", "--class1", "c1,c2"]),
     ("project", ["--design", "{design}", "--class1", "c1,c2"]),

@@ -8,9 +8,7 @@ import pytest
 from scipy import integrate
 
 from chardir.data import GeneSet, GeneSetLibrary, parse_gmt
-from chardir.direction import CharacteristicDirection
 from chardir.enrichment import (
-    _set_angles,
     aggregate_overlap_curves,
     angle_enrich,
     angle_null_pvalue,
@@ -34,9 +32,9 @@ from oracles import (
 
 
 def make_direction(coefficients, ids=None):
+    """``(gene_ids, coefficients)`` of a direction, ids ``g0, g1, ...`` by default."""
     coefficients = np.asarray(coefficients, dtype=float)
-    ids = ids or [f"g{i}" for i in range(len(coefficients))]
-    return CharacteristicDirection(tuple(ids), coefficients, "LR1", 1.0)
+    return ids or [f"g{i}" for i in range(len(coefficients))], coefficients
 
 
 class TestHypergeomTail:
@@ -98,31 +96,42 @@ class TestHypergeomTail:
 class TestPrincipalAngle:
     @staticmethod
     def angle(direction, *members):
-        """``(theta, members present)`` of one set through ``_set_angles``."""
+        """``(theta, p, diagnostic)`` of one set through ``angle_enrich``."""
         library = GeneSetLibrary.from_sets([GeneSet("S", "", frozenset(members))])
-        theta, present = _set_angles(direction, library)
-        return float(theta[0]), int(present[0])
+        result = angle_enrich(*direction, library)
+        return float(result.theta[0]), float(result.p[0]), str(result.diagnostic[0])
 
     def test_full_set_gives_zero(self):
-        d = make_direction(np.array([0.6, 0.8]))
-        theta, present = self.angle(d, *d.gene_ids)
+        d = make_direction(np.array([0.6, 0.8, 0.0]))
+        theta, _, diagnostic = self.angle(d, *d[0])
         assert theta == pytest.approx(0.0)
-        assert present == 2
+        assert diagnostic == ""
 
     def test_partial_projection(self):
-        d = make_direction(np.array([0.6, 0.8]), ids=["A", "B"])
-        theta, _ = self.angle(d, "A")
+        d = make_direction(np.array([0.6, 0.8, 0.0]), ids=["A", "B", "C"])
+        theta, _, _ = self.angle(d, "A")
         assert theta == pytest.approx(math.acos(0.6), abs=1e-12)
 
     def test_unsupported_set_is_orthogonal(self):
         d = make_direction(np.array([1.0, 0.0, 0.0]), ids=["A", "B", "C"])
-        theta, _ = self.angle(d, "B", "C")
+        theta, _, _ = self.angle(d, "B", "C")
         assert theta == pytest.approx(math.pi / 2)
 
     def test_absent_members_counted(self):
-        d = make_direction(np.array([0.6, 0.8]), ids=["A", "B"])
-        _, present = self.angle(d, "A", "Z1", "Z2")
-        assert 3 - present == 2
+        # Members outside the direction's genes add nothing to the angle: the
+        # set scores as its one present member, and a set of absent ones is
+        # flagged.
+        d = make_direction(np.array([0.6, 0.8, 0.0]), ids=["A", "B", "C"])
+        assert self.angle(d, "A", "Z1", "Z2") == self.angle(d, "A")
+        assert self.angle(d, "A")[2] == ""
+        assert self.angle(d, "Z1", "Z2") == (math.pi / 2, 1.0, "no overlap with gene universe")
+
+    def test_coefficients_must_match_gene_ids(self):
+        library = GeneSetLibrary.from_sets([GeneSet("S", "", frozenset({"A"}))])
+        with pytest.raises(ValueError, match="coefficients and gene_ids lengths differ"):
+            angle_enrich(["A", "B", "C"], [0.6, 0.8], library)
+        with pytest.raises(ValueError, match="gene_ids contain duplicates"):
+            angle_enrich(["A", "A", "B"], [0.6, 0.0, 0.8], library)
 
 
 class TestAngleNull:
@@ -224,8 +233,8 @@ class TestAngleNull:
 class TestAngleEnrich:
     def test_full_span_set_is_least_surprising(self):
         d = make_direction(np.full(4, 0.5))
-        lib = GeneSetLibrary.from_sets((GeneSet("ALL", "", frozenset(d.gene_ids)),))
-        result = angle_enrich(d, lib)
+        lib = GeneSetLibrary.from_sets((GeneSet("ALL", "", frozenset(d[0])),))
+        result = angle_enrich(*d, lib)
         assert result.theta[0] == pytest.approx(0.0)
         assert result.p[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -235,7 +244,7 @@ class TestAngleEnrich:
         lib = GeneSetLibrary.from_sets(
             (GeneSet("A", "", members), GeneSet("B", "", members))
         )
-        result = angle_enrich(d, lib)
+        result = angle_enrich(*d, lib)
         assert result.p[0] == result.p[1] and result.q[0] == result.q[1]
 
     def test_concentrated_direction_extreme_alignment(self):
@@ -248,7 +257,7 @@ class TestAngleEnrich:
         coeffs[0] = math.sqrt(0.99)
         d = make_direction(coeffs)
         lib = GeneSetLibrary.from_sets((GeneSet("TOP", "", frozenset({"g0"})),))
-        result = angle_enrich(d, lib)
+        result = angle_enrich(*d, lib)
         observed_theta = math.acos(math.sqrt(0.99))
         assert result.theta[0] == pytest.approx(observed_theta, abs=1e-12)
         assert result.p[0] == pytest.approx(1.0, abs=1e-9)
@@ -267,7 +276,7 @@ class TestAngleEnrich:
         lib = GeneSetLibrary.from_sets(
             (GeneSet("IN", "", frozenset({"B"})), GeneSet("OUT", "", frozenset({"Z"})))
         )
-        result = angle_enrich(d, lib)
+        result = angle_enrich(*d, lib)
         flagged = np.flatnonzero(result.diagnostic != "")
         assert len(flagged) == 1
         assert result.set_name[flagged[0]] == "OUT"
@@ -279,10 +288,10 @@ class TestAngleEnrich:
         coeffs /= np.linalg.norm(coeffs)
         d = make_direction(coeffs)
         sets = tuple(
-            GeneSet(f"S{i}", "", frozenset(rng.choice(d.gene_ids, 5, replace=False)))
+            GeneSet(f"S{i}", "", frozenset(rng.choice(d[0], 5, replace=False)))
             for i in range(8)
         )
-        result = angle_enrich(d, GeneSetLibrary.from_sets(sets))
+        result = angle_enrich(*d, GeneSetLibrary.from_sets(sets))
         assert result.p.tolist() == sorted(result.p.tolist())
 
 
@@ -294,7 +303,7 @@ class TestHypergeomEnrich:
             if mode == "hypergeom":
                 hypergeom_enrich(["g0"], library, ["g0", "g1"])
             else:
-                angle_enrich(make_direction([0.6, 0.8]), library)
+                angle_enrich(*make_direction([0.6, 0.8]), library)
 
     def test_significant_set_is_top_hit(self):
         universe = [f"g{i}" for i in range(20)]

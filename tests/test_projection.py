@@ -9,7 +9,7 @@ from chardir.data import ExpressionMatrix
 from chardir.direction import CharacteristicDirection, lr1_direction
 from chardir.projection import density_estimate, project_hierarchy
 
-from oracles import hierarchy_normal_equations
+from oracles import hierarchy_normal_equations, kde_on_grid
 
 TOY_X1 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 TOY_X2 = np.array([[5.0, 5.1, 5.0], [0.0, 0.0, 0.1]])
@@ -132,11 +132,11 @@ class TestHierarchy:
 
 class TestDensityEstimate:
     def test_two_point_symmetry(self):
-        curve = density_estimate([-1.0, 1.0], bandwidth=0.5)
-        np.testing.assert_allclose(curve.density, curve.density[::-1], atol=1e-9)
+        curve = density_estimate([[-1.0, 1.0]], bandwidth=0.5)
+        np.testing.assert_allclose(curve.density[0], curve.density[0][::-1], atol=1e-9)
 
     def test_grid_span_and_size(self):
-        curve = density_estimate([-1.0, 1.0], bandwidth=0.5)
+        curve = density_estimate([[-1.0, 1.0]], bandwidth=0.5)
         assert len(curve.grid) == 256
         assert curve.grid[0] == pytest.approx(-2.5)
         assert curve.grid[-1] == pytest.approx(2.5)
@@ -145,28 +145,64 @@ class TestDensityEstimate:
         rng = np.random.default_rng(3)
         for _ in range(10):
             coords = rng.standard_normal(rng.integers(2, 200)) * rng.uniform(0.1, 10)
-            curve = density_estimate(coords)
-            assert np.trapezoid(curve.density, curve.grid) == pytest.approx(1.0, abs=1e-3)
+            curve = density_estimate([coords])
+            assert np.trapezoid(curve.density[0], curve.grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_standard_normal(self):
         rng = np.random.default_rng(4)
         coords = rng.standard_normal(10_000)
-        curve = density_estimate(coords)
+        curve = density_estimate([coords])
         reference = np.exp(-0.5 * curve.grid**2) / math.sqrt(2 * math.pi)
-        assert np.max(np.abs(curve.density - reference)) < 0.05
+        assert np.max(np.abs(curve.density[0] - reference)) < 0.05
 
     def test_zero_spread_falls_back(self):
-        curve = density_estimate([2.0, 2.0, 2.0])
-        assert curve.bandwidth == 1.0
-        assert curve.diagnostic
+        curve = density_estimate([[2.0, 2.0, 2.0]])
+        assert curve.bandwidth == (1.0,)
+        assert curve.diagnostic[0]
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            density_estimate([1.0])
+            density_estimate([[1.0]])
+        with pytest.raises(ValueError, match="need at least 2 one-dimensional points"):
+            density_estimate([1.0, 2.0])  # two scalars, not one class
+        with pytest.raises(ValueError, match="need at least one class"):
+            density_estimate([])
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            density_estimate([1.0, 2.0], bandwidth=0.0)
+            density_estimate([[1.0, 2.0]], bandwidth=0.0)
         for bandwidth in (math.nan, math.inf):
             with pytest.raises(ValueError, match="bandwidth must be a positive finite number"):
-                density_estimate([1.0, 2.0], bandwidth=bandwidth)
+                density_estimate([[1.0, 2.0]], bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    def test_classes_share_one_grid_and_match_the_kernel_sum(self, n_classes):
+        rng = np.random.default_rng(10 + n_classes)
+        classes = [rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 5) + 4 * i
+                   for i in range(n_classes)]
+        curve = density_estimate(classes)
+        silverman = [1.06 * np.std(x, ddof=1) * len(x) ** -0.2 for x in classes]
+        np.testing.assert_allclose(curve.bandwidth, silverman, rtol=1e-15)
+        assert curve.diagnostic == ("",) * n_classes
+        grid, densities = kde_on_grid(classes, curve.bandwidth)
+        assert len(curve.grid) == 256
+        assert curve.grid[0] == min(x.min() - 3 * h for x, h in zip(classes, curve.bandwidth))
+        assert curve.grid[-1] == max(x.max() + 3 * h for x, h in zip(classes, curve.bandwidth))
+        assert curve.density.shape == (n_classes, 256)
+        np.testing.assert_allclose(curve.grid, grid, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.density, densities, rtol=0, atol=1e-12)
+        for row in curve.density:
+            assert abs(np.trapezoid(row, curve.grid) - 1) <= 1e-12
+
+    def test_zero_spread_class_gets_its_own_fallback(self):
+        spread = np.array([-0.5, 0.1, 0.3, 0.9])
+        curve = density_estimate([spread, [2.0, 2.0, 2.0]])
+        h = 1.06 * np.std(spread, ddof=1) * 4 ** -0.2
+        assert curve.bandwidth == pytest.approx((h, 1.0), rel=1e-15)
+        assert curve.diagnostic == ("", "zero spread: fell back to fixed bandwidth")
+        grid, densities = kde_on_grid([spread, [2.0, 2.0, 2.0]], curve.bandwidth)
+        assert curve.grid[0] == spread.min() - 3 * curve.bandwidth[0]
+        assert curve.grid[-1] == 2.0 + 3.0
+        np.testing.assert_allclose(curve.density, densities, rtol=0, atol=1e-12)
+        for row in curve.density:
+            assert abs(np.trapezoid(row, curve.grid) - 1) <= 1e-12
