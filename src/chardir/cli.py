@@ -255,6 +255,10 @@ def _cmd_project(parser, args):
 
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
     curve = density_estimate(np.split(hierarchy.coords[0], [n1]), bandwidth)
+    for label, (h, diagnostic) in enumerate(zip(curve.bandwidth, curve.diagnostic), start=1):
+        if diagnostic:
+            print(f"chardir project: warning: class {label} density: {diagnostic} {h!r}",
+                  file=sys.stderr)
 
     scores = _principal_components(samples.factors, 2)
     pc2 = scores[1] if scores.shape[0] > 1 else np.zeros(len(sample_ids))

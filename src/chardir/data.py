@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from array import array
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
@@ -41,6 +42,8 @@ __all__ = [
 # Rows the table readers convert at a time, so only one chunk's cells are held
 # as strings at once.
 _CHUNK_ROWS = 1024
+# Members the GMT reader sorts at a time, so only one block's keys are int64.
+_GMT_BLOCK = 1 << 14
 # The parse cache's bounds (``_read_expression_file``): 8 entries, 256 MiB in all.
 _CACHE_ENTRIES, _CACHE_BYTES = 8, 1 << 28
 
@@ -156,21 +159,26 @@ class GeneSet:
 class GeneSetLibrary:
     """Ordered gene sets with unique names, stored in columns: the set
     ``names`` and ``descriptions``; ``ids``, the distinct member ids in
-    first-seen order, one string object each; and per member its set number
-    ``which`` and id code ``code``, set by set with codes ascending and
-    unrepeated inside a set. Iteration and ``sets`` hand out ``GeneSet``
+    first-seen order, one string object each; ``code``, the int32 id code
+    of every member, set by set, ascending and unrepeated inside a set; and
+    the int64 ``offsets``, where each set's codes start, plus their end,
+    every set holding a member. Iteration and ``sets`` hand out ``GeneSet``
     views built on demand; ``from_sets`` builds a library from them."""
 
     names: tuple[str, ...]
     descriptions: tuple[str, ...]
     ids: tuple[str, ...]
-    which: np.ndarray
+    offsets: np.ndarray
     code: np.ndarray
 
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             dupes = sorted({n for n in self.names if self.names.count(n) > 1})
             raise ExpressionDataError(f"duplicate gene set names: {dupes}")
+        offsets = self.offsets
+        if not (len(offsets) == len(self.names) + 1 and offsets[0] == 0
+                and offsets[-1] == len(self.code) and np.all(offsets[1:] > offsets[:-1])):
+            raise ExpressionDataError("set offsets must rise from 0 to the member count")
 
     @classmethod
     def from_sets(cls, sets: Iterable[GeneSet]) -> GeneSetLibrary:
@@ -179,8 +187,7 @@ class GeneSetLibrary:
 
     @property
     def sets(self) -> tuple[GeneSet, ...]:
-        ends = np.cumsum(np.bincount(self.which, minlength=len(self.names)))
-        members = np.split(self.code, ends[:-1])
+        members = np.split(self.code, self.offsets[1:-1])
         return tuple(
             GeneSet(name, description, frozenset(map(self.ids.__getitem__, m.tolist())))
             for name, description, m in zip(self.names, self.descriptions, members)
@@ -378,23 +385,37 @@ def _read_expression_file(path, already_log: bool, pseudocount: float):
 
 def _library(rows) -> GeneSetLibrary:
     """The library of ``(name, description, member ids)`` rows. Each member
-    is coded by one dict operation as its row arrives, so only the distinct
-    ids are kept; repeats in a set are dropped by a sort and a neighbour
-    comparison."""
-    names, descriptions, codes = [], [], []
-    ids: dict[str, int] = {}  # id -> counter value at first sight
-    counter = count()
+    is coded by one dict operation as its row arrives, a new id taking the
+    next code, so only the distinct ids are kept; the codes are sorted and
+    deduplicated a block of rows holding about ``_GMT_BLOCK`` members at a
+    time."""
+    names, descriptions, block, codes, counts = [], [], [], [], []
+    ids: defaultdict[str, int] = defaultdict(count().__next__)  # id -> code
+    members = 0
     for name, description, genes in rows:
         names.append(name)
         descriptions.append(description)
-        codes.append(np.fromiter(map(ids.setdefault, genes, counter), np.int64, len(genes)))
-    position = np.zeros(next(counter), np.int64)
-    position[np.fromiter(ids.values(), np.int64, len(ids))] = np.arange(len(ids))
-    key = np.repeat(np.arange(len(codes), dtype=np.int64) * len(ids), list(map(len, codes)))
-    key += position[np.concatenate(codes)] if codes else 0
+        block.append(np.fromiter(map(ids.__getitem__, genes), np.int32, len(genes)))
+        if (members := members + len(genes)) >= _GMT_BLOCK:
+            _code_block(block, codes, counts)
+            block, members = [], 0
+    if block:
+        _code_block(block, codes, counts)
+    offsets = np.cumsum(np.concatenate([np.zeros(1, np.int64), *counts]))
+    code = np.concatenate([np.zeros(0, np.int32), *codes])
+    return GeneSetLibrary(tuple(names), tuple(descriptions), tuple(ids), offsets, code)
+
+
+def _code_block(block: list[np.ndarray], codes: list, counts: list) -> None:
+    """Append the codes of ``block``'s sets, sorted and unrepeated inside
+    each set, to ``codes`` and each set's count to ``counts``, by one sort
+    of int64 keys holding the set above the low 32 bits and the code in them."""
+    key = np.repeat(np.arange(len(block), dtype=np.int64) << 32, list(map(len, block)))
+    key |= np.concatenate(block)
     key.sort()
-    which, code = np.divmod(key[np.diff(key, prepend=-1) != 0], max(len(ids), 1))
-    return GeneSetLibrary(tuple(names), tuple(descriptions), tuple(ids), which, code)
+    key = key[np.diff(key, prepend=-1) != 0]
+    codes.append((key & 0xFFFFFFFF).astype(np.int32))
+    counts.append(np.bincount(key >> 32, minlength=len(block)))
 
 
 def _gmt_rows(text: str | TextIO | Iterable[str]):

@@ -31,6 +31,9 @@ __all__ = [
     "sliding_window_profile",
 ]
 
+# Members a set statistic gathers at a time (``_member_spans``).
+_MEMBER_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class EnrichmentResult:
@@ -63,20 +66,25 @@ class AngleEnrichmentResult:
     diagnostic: np.ndarray
 
 
-def _member_index(index: dict[str, int], library: GeneSetLibrary) -> tuple[np.ndarray, np.ndarray]:
-    """``(which, where)``: the set number and gene position of every member
-    of ``library`` found in ``index`` (gene id -> position), set by set
-    with positions ascending inside a set, so the order does not follow the
-    string-hash seed. Each distinct id is looked up once; members outside
-    the index are dropped. Every set statistic rejects an empty library here."""
+def _member_spans(index: dict[str, int], library: GeneSetLibrary):
+    """Walk ``library`` in spans of whole sets holding at most
+    ``_MEMBER_BLOCK`` members, a larger set being a span of its own. Yields
+    per span ``(sets, starts, where)``: the slice of its set numbers, where
+    each of its sets starts in the span, and each member's gene position in
+    ``index`` (gene id -> position), ``len(index)`` for a member outside it.
+    Each distinct id is looked up once. Every set statistic rejects an
+    empty library here."""
     if len(library) == 0:
         raise ValueError("gene set library is empty")
-    where = np.fromiter(map(index.get, library.ids, repeat(-1)), np.int64, len(library.ids))
-    where = where[library.code]
-    key = library.which * len(index) + where
-    key = key[where >= 0]
-    key.sort()
-    return np.divmod(key, len(index))
+    position = np.fromiter(map(index.get, library.ids, repeat(len(index))), np.intp,
+                           len(library.ids))
+    offsets, first = library.offsets, 0
+    while first < len(library):
+        end = int(np.searchsorted(offsets, offsets[first] + _MEMBER_BLOCK, "right")) - 1
+        end = max(end, first + 1)
+        begin, stop = offsets[first], offsets[end]
+        yield slice(first, end), offsets[first:end] - begin, position[library.code[begin:stop]]
+        first = end
 
 
 def _tabulate(result_type, library: GeneSetLibrary, present: np.ndarray, **columns):
@@ -115,27 +123,28 @@ def hypergeom_enrich(
     if not index:
         raise ValueError("universe is empty")
     n, n_sets = len(index), len(library)
-    which, where = _member_index(index, library)
-
-    marked = np.zeros(n, dtype=bool)
+    marked = np.zeros(n + 1, dtype=bool)  # slot n: outside the universe
     found = np.fromiter(map(index.get, significant, repeat(-1)), np.int64)
     marked[found[found >= 0]] = True
-    size = np.bincount(which, minlength=n_sets)
-    overlap = np.bincount(which[marked[where]], minlength=n_sets)
+    rank = np.zeros(n + 1)
+    if ranking is not None:
+        found = np.fromiter(map(index.get, ranking, repeat(-1)), np.int64)
+        rank[found[found >= 0]] = np.flatnonzero(found >= 0) + 1
+    size, overlap, ranked = (np.zeros(n_sets, np.int64) for _ in range(3))
+    rank_sum = np.zeros(n_sets)  # sums of integers below 2**53: exact in any order
+    for sets, starts, where in _member_spans(index, library):
+        size[sets] = np.add.reduceat(where < n, starts, dtype=np.int64)
+        overlap[sets] = np.add.reduceat(marked[where], starts, dtype=np.int64)
+        member_rank = rank[where]
+        rank_sum[sets] = np.add.reduceat(member_rank, starts)
+        ranked[sets] = np.add.reduceat(member_rank > 0, starts, dtype=np.int64)
+
     # The tail depends only on (overlap, size): one kernel element per distinct pair.
     pairs, inverse = np.unique(overlap * (n + 1) + size, return_inverse=True)
     k, m = np.divmod(pairs, n + 1)
     p = np.exp(_log_hypergeom_tail(k, np.count_nonzero(marked), m, n))[inverse]
-
-    rank = np.zeros(n)
-    if ranking is not None:
-        found = np.fromiter(map(index.get, ranking, repeat(-1)), np.int64)
-        rank[found[found >= 0]] = np.flatnonzero(found >= 0) + 1
-    member_rank = rank[where]
     with np.errstate(invalid="ignore"):
-        mean_rank = np.bincount(which, member_rank, n_sets) / np.bincount(
-            which[member_rank > 0], minlength=n_sets
-        )
+        mean_rank = rank_sum / ranked
     return _tabulate(EnrichmentResult, library, size, overlap=overlap, set_size=size,
                      p=p, mean_rank=mean_rank)
 
@@ -175,10 +184,20 @@ def angle_enrich(gene_ids, coefficients, library: GeneSetLibrary) -> AngleEnrich
         raise ValueError("gene_ids contain duplicates")
     if coefficients.shape != (len(gene_ids),):
         raise ValueError("coefficients and gene_ids lengths differ")
-    which, where = _member_index(index, library)
-    mass = np.bincount(which, coefficients[where] ** 2, len(library))
+    n = len(gene_ids)
+    squares = np.zeros(n + 1)  # slot n: outside gene_ids
+    squares[:n] = coefficients**2
+    mass, present = np.zeros(len(library)), np.zeros(len(library), np.int64)
+    for sets, starts, where in _member_spans(index, library):
+        # Sorted (set, position) keys, so each set's squares are added in
+        # ascending gene order; members outside add 0.0 after the rest.
+        key = np.repeat(np.arange(len(starts), dtype=np.int64) << 32,
+                        np.diff(starts, append=len(where)))
+        key |= where
+        key.sort()
+        mass[sets] = np.bincount(key >> 32, squares[key & 0xFFFFFFFF], len(starts))
+        present[sets] = np.add.reduceat(where < n, starts, dtype=np.int64)
     thetas = np.arccos(np.sqrt(np.minimum(mass, 1.0)))
-    present = np.bincount(which, minlength=len(library))
     pvals = np.where(present > 0, angle_null_pvalue(thetas, len(gene_ids)), 1.0)
     return _tabulate(AngleEnrichmentResult, library, present, theta=thetas, p=pvals)
 
@@ -211,9 +230,12 @@ def overlap_counts(ranking_a, ranking_b, library: GeneSetLibrary, n_max: int):
         raise ValueError("n_max must lie in [1, universe size]")
     counts = []
     for ranking in (ranking_a, ranking_b):
-        which, where = _member_index(dict(zip(ranking[:n_max], range(n_max))), library)
-        hits = np.bincount(which * n_max + where, minlength=len(library) * n_max)
-        counts.append(hits.reshape(len(library), n_max).cumsum(axis=1))
+        hits = np.zeros((len(library), n_max + 1), np.int64)  # column n_max: outside the top
+        for sets, starts, where in _member_spans(dict(zip(ranking[:n_max], range(n_max))), library):
+            owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(where)))
+            hits[sets] = np.bincount(owner * (n_max + 1) + where,
+                                     minlength=len(starts) * (n_max + 1)).reshape(-1, n_max + 1)
+        counts.append(hits[:, :n_max].cumsum(axis=1))
     return tuple(counts)
 
 

@@ -9,15 +9,17 @@ column-wise expression parser, gene-space nulls and deflation instead
 of the sample-space factorisation, and 40-digit hypergeometric series
 instead of the double-precision incomplete-beta continued fraction,
 a cell-by-cell row writer instead of the column-wise table writer,
-per-set Python set intersections instead of the membership index
+per-set Python set intersections instead of the member spans
 behind hypergeometric enrichment, a big-integer anchor (or exact
 big-integer sums with 40-digit logarithms) instead of the log-space
 hypergeometric kernel, exact fractions or 40-digit log-Gamma functions
 instead of Loader's saddle-point binomial density, line-by-line readers instead of the columnar GMT
 and ranked-file readers, a loop over n instead of the column
 reduction behind overlap-curve aggregation, a gene-by-gene prefix walk
-with a Python set test instead of the bincount over the membership
-index behind overlap counts, one SVD of the whole
+with a Python set test instead of the per-span bincount behind
+overlap counts, one global int64 key sort over every member instead of
+the GMT reader's blocks of rows and of the bounded member spans behind
+every set statistic, one SVD of the whole
 centred samples instead of their row-blocked tall-skinny QR, and a
 kernel sum term by term instead of the broadcast density estimate.
 np1's label-permutation null, which the package evaluates in closed form
@@ -29,8 +31,8 @@ from __future__ import annotations
 import io
 import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, TextIO
+from itertools import combinations, count, repeat
+from typing import Iterable, NamedTuple, TextIO
 
 import mpmath
 import numpy as np
@@ -461,7 +463,7 @@ def row_table(header, rows, comment: str = "") -> str:
 
 def hypergeom_enrich_rows(significant, library, universe, ranking=None) -> list[tuple]:
     """Hypergeometric enrichment set by set with Python set intersections
-    and a rank list per set, instead of one membership index and bincounts.
+    and a rank list per set, instead of the member spans and their sums.
     Rows are ``(set_name, overlap, set_size, p, q, mean_rank, diagnostic)``,
     sorted by p and then set name."""
     from chardir.special import _log_hypergeom_tail
@@ -670,3 +672,107 @@ def kde_on_grid(classes, bandwidths, points: int = 256):
                    for i in range(points - 1))
         densities.append(np.array(curve) / area)
     return grid, np.array(densities)
+
+
+class KeySortLibrary(NamedTuple):
+    """A gene-set library as per-member columns: each member's set number
+    ``which`` and id code ``code`` (its id's first-seen position in ``ids``)."""
+
+    names: tuple[str, ...]
+    ids: tuple[str, ...]
+    which: np.ndarray
+    code: np.ndarray
+
+
+def keysort_library(text: str) -> KeySortLibrary:
+    """The per-member columns of a valid GMT library: each member coded by
+    the counter value at its id's first sight, the values remapped to
+    first-seen positions, and one global int64 key ``set * n_ids + position``
+    sorted, with repeats inside a set dropped by a neighbour comparison."""
+    names, codes = [], []
+    ids: dict[str, int] = {}  # id -> counter value at first sight
+    counter = count()
+    for line in io.StringIO(text):
+        cells = line.rstrip("\n").rstrip("\r").split("\t")
+        if line.strip():
+            genes = [canonical_gene_id(c) for c in cells[2:] if c.strip()]
+            names.append(cells[0].strip())
+            codes.append(np.fromiter(map(ids.setdefault, genes, counter), np.int64, len(genes)))
+    position = np.zeros(next(counter), np.int64)
+    position[np.fromiter(ids.values(), np.int64, len(ids))] = np.arange(len(ids))
+    key = np.repeat(np.arange(len(codes), dtype=np.int64) * len(ids), list(map(len, codes)))
+    key += position[np.concatenate(codes)] if codes else 0
+    key.sort()
+    which, code = np.divmod(key[np.diff(key, prepend=-1) != 0], max(len(ids), 1))
+    return KeySortLibrary(tuple(names), tuple(ids), which, code)
+
+
+def keysort_member_index(index: dict[str, int], library: KeySortLibrary):
+    """``(which, where)``: the set number and gene position of every member
+    found in ``index`` (gene id -> position), by one global int64 key
+    ``set * len(index) + position`` sorted; members outside are dropped."""
+    if not library.names:
+        raise ValueError("gene set library is empty")
+    where = np.fromiter(map(index.get, library.ids, repeat(-1)), np.int64, len(library.ids))
+    where = where[library.code]
+    key = library.which * len(index) + where
+    key = key[where >= 0]
+    key.sort()
+    return np.divmod(key, len(index))
+
+
+def hypergeom_enrich_keysort(significant, library: KeySortLibrary, universe, ranking=None):
+    """``hypergeom_enrich`` over ``keysort_member_index``: per-set bincounts
+    of the globally sorted members, and the package's tail kernel and
+    table sort."""
+    from chardir.enrichment import EnrichmentResult, _tabulate
+    from chardir.special import _log_hypergeom_tail
+
+    universe = list(universe)
+    index = dict(zip(universe, range(len(universe))))
+    n, n_sets = len(index), len(library.names)
+    which, where = keysort_member_index(index, library)
+    marked = np.zeros(n, dtype=bool)
+    found = np.fromiter(map(index.get, significant, repeat(-1)), np.int64)
+    marked[found[found >= 0]] = True
+    size = np.bincount(which, minlength=n_sets)
+    overlap = np.bincount(which[marked[where]], minlength=n_sets)
+    pairs, inverse = np.unique(overlap * (n + 1) + size, return_inverse=True)
+    k, m = np.divmod(pairs, n + 1)
+    p = np.exp(_log_hypergeom_tail(k, np.count_nonzero(marked), m, n))[inverse]
+    rank = np.zeros(n)
+    if ranking is not None:
+        found = np.fromiter(map(index.get, ranking, repeat(-1)), np.int64)
+        rank[found[found >= 0]] = np.flatnonzero(found >= 0) + 1
+    member_rank = rank[where]
+    with np.errstate(invalid="ignore"):
+        mean_rank = np.bincount(which, member_rank, n_sets) / np.bincount(
+            which[member_rank > 0], minlength=n_sets)
+    return _tabulate(EnrichmentResult, library, size, overlap=overlap, set_size=size,
+                     p=p, mean_rank=mean_rank)
+
+
+def angle_enrich_keysort(gene_ids, coefficients, library: KeySortLibrary):
+    """``angle_enrich`` over ``keysort_member_index``: each set's squared
+    coefficients summed by one bincount of the globally sorted members."""
+    from chardir.enrichment import AngleEnrichmentResult, _tabulate, angle_null_pvalue
+
+    index = dict(zip(gene_ids, range(len(gene_ids))))
+    which, where = keysort_member_index(index, library)
+    mass = np.bincount(which, np.asarray(coefficients)[where] ** 2, len(library.names))
+    thetas = np.arccos(np.sqrt(np.minimum(mass, 1.0)))
+    present = np.bincount(which, minlength=len(library.names))
+    pvals = np.where(present > 0, angle_null_pvalue(thetas, len(gene_ids)), 1.0)
+    return _tabulate(AngleEnrichmentResult, library, present, theta=thetas, p=pvals)
+
+
+def overlap_counts_keysort(ranking_a, ranking_b, library: KeySortLibrary, n_max: int):
+    """``overlap_counts`` over ``keysort_member_index``: one bincount of
+    (set, top-n position) per ranking, summed along n."""
+    counts = []
+    for ranking in (ranking_a, ranking_b):
+        index = dict(zip(list(ranking)[:n_max], range(n_max)))
+        which, where = keysort_member_index(index, library)
+        hits = np.bincount(which * n_max + where, minlength=len(library.names) * n_max)
+        counts.append(hits.reshape(len(library.names), n_max).cumsum(axis=1))
+    return counts[0], counts[1]

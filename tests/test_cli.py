@@ -1071,6 +1071,24 @@ class TestProjectCommand:
         for column in (1, 2):
             assert np.trapezoid(dens[:, column], dens[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_density_fallback_is_reported_on_stderr(self, tmp_path, capsys):
+        # With more genes than samples cd1 piles each class onto one point,
+        # so both classes take the fallback bandwidth; a bandwidth given on
+        # the command line takes none, and the tables do not change.
+        values = np.random.default_rng(3).standard_normal((8, 6))
+        values[:2, 3:] += 2.0
+        expr, design = write_two_class(tmp_path, values, 3)
+        expected = {"auto": [f"chardir project: warning: class {label} density: zero spread: "
+                             "fell back to fixed bandwidth 1.0" for label in (1, 2)],
+                    "1.0": []}
+        for bandwidth, warnings in expected.items():
+            out = tmp_path / bandwidth
+            assert run(["project", "--expression", expr, "--design", design, "--bandwidth",
+                        bandwidth, "--seed", "1", "--out", out]) == 0
+            assert capsys.readouterr().err.splitlines() == warnings
+        for table in ("projection.tsv", "density.tsv", "pca.tsv"):
+            assert (tmp_path / "auto" / table).read_bytes() == (tmp_path / "1.0" / table).read_bytes()
+
     @pytest.mark.parametrize("fixture", ["spread", "dominated"])
     def test_pca_scores_match_covariance_eigendecomposition(self, tmp_path, fixture):
         if fixture == "dominated":

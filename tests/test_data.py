@@ -371,8 +371,20 @@ class TestParseGmtColumns:
 
     def test_codes_are_unrepeated_and_ascending_within_a_set(self):
         lib = parse_gmt(GMT_CASES["repeated_members"])
-        assert lib.which.tolist() == [0, 0, 1, 1]
+        assert lib.offsets.tolist() == [0, 2, 4]
         assert lib.code.tolist() == [0, 1, 0, 1]
+        assert lib.offsets.dtype == np.int64 and lib.code.dtype == np.int32
+
+    @pytest.mark.parametrize("names,offsets", [
+        (("A", "B"), [0, 3]),
+        (("A", "B", "C"), [0, 1, 1, 3]),
+        (("A", "B"), [1, 2, 3]),
+        (("A", "B"), [0, 1, 2]),
+    ], ids=["one_short", "empty_set", "not_from_zero", "not_to_the_member_count"])
+    def test_offsets_must_rise_from_zero_to_the_member_count(self, names, offsets):
+        with pytest.raises(ExpressionDataError, match="set offsets must rise"):
+            GeneSetLibrary(names, ("",) * len(names), ("G1", "G2", "G3"), np.array(offsets),
+                           np.arange(3, dtype=np.int32))
 
     def test_from_sets_round_trips_views(self):
         lib = parse_gmt(GMT_CASES["padded_lower_case_ids"] + "S3\td\tG9\tg1\n")

@@ -2,11 +2,15 @@
 p-values, overlap curves, and the sliding-window profile."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import chardir.data
+import chardir.enrichment
 from chardir.data import GeneSet, GeneSetLibrary, parse_gmt
 from chardir.enrichment import (
     aggregate_overlap_curves,
@@ -21,12 +25,16 @@ from chardir.special import _log_hypergeom_tail
 
 from oracles import (
     aggregate_ratios_by_n,
+    angle_enrich_keysort,
     angle_pdf,
     angle_pvalue_betainc,
     angle_pvalue_quad,
     enumerated_hypergeom_tail,
     exact_hypergeom_tail,
+    hypergeom_enrich_keysort,
     hypergeom_enrich_rows,
+    keysort_library,
+    overlap_counts_keysort,
     overlap_counts_loop,
 )
 
@@ -457,6 +465,147 @@ def windows(assoc, significant, window, universe):
     genes, distances = zip(*assoc)
     mean, log_p = sliding_window_profile(genes, distances, significant, window, universe)
     return list(zip(mean.tolist(), np.exp(log_p).tolist()))
+
+
+def block_edge_gmt(seed: int, universe: list[str]) -> str:
+    """A GMT library for the member-block tests: a set of 10 members (more
+    than a block of 1, 2 or 7), sets drawn with repeats from the universe
+    and two ids outside it, a set repeating one id in three spellings, and
+    a set wholly outside the universe."""
+    rng = np.random.default_rng(seed)
+    pool = universe + ["OUT1", "OUT2"]
+    lines = [f"S{j}\t\t" + "\t".join(rng.choice(pool, int(rng.integers(1, 9))))
+             for j in range(12)]
+    lines.insert(int(rng.integers(0, 12)), "BIG\t\t" + "\t".join(rng.permutation(universe)[:10]))
+    lines.insert(int(rng.integers(0, 13)), f"REP\t\t{universe[3]}\t{universe[3].lower()}"
+                                           f"\t {universe[3]} \t{universe[1]}")
+    lines.append("NONE\t\tOUT2\tOUT1\tout2")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_columns(got, want):
+    for name, column in vars(want).items():
+        mine = getattr(got, name)
+        assert mine.dtype == column.dtype, name
+        assert np.array_equal(mine, column, equal_nan=column.dtype.kind == "f"), name
+
+
+# The default blocks hold a whole test library; 1, 2 and 7 split it at
+# every set, inside sets and in between.
+BLOCKS = [1, 2, 7, None]
+
+
+class TestMemberBlocks:
+    """Every set statistic walks the library in bounded member spans and
+    the reader codes it in blocks of rows; both must give what one global
+    key sort over every member gives (``tests/oracles.py``)."""
+
+    @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b or 'default'}")
+    def block(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(chardir.enrichment, "_MEMBER_BLOCK", request.param)
+            monkeypatch.setattr(chardir.data, "_GMT_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_library_columns_match_the_global_key_sort(self, block, seed):
+        text = block_edge_gmt(seed, [f"G{i}" for i in range(30)])
+        library, want = parse_gmt(text), keysort_library(text)
+        assert library.ids == want.ids and library.names == want.names
+        assert library.code.dtype == np.int32 and library.offsets.dtype == np.int64
+        assert np.array_equal(library.code, want.code)
+        sizes = np.diff(library.offsets)
+        assert np.array_equal(np.repeat(np.arange(len(library)), sizes), want.which)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ranked", [True, False])
+    def test_hypergeom_matches_the_global_key_sort(self, block, seed, ranked):
+        rng = np.random.default_rng(seed + 100)
+        universe = [f"G{i}" for i in range(30)]
+        text = block_edge_gmt(seed, universe)
+        significant = list(rng.choice(universe + ["OUT1"], 8, replace=False))
+        ranking = list(rng.permutation(universe + ["OUT2"])) if ranked else None
+        got = hypergeom_enrich(significant, parse_gmt(text), universe, ranking)
+        want = hypergeom_enrich_keysort(significant, keysort_library(text), universe, ranking)
+        assert_same_columns(got, want)
+        assert "NONE" in got.set_name[got.diagnostic != ""]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_angle_matches_the_global_key_sort(self, block, seed):
+        gene_ids = [f"G{i}" for i in range(30)]
+        coefficients = np.random.default_rng(seed + 200).standard_normal(30)
+        coefficients /= np.linalg.norm(coefficients)
+        text = block_edge_gmt(seed, gene_ids)
+        got = angle_enrich(gene_ids, coefficients, parse_gmt(text))
+        want = angle_enrich_keysort(gene_ids, coefficients, keysort_library(text))
+        assert_same_columns(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overlap_counts_match_the_global_key_sort(self, block, seed):
+        rng = np.random.default_rng(seed + 300)
+        universe = [f"G{i}" for i in range(30)]
+        text = block_edge_gmt(seed, universe)
+        a, b = list(rng.permutation(universe)), list(rng.permutation(universe))
+        for n_max in (1, 13, 30):
+            got = overlap_counts(a, b, parse_gmt(text), n_max)
+            want = overlap_counts_keysort(a, b, keysort_library(text), n_max)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_empty_library_is_rejected(self, block):
+        library = parse_gmt("")
+        with pytest.raises(ValueError, match="gene set library is empty"):
+            hypergeom_enrich(["G1"], library, ["G1", "G2"])
+        with pytest.raises(ValueError, match="gene set library is empty"):
+            angle_enrich(*make_direction([0.6, 0.8, 0.0]), library)
+        with pytest.raises(ValueError, match="gene set library is empty"):
+            overlap_counts(["G1", "G2"], ["G2", "G1"], library, 2)
+
+    def test_spans_hold_whole_sets_within_the_block(self, block):
+        library = parse_gmt(block_edge_gmt(0, [f"G{i}" for i in range(30)]))
+        spans = list(chardir.enrichment._member_spans({"G1": 0}, library))
+        assert [s.start for s, _, _ in spans] == [0] + [s.stop for s, _, _ in spans[:-1]]
+        assert spans[-1][0].stop == len(library)
+        for sets, starts, where in spans:
+            assert np.array_equal(starts, library.offsets[sets] - library.offsets[sets.start])
+            assert sets.stop - sets.start == 1 or len(where) <= chardir.enrichment._MEMBER_BLOCK
+
+
+# Parses a library file, then scores it in both modes; prints the rise of
+# the peak resident set over what the imports and the universe left, per
+# library member. The peak is the process's own VmHWM: ru_maxrss would
+# carry the test runner's peak across the exec.
+MEMORY_SCRIPT = """
+import sys
+import numpy as np
+from chardir.data import parse_gmt
+from chardir.enrichment import angle_enrich, hypergeom_enrich
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+universe = [f"G{i:05d}" for i in range(20000)]
+coefficients = np.full(20000, 20000 ** -0.5)
+before = peak_kib()
+with open(sys.argv[1]) as handle:
+    library = parse_gmt(handle)
+hypergeom_enrich(universe[:500], library, universe, universe)
+angle_enrich(universe, coefficients, library)
+print((peak_kib() - before) * 1024 / len(library.code))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_enrichment_memory_grows_by_under_32_bytes_per_member(tmp_path):
+    # 10,000 sets of 100 to 180 members over 20,000 ids: about 1.4 M members.
+    rng = np.random.default_rng(5)
+    ids = np.array([f"G{i:05d}" for i in range(20000)])
+    with open(tmp_path / "library.gmt", "w") as handle:
+        for j, size in enumerate(rng.integers(100, 181, 10000).tolist()):
+            handle.write(f"SET{j}\t\t" + "\t".join(ids[rng.integers(0, 20000, size)]) + "\n")
+    proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT, str(tmp_path / "library.gmt")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 32
 
 
 class TestSlidingWindow:
