@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # Size, relative to the table's magnitude, at or below which a centroid
-# difference on the axes a fit uses counts as no signal (both in data units).
+# difference on the axes a fit uses counts as no signal.
 SIGNAL_FLOOR = 1e-12
 
 
@@ -85,16 +85,14 @@ class SignificantGeneCall:
     selected_count: int
 
 
-def _signal_norm(vector: np.ndarray, scale: float) -> float:
-    """The norm of ``vector``, taken after exact division by the power of two
-    at the table's magnitude ``scale``, so it neither overflows nor
-    underflows. A norm at most ``SIGNAL_FLOOR * scale`` raises
+def _signal_norm(vector: np.ndarray, factors: _SampleFactors) -> float:
+    """The norm, in data units, of ``vector``, taken at the unit scale of
+    ``factors``. A norm at most ``SIGNAL_FLOOR * factors.scale`` raises
     NoDifferentialSignalError."""
-    exponent = np.frexp(scale)[1]
-    norm = float(np.linalg.norm(np.ldexp(vector, -exponent)))
-    if norm <= SIGNAL_FLOOR * np.ldexp(scale, -exponent):
+    norm = float(np.linalg.norm(vector))
+    if norm <= SIGNAL_FLOOR * factors.scale:
         raise NoDifferentialSignalError("no differential signal between the classes")
-    return float(np.ldexp(norm, exponent))
+    return float(np.ldexp(norm, factors.exponent))
 
 
 class _TwoClassSamples(NamedTuple):
@@ -135,7 +133,7 @@ def _two_class_samples(gene_ids, pooled: np.ndarray, n1: int) -> _TwoClassSample
         raise ValueError("gene_ids and matrices disagree on gene count")
 
     factors = _factor_samples(pooled)
-    magnitude = _signal_norm(_class_difference(factors.coords, n1), factors.scale)
+    magnitude = _signal_norm(_class_difference(factors.coords, n1), factors)
     return _TwoClassSamples(gene_ids, factors, magnitude, n1)
 
 
@@ -156,9 +154,8 @@ def _unit_direction(
     ``singular`` on every axis (NP1: whitened by the label-permutation null).
     A ``delta_pc`` on those axes at most ``SIGNAL_FLOOR * factors.scale``
     raises NoDifferentialSignalError; else its dot product with ``w`` is
-    positive, so the direction points from class 1 to class 2. Both are
-    divided by the power of two at the table's magnitude first, so powers
-    and norms stay finite at any scale.
+    positive, so the direction points from class 1 to class 2. The factors
+    are at unit scale, so these powers and norms stay finite.
     """
     if method == "LR1":
         k, power = _component_rule(factors, epsilon, max_components)[0], 2
@@ -167,9 +164,8 @@ def _unit_direction(
     else:
         raise ValueError(f"unknown method {method!r}; expected LR1 or NP1")
     delta_pc = _class_difference(factors.coords[:k], n1)
-    _signal_norm(delta_pc, factors.scale)
-    exponent = np.frexp(factors.scale)[1]
-    w = np.ldexp(delta_pc, -exponent) / np.ldexp(factors.singular[:k], -exponent) ** power
+    _signal_norm(delta_pc, factors)
+    w = delta_pc / factors.singular[:k] ** power
     raw = factors.basis[:, : len(delta_pc)] @ w
     return raw / np.linalg.norm(raw)
 

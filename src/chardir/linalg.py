@@ -25,30 +25,35 @@ class ZeroVarianceError(ValueError):
 
 
 class _SampleFactors(NamedTuple):
-    """``basis @ coords``: the thin SVD of row-centred data truncated at its
-    numerical rank r, with orthonormal ``basis`` (genes x r),
-    ``coords = diag(singular) @ Vt`` (r x samples) and ``scale``, the
-    data's largest magnitude."""
+    """``basis @ coords``: the thin SVD of the row-centred data times
+    ``2 ** -exponent``, truncated at its numerical rank r, with orthonormal
+    ``basis`` (genes x r), ``coords = diag(singular) @ Vt`` (r x samples) and
+    ``scale``, the scaled data's largest magnitude, in [0.5, 1) or 0. The
+    power of two is exact and puts the table at unit scale, so squares and
+    norms of these fields stay finite for any finite table; a value leaves
+    in data units as ``np.ldexp(value, exponent)``."""
 
     basis: np.ndarray
     singular: np.ndarray
     coords: np.ndarray
     scale: float
+    exponent: int
 
 
 def _factor_samples(data: np.ndarray) -> _SampleFactors:
     """Factor the row-centred samples (genes x samples) once; see
-    :class:`_SampleFactors`. ``data`` is centred in place and, when it is
-    taller than one block of :data:`_FACTOR_ROWS` rows, overwritten by the
-    left singular vectors, so callers pass a float64 array they own. The
-    numerical rank counts singular values above LAPACK's tolerance,
-    max(shape) * eps * largest."""
-    scale = max(float(data.max()), -float(data.min()))
+    :class:`_SampleFactors`. ``data`` is scaled and centred in place and,
+    when it is taller than one block of :data:`_FACTOR_ROWS` rows,
+    overwritten by the left singular vectors, so callers pass a float64
+    array they own. The numerical rank counts singular values above
+    LAPACK's tolerance, max(shape) * eps * largest."""
+    scale, exponent = np.frexp(max(float(data.max()), -float(data.min())))
+    np.ldexp(data, -exponent, out=data)
     data -= data.mean(axis=1)[:, None]
     u, s, vt = _thin_svd(data)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
-    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], float(scale), int(exponent))
 
 
 # Row-block height of the factorisation: taller samples are QR-factored one
@@ -89,8 +94,7 @@ def _component_rule(
     variance, up to ``max_components`` and never more than the numerical
     rank or n_samples - 1. Returns the count k, the k component variances,
     the retained variance fraction and whether ``max_components`` capped k.
-    Singular values are squared after division by the power of two at the
-    table's magnitude, so no square overflows or underflows.
+    The variances are in data units; the rule reads them at unit scale.
 
     Raises:
         ZeroVarianceError: all samples are identical.
@@ -100,10 +104,9 @@ def _component_rule(
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
     n_samples = factors.coords.shape[1]
-    exponent = np.frexp(factors.scale)[1]
-    variances = np.ldexp(factors.singular, -exponent) ** 2 / (n_samples - 1)
+    variances = factors.singular**2 / (n_samples - 1)
     total = float(variances.sum())
-    if total <= (1e-12 * np.ldexp(factors.scale, -exponent)) ** 2:
+    if total <= (1e-12 * factors.scale) ** 2:
         raise ZeroVarianceError("zero total variance: all samples identical")
 
     cumulative = np.cumsum(variances) / total
@@ -112,16 +115,16 @@ def _component_rule(
     k = min(k_target, max_components)
     capped = k_target > max_components
     with np.errstate(over="ignore"):  # a variance past the float range reads inf
-        return k, np.ldexp(variances[:k], 2 * exponent), float(cumulative[k - 1]), capped
+        return k, np.ldexp(variances[:k], 2 * factors.exponent), float(cumulative[k - 1]), capped
 
 
 def _principal_components(factors: _SampleFactors, count: int) -> np.ndarray:
-    """Scores (k x samples) of the first ``count`` principal axes, or of all
-    r if fewer, each row's sign fixed so that the largest-magnitude entry of
-    its basis column is positive."""
+    """Scores (k x samples, in data units) of the first ``count`` principal
+    axes, or of all r if fewer, each row's sign fixed so that the
+    largest-magnitude entry of its basis column is positive."""
     # One column at a time, so |basis| is never held whole (genes x k).
     flips = [-1.0 if c[np.abs(c).argmax()] < 0 else 1.0 for c in factors.basis[:, :count].T]
-    return np.array(flips)[:, None] * factors.coords[: len(flips)]
+    return np.ldexp(np.array(flips)[:, None] * factors.coords[: len(flips)], factors.exponent)
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

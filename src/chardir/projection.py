@@ -102,7 +102,7 @@ def _project_samples(
     truncated_reason = ""
     for _ in range(depth):
         try:
-            magnitude = _signal_norm(_class_difference(coords, n1), factors.scale)
+            magnitude = _signal_norm(_class_difference(coords, n1), factors)
             c = _unit_direction(_factor_samples(coords.copy()), n1, "LR1", epsilon, max_components)
         except (NoDifferentialSignalError, ZeroVarianceError) as exc:
             truncated_reason = f"signal exhausted at level {len(directions) + 1}: {exc}"
@@ -116,7 +116,7 @@ def _project_samples(
         raise NoDifferentialSignalError(truncated_reason)
     return ProjectionHierarchy(
         directions=tuple(directions),
-        coords=np.vstack(levels),
+        coords=np.ldexp(np.vstack(levels), factors.exponent),
         class_of_sample=tuple([1] * n1 + [2] * (n_samples - n1)),
         truncated_reason=truncated_reason,
     )

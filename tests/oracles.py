@@ -320,13 +320,15 @@ def covariance_eigendecomposition(data: np.ndarray):
 
 def single_svd_factors(data: np.ndarray) -> _SampleFactors:
     """The sample factorisation by one numpy SVD of the whole row-centred
-    ``data``, which is left unchanged: no row blocks and no QR."""
-    scale = float(np.abs(data).max())
-    centred = data - data.mean(axis=1)[:, None]
+    ``data`` times 2^-e, e being the binary exponent of its largest
+    magnitude; ``data`` is left unchanged: no row blocks and no QR."""
+    scale, exponent = np.frexp(float(np.abs(data).max()))
+    scaled = np.ldexp(data, -exponent)
+    centred = scaled - scaled.mean(axis=1)[:, None]
     u, s, vt = np.linalg.svd(centred, full_matrices=False)
     tol = float(s.max(initial=0.0)) * max(data.shape) * np.finfo(np.float64).eps
     r = int(np.count_nonzero(s > tol))
-    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], scale)
+    return _SampleFactors(u[:, :r], s[:r], s[:r, None] * vt[:r], float(scale), int(exponent))
 
 
 def _as_lines(text: str | TextIO | Iterable[str]) -> Iterable[str]:

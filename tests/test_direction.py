@@ -22,8 +22,12 @@ from oracles import normal_equation_direction, np1_gram_whitening, np1_rank_rest
 TOY_X1 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 TOY_X2 = np.array([[5.0, 5.1, 5.0], [0.0, 0.0, 0.1]])
 # Table multipliers; from 1e160 on, a squared singular value leaves the
-# float range, and below 1e-155 it underflows.
-SCALE_FACTORS = [-1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100, 1e-160, -1e-200, 1e160, 1e200, -1e200]
+# float range, below 1e-155 it underflows, and at 1e306 so does the largest
+# singular value times the table's longer side, the rank tolerance's factor.
+SCALE_FACTORS = [
+    -1.0, 1e8, -1e8, 1e-8, 1e-13, 1e-100, 1e-160, -1e-200, 1e160, 1e200, -1e200, 1e306,
+    -(2.0**1015),
+]
 
 
 def random_two_class(rng, n_genes=None, n1=None, n2=None, shift=None):

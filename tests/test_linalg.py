@@ -123,7 +123,7 @@ class TestPcaReduce:
         basis = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         coords = np.array([[2.0, 0.0, -2.0], [0.5, -1.0, 0.5]])
         factors = chardir.linalg._SampleFactors(
-            basis, np.array([2.0 * math.sqrt(2), math.sqrt(1.5)]), coords, 1.0
+            basis, np.array([2.0 * math.sqrt(2), math.sqrt(1.5)]), coords, scale=0.5, exponent=0
         )
         scores = _principal_components(factors, _component_rule(factors, 1e-3, 20)[0])
         assert scores.tolist() == [coords[0].tolist(), (-coords[1]).tolist()]
@@ -194,15 +194,30 @@ class TestSampleFactorisation:
         blocks = _factor_samples(data)
         whole = _factor_samples(pooled.copy())
         assert [x1.tobytes(), x2.tobytes(), pooled.tobytes()] == before
+        # The samples are left centred at unit scale: an exact power of two
+        # takes them back to the centred data.
         centred = pooled - pooled.mean(axis=1)[:, None]
-        assert n1 == 3 and data.tobytes() == centred.tobytes()
-        u, s, vt = np.linalg.svd(centred, full_matrices=False)
-        r = 6  # the centred samples' rank
+        assert n1 == 3 and np.ldexp(data, blocks.exponent).tobytes() == centred.tobytes()
+        oracle = single_svd_factors(pooled)
+        assert len(oracle.singular) == 6  # the centred samples' rank
         for factors in (blocks, whole):
-            assert factors.basis.tobytes() == u[:, :r].tobytes()
-            assert factors.singular.tobytes() == s[:r].tobytes()
-            assert factors.coords.tobytes() == (s[:r, None] * vt[:r]).tobytes()
-            assert factors.scale == float(np.abs(pooled).max())
+            for got, want in zip(factors, oracle, strict=True):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_table_scaling_is_exact(self, power):
+        # The factorisation runs at unit scale whatever the table's scale,
+        # so a table times an exact power of two gives the same bytes.
+        outcome = generate(SyntheticSpec(n_genes=60, samples_per_class=5, seed=4))
+        x1, x2 = outcome.x_control, outcome.x_perturbed
+        y1, y2 = np.ldexp(x1, power), np.ldexp(x2, power)
+        gene_ids = synthetic_gene_ids(60)
+        for fit in (lr1_direction, np1_direction):
+            got = fit(gene_ids, y1, y2).coefficients
+            assert got.tobytes() == fit(gene_ids, x1, x2).coefficients.tobytes()
+        coords = project_hierarchy(gene_ids, y1, y2, depth=3).coords
+        want = np.ldexp(project_hierarchy(gene_ids, x1, x2, depth=3).coords, power)
+        assert coords.tobytes() == want.tobytes()
 
     def test_library_callers_leave_their_inputs_unchanged(self):
         outcome = generate(SyntheticSpec(n_genes=60, samples_per_class=5, seed=4))
@@ -267,13 +282,13 @@ class TestBlockedFactorisation:
         factors = samples.factors
         # The blocked route turns the samples themselves into the basis.
         assert np.shares_memory(factors.basis, owned)
-        assert factors.scale == oracle.scale
+        assert (factors.scale, factors.exponent) == (oracle.scale, oracle.exponent)
 
         r = len(oracle.singular)
         assert len(factors.singular) == r
         largest = oracle.singular[0]
         assert np.abs(factors.singular - oracle.singular).max() <= 1e-13 * largest
-        centred = data - data.mean(axis=1)[:, None]
+        centred = np.ldexp(data - data.mean(axis=1)[:, None], -oracle.exponent)
         assert np.abs(factors.basis @ factors.coords - centred).max() <= 1e-13 * factors.scale
         assert np.abs(factors.basis.T @ factors.basis - np.eye(r)).max() <= 1e-13
 
@@ -303,7 +318,8 @@ class TestBlockedFactorisation:
         owned = data.copy()
         factors = _factor_samples(owned)
         assert not np.shares_memory(factors.basis, owned)
-        assert owned.tobytes() == (data - data.mean(axis=1)[:, None]).tobytes()
+        centred = data - data.mean(axis=1)[:, None]
+        assert np.ldexp(owned, factors.exponent).tobytes() == centred.tobytes()
         for got, want in zip(factors, oracle):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 

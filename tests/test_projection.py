@@ -87,7 +87,7 @@ class TestHierarchy:
 
     # A table multiplied by a constant keeps its directions and scales its
     # coordinates by that constant, also where its square leaves the float range.
-    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-13, 1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-13, 1e-200, 1e200, 1e306])
     def test_depth_three_matches_gene_space_oracle(self, scale):
         # All components kept, so each level is the full-space normal of
         # the deflated data; both more genes than samples and the reverse.
@@ -103,6 +103,22 @@ class TestHierarchy:
             got = np.vstack([d.coefficients for d in h.directions])
             assert np.max(np.abs(got - directions)) <= 1e-10
             assert np.max(np.abs(h.coords / scale - coords)) <= 1e-10
+
+    # LR1 data piling: with all n - 1 components kept, the regression on
+    # the scores interpolates the class labels, so every sample of a class
+    # lands on one in-sample coordinate; fewer components leave a spread.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_components", [50, 10, 5])
+    def test_all_components_pile_each_class_on_one_coordinate(self, seed, max_components):
+        rng = np.random.default_rng(seed)
+        x1 = rng.standard_normal((300, 6))
+        x2 = rng.standard_normal((300, 6)) + rng.standard_normal(300)[:, None]
+        gene_ids = tuple(f"g{i}" for i in range(300))
+        cd1 = project_hierarchy(gene_ids, x1, x2, depth=1, epsilon=1e-12,
+                                max_components=max_components).coords[0]
+        spread = max(np.ptp(cd1[:6]), np.ptp(cd1[6:]))
+        piled = spread <= 1e-12 * np.abs(cd1).max()
+        assert piled == (max_components >= 11)
 
     def test_class_labels(self):
         h = project_hierarchy(("A", "B"), TOY_X1, TOY_X2, depth=1)
